@@ -4,6 +4,8 @@ The SVM minimizes lambda/2 ||w||^2 + mean hinge loss by Pegasos-style
 subgradient descent (one sample per step, eta_t = 1/(lambda*t), bias
 unregularized). Features are standardized on training statistics. Labels:
 literal -> -1, metaphor -> +1; metaphor is the positive class throughout.
+Cross-validation trains its k fold models and the full-data model together,
+in one lockstep pass of the same kernel that `train_svm` runs for one fit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .embeddings import format_floats
 from .sentvec import SentenceVector
 
 
-class FoldError(RuntimeError):
+class FoldError(ValueError):
     """A cross-validation training split lost one of the two classes."""
 
 
@@ -53,17 +55,161 @@ class EvalReport:
     per_fold: list[FoldMetrics]
     mean_accuracy: float
     mean_precision: float | None
+    model: SvmModel | None = None  # full-data fit from the same training pass
+    fits: int = 0                  # folds plus the full-data fit
+    pegasos_steps: int = 0         # summed over every fit
 
 
 def _labels_to_signs(vectors: list[SentenceVector]) -> np.ndarray:
     return np.array([1.0 if sv.label == METAPHOR else -1.0 for sv in vectors])
 
 
-def _feature_matrix(vectors: list[SentenceVector]) -> np.ndarray:
+def _feature_matrix(vectors: list[SentenceVector], augment: bool = False) -> np.ndarray:
+    """One row per vector; `augment` appends the constant bias feature 1."""
     dims = {len(sv.values) for sv in vectors}
     if len(dims) != 1:
         raise ValueError(f"inconsistent vector dimensions: {sorted(dims)}")
-    return np.stack([sv.values for sv in vectors])
+    dim = dims.pop()
+    x = np.ones((len(vectors), dim + augment))
+    for row, sv in zip(x, vectors):
+        row[:dim] = sv.values
+    return x
+
+
+# Steps whose standardized rows are built at once, per fit. Small, so the
+# block buffers stay well under one copy of the data.
+_BLOCK = 16
+# Relative headroom of the running norm bound, far above its rounding error.
+_SLACK = 1e-6
+
+
+class _Shuffled:
+    """One fit's training rows, in a fresh random order each epoch."""
+
+    def __init__(self, rows: np.ndarray, seed: int):
+        self.rows = rows
+        self.rng = np.random.default_rng(seed)
+        self.order = rows
+        self.pos = len(rows)
+
+    def take(self, out: np.ndarray) -> None:
+        """Fill `out` with the next len(out) rows, crossing epochs as needed."""
+        filled = 0
+        while filled < len(out):
+            if self.pos == len(self.rows):
+                self.order = self.rows[self.rng.permutation(len(self.rows))]
+                self.pos = 0
+            k = min(len(out) - filled, len(self.rows) - self.pos)
+            out[filled:filled + k] = self.order[self.pos:self.pos + k]
+            filled += k
+            self.pos += k
+
+
+def _pegasos(
+    xa: np.ndarray,
+    signs: np.ndarray,
+    runs: list[tuple[np.ndarray, int]],
+    lam: float,
+    epochs: int,
+) -> list[SvmModel]:
+    """Fit one model per (training rows, seed) run, all runs in lockstep.
+
+    `xa` holds the features with the constant bias feature appended. Each
+    run is an independent Pegasos fit over its rows of `xa`, with its own
+    standardization, rng, step count and averaging window, and is one row
+    of a (runs, D+1) weight matrix. Per run the arithmetic is exactly the
+    per-sample loop's: at step t, with eta = 1/(lam*t), decay w by
+    1 - eta*lam, add eta*y*z if y*(z.w) < 1, project onto the ball
+    ||w|| <= 1/sqrt(lam), and average the iterates of the second half of
+    training. The label sign is folded into the standardized row, so y*(z.w)
+    is computed as (y*z).w, which is the same number.
+
+    Runs are sorted longest first, so the runs still training at a step are
+    a prefix of the weight matrix and the ones averaging are a slice of it.
+    The exact norms are computed only when a running upper bound on them,
+    ||w'|| <= (1 - eta*lam)||w|| + eta*||z||, nears the ball's radius.
+    """
+    dim = xa.shape[1] - 1
+    order = sorted(range(len(runs)), key=lambda r: -len(runs[r][0]))
+    streams = [_Shuffled(*runs[r]) for r in order]
+    ends = epochs * np.array([len(s.rows) for s in streams])  # last step
+    averaging_from = ends // 2  # a run averages its steps t > this
+    mean = np.zeros((len(runs), dim + 1))  # the bias feature stays (1 - 0) / 1
+    std = np.ones((len(runs), dim + 1))
+    for r, stream in enumerate(streams):
+        xr = xa[stream.rows, :dim]
+        mean[r, :dim] = xr.mean(axis=0)
+        std[r, :dim] = xr.std(axis=0)
+        del xr  # before the next run's copy is made
+    std = np.where(std > 0, std, 1.0)  # zero-variance dimensions pass through
+
+    w = np.zeros((len(runs), dim + 1))
+    avg = np.zeros_like(w)
+    radius = 1.0 / math.sqrt(lam)
+    near = radius * (1.0 - _SLACK)  # below this no run can need projecting
+    near_sq = near * near
+    bound = 0.0  # >= every run's ||w||
+    buffers = np.empty((2, _BLOCK * len(runs) * (dim + 1)))
+    t = 0
+    for stop in sorted(set(ends.tolist()) | set(averaging_from.tolist())):
+        # steps t+1 .. stop share their active and averaging runs
+        active = int(np.count_nonzero(ends >= stop))
+        first_avg = int(np.count_nonzero(averaging_from >= stop))
+        averaging = first_avg < active
+        row, col = w[:active, None, :], w[:active, :, None]
+        w_avg, avg_part = w[first_avg:active], avg[first_avg:active]
+        margin = np.empty((active, 1, 1))
+        violated = np.empty((active, 1, 1), dtype=bool)
+        sq = np.empty((active, 1, 1))
+        idx = np.empty((active, _BLOCK), dtype=np.intp)
+        while t < stop:
+            length = min(_BLOCK, stop - t)
+            for stream, out in zip(streams[:active], idx[:, :length]):
+                stream.take(out)
+            picked = idx[:, :length].T
+            size = length * active * (dim + 1)
+            flat = buffers[0, :size].reshape(length, active, dim + 1)
+            np.take(xa, picked, axis=0, out=flat, mode="clip")
+            flat -= mean[:active]
+            flat /= std[:active]
+            flat *= signs[picked][:, :, None]
+            etas = 1.0 / (lam * np.arange(t + 1, t + length + 1))
+            z = flat[:, :, None, :]
+            eta_z = np.multiply(
+                z, etas[:, None, None, None],
+                out=buffers[1, :size].reshape(z.shape),
+            )
+            # per step, eta times the largest ||z|| over the runs
+            grows = etas * np.sqrt(np.einsum("lak,lak->la", flat, flat).max(axis=1))
+            decays = 1.0 - etas * lam
+            for zc, eta_zc, decay, grow in zip(z, eta_z, decays.tolist(), grows.tolist()):
+                np.matmul(zc, col, out=margin)
+                np.less(margin, 1.0, out=violated)
+                row *= decay
+                np.add(row, eta_zc, out=row, where=violated)
+                bound = bound * decay + grow
+                if bound > near:
+                    np.matmul(row, col, out=sq)
+                    largest = float(np.maximum.reduce(sq, axis=None))
+                    if largest > near_sq:
+                        norm = np.sqrt(sq)
+                        over = norm > radius
+                        if over.any():
+                            row *= np.where(over, radius / norm, 1.0)
+                    bound = min(math.sqrt(largest), radius) * (1.0 + _SLACK)
+                if averaging:
+                    avg_part += w_avg
+            t += length
+
+    averaged = ends - averaging_from
+    models = {}
+    for r, run in enumerate(order):
+        final = avg[r] / averaged[r] if averaged[r] else w[r]
+        models[run] = SvmModel(
+            weights=final[:dim].copy(), bias=float(final[dim]), lam=lam,
+            scale_mean=mean[r, :dim].copy(), scale_std=std[r, :dim].copy(),
+        )
+    return [models[run] for run in range(len(runs))]
 
 
 def train_svm(
@@ -83,40 +229,8 @@ def train_svm(
     signs = _labels_to_signs(train)
     if len(set(signs)) < 2:
         raise ValueError("training set must contain both classes")
-    x = _feature_matrix(train)
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    z = (x - mean) / std
-    n, dim = z.shape
-    z_aug = np.hstack([z, np.ones((n, 1))])
-    w = np.zeros(dim + 1)
-    rng = np.random.default_rng(seed)
-    radius = 1.0 / math.sqrt(lam)
-    averaging_from = (epochs * n) // 2
-    avg = np.zeros(dim + 1)
-    averaged = 0
-    t = 0
-    for _ in range(epochs):
-        for idx in rng.permutation(n):
-            t += 1
-            eta = 1.0 / (lam * t)
-            violated = signs[idx] * (z_aug[idx] @ w) < 1.0
-            w *= 1.0 - eta * lam
-            if violated:
-                w += eta * signs[idx] * z_aug[idx]
-            # optional projection onto the ball ||w|| <= 1/sqrt(lam)
-            norm = float(np.linalg.norm(w))
-            if norm > radius:
-                w *= radius / norm
-            if t > averaging_from:
-                avg += w
-                averaged += 1
-    if averaged:
-        w = avg / averaged
-    return SvmModel(
-        weights=w[:dim], bias=float(w[dim]), lam=lam, scale_mean=mean, scale_std=std
-    )
+    xa = _feature_matrix(train, augment=True)
+    return _pegasos(xa, signs, [(np.arange(len(train)), seed)], lam, epochs)[0]
 
 
 def hinge_objective(model: SvmModel, vectors: list[SentenceVector]) -> float:
@@ -210,26 +324,35 @@ def cross_validate(
     """Train on k-1 folds, evaluate on the held-out fold, for every fold.
 
     Folds are stratified by default so near-balanced data cannot produce a
-    single-class training split. Mean precision averages only the folds
+    single-class training split. Fold f trains with seed + f; the reference
+    model on the full dataset (seed) trains in the same lockstep pass and
+    comes back as `report.model`. Mean precision averages only the folds
     where precision is defined.
     """
     labels = [sv.label for sv in vectors]
     folds = kfold_split(len(vectors), k, seed=seed, stratified=stratified, labels=labels)
-    per_fold: list[FoldMetrics] = []
+    signs = _labels_to_signs(vectors)
+    everything = np.arange(len(vectors))
+    runs = []
     for f, fold in enumerate(folds):
-        held_out = set(fold.tolist())
-        train = [sv for i, sv in enumerate(vectors) if i not in held_out]
-        test = [vectors[i] for i in fold]
-        train_labels = {sv.label for sv in train}
-        if len(train_labels) < 2:
+        train = np.setdiff1d(everything, fold)
+        if len(set(signs[train])) < 2:
             raise FoldError(f"fold {f}: training split lost a class")
-        model = train_svm(train, lam=lam, epochs=epochs, seed=seed + f)
-        per_fold.append(evaluate_fold(model, test))
+        runs.append((train, seed + f))
+    runs.append((everything, seed))
+    *fold_models, model = _pegasos(
+        _feature_matrix(vectors, augment=True), signs, runs, lam, epochs)
+    per_fold = [
+        evaluate_fold(m, [vectors[i] for i in fold])
+        for m, fold in zip(fold_models, folds)
+    ]
     mean_accuracy = sum(m.accuracy for m in per_fold) / len(per_fold)
     defined = [m.precision for m in per_fold if m.precision is not None]
     mean_precision = sum(defined) / len(defined) if defined else None
     return EvalReport(
-        per_fold=per_fold, mean_accuracy=mean_accuracy, mean_precision=mean_precision
+        per_fold=per_fold, mean_accuracy=mean_accuracy, mean_precision=mean_precision,
+        model=model, fits=len(runs),
+        pegasos_steps=epochs * sum(len(train) for train, _ in runs),
     )
 
 

@@ -168,17 +168,15 @@ def cmd_cv(args) -> dict:
     )
     report_path = os.path.join(args.out, CV_FILE)
     classifier.save_report(report, report_path)
-    # reference model fitted on the full dataset
-    model = classifier.train_svm(
-        vectors, lam=args.svm_lambda, epochs=args.svm_epochs, seed=args.seed
-    )
     model_path = os.path.join(args.out, MODEL_FILE)
-    classifier.save_model(model, model_path)
+    classifier.save_model(report.model, model_path)
     return {
         "command": "cv",
         "folds": args.folds,
         "mean_accuracy": report.mean_accuracy,
         "mean_precision": report.mean_precision,
+        "fits": report.fits,
+        "pegasos_steps": report.pegasos_steps,
         "report": report_path,
         "model": model_path,
     }

@@ -93,22 +93,42 @@ def save_sentence_vectors(vectors: list[SentenceVector], path: str) -> None:
 
 
 def load_sentence_vectors(path: str) -> list[SentenceVector]:
+    """Read the `save_sentence_vectors` format, rejecting malformed rows.
+
+    Every row must hold a known label, a `covered/total` field with
+    0 <= covered <= total, and finite values, as many as the first row.
+    Errors name the path and line.
+    """
     vectors: list[SentenceVector] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split()
             if not parts:
                 continue
+            where = f"{path}, line {lineno}"
             if len(parts) < 3:
-                raise ValueError(f"line {lineno}: expected label, coverage, values")
+                raise ValueError(f"{where}: expected label, coverage, values")
             label, cover = parts[0], parts[1]
             if label not in LABELS:
-                raise ValueError(f"line {lineno}: unknown label {label!r}")
-            covered, total = (int(p) for p in cover.split("/"))
-            values = np.array([float(p) for p in parts[2:]])
+                raise ValueError(f"{where}: unknown label {label!r}")
+            covered, _, total = cover.partition("/")
+            if not (covered.isdecimal() and total.isdecimal()
+                    and int(covered) <= int(total)):
+                raise ValueError(f"{where}: coverage must be covered/total, got {cover!r}")
+            try:
+                values = np.array([float(p) for p in parts[2:]])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if not np.isfinite(values).all():
+                raise ValueError(f"{where}: non-finite value")
+            if vectors and len(values) != len(vectors[0].values):
+                raise ValueError(
+                    f"{where}: {len(values)} values, the first row has "
+                    f"{len(vectors[0].values)}"
+                )
             vectors.append(
-                SentenceVector(values=values, label=label, covered=covered, total=total)
+                SentenceVector(values, label, covered=int(covered), total=int(total))
             )
     if not vectors:
-        raise ValueError("empty sentence-vector file")
+        raise ValueError(f"{path}: empty sentence-vector file")
     return vectors

@@ -1,7 +1,11 @@
-"""Shared fixtures: finite-difference checks and synthetic data generators."""
+"""Shared fixtures: finite-difference checks, synthetic data generators and
+per-sample reference implementations that fast kernels are checked against."""
+import math
+
 import numpy as np
 
 from metlit import LITERAL, METAPHOR
+from metlit.classifier import SvmModel
 from metlit.sentvec import SentenceVector
 
 
@@ -131,3 +135,47 @@ def write_lines(path, lines):
     with open(path, "w", encoding="utf-8") as fh:
         for line in lines:
             fh.write(line + "\n")
+
+
+def reference_train_svm(train, lam=1e-4, epochs=100, seed=0):
+    """Per-sample Pegasos loop: the oracle for the lockstep kernel.
+
+    One sample per step with eta_t = 1/(lam*t), features standardized on
+    the training statistics, the bias as an augmented constant feature,
+    projection onto ||w|| <= 1/sqrt(lam), and iterates over the second half
+    of training averaged.
+    """
+    signs = np.array([1.0 if sv.label == METAPHOR else -1.0 for sv in train])
+    x = np.stack([sv.values for sv in train])
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    std = np.where(std > 0, std, 1.0)
+    z = (x - mean) / std
+    n, dim = z.shape
+    z_aug = np.hstack([z, np.ones((n, 1))])
+    w = np.zeros(dim + 1)
+    rng = np.random.default_rng(seed)
+    radius = 1.0 / math.sqrt(lam)
+    averaging_from = (epochs * n) // 2
+    avg = np.zeros(dim + 1)
+    averaged = 0
+    t = 0
+    for _ in range(epochs):
+        for idx in rng.permutation(n):
+            t += 1
+            eta = 1.0 / (lam * t)
+            violated = signs[idx] * (z_aug[idx] @ w) < 1.0
+            w *= 1.0 - eta * lam
+            if violated:
+                w += eta * signs[idx] * z_aug[idx]
+            norm = float(np.linalg.norm(w))
+            if norm > radius:
+                w *= radius / norm
+            if t > averaging_from:
+                avg += w
+                averaged += 1
+    if averaged:
+        w = avg / averaged
+    return SvmModel(
+        weights=w[:dim], bias=float(w[dim]), lam=lam, scale_mean=mean, scale_std=std
+    )

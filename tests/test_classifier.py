@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from metlit import LITERAL, METAPHOR
+from metlit import classifier
 from metlit.classifier import (
     EvalReport,
     FoldError,
@@ -19,7 +20,7 @@ from metlit.classifier import (
 )
 from metlit.sentvec import SentenceVector
 
-from helpers import make_blobs
+from helpers import make_blobs, reference_train_svm
 
 
 def identity_model(weights, bias=0.0, lam=1e-4):
@@ -260,6 +261,19 @@ class TestCrossValidate:
         with pytest.raises(FoldError):
             cross_validate(data, k=2, stratified=False, epochs=2)
 
+    def test_fold_error_raised_before_any_training(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking every fold")
+
+        monkeypatch.setattr(classifier, "_pegasos", no_training)
+        rng = np.random.default_rng(9)
+        data = [
+            SentenceVector(rng.normal(0, 1, 2), LITERAL, 1, 1) for _ in range(9)
+        ] + [SentenceVector(rng.normal(0, 1, 2), METAPHOR, 1, 1)]
+        # the lone metaphor lands in the last fold; folds 0-3 are fine
+        with pytest.raises(FoldError, match="fold 4: training split lost a class"):
+            cross_validate(data, k=5, epochs=2)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(10)
         data = make_blobs(rng, n_per_class=20, dim=2, separation=2.0)
@@ -267,6 +281,83 @@ class TestCrossValidate:
         r2 = cross_validate(data, k=5, epochs=10, seed=3)
         assert r1.mean_accuracy == r2.mean_accuracy
         assert [m.accuracy for m in r1.per_fold] == [m.accuracy for m in r2.per_fold]
+
+
+def assert_matches_reference(model, ref, rel=1e-12):
+    scale = max(float(np.abs(ref.weights).max()), abs(ref.bias))
+    assert np.abs(model.weights - ref.weights).max() <= rel * scale
+    assert abs(model.bias - ref.bias) <= rel * scale
+    assert np.array_equal(model.scale_mean, ref.scale_mean)
+    assert np.array_equal(model.scale_std, ref.scale_std)
+
+
+class TestLockstepMatchesReference:
+    """The lockstep kernel against the per-sample Pegasos loop in helpers."""
+
+    LAM, EPOCHS, SEED = 1e-3, 4, 3
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        # 914 rows in 10 folds: training sizes 823 (six folds) and 822 (four)
+        return make_blobs(np.random.default_rng(13), n_per_class=457, dim=6,
+                          separation=1.5)
+
+    def test_cross_validate_matches_per_fold_reference(self, data):
+        labels = [sv.label for sv in data]
+        folds = kfold_split(len(data), 10, seed=self.SEED, stratified=True,
+                            labels=labels)
+        report = cross_validate(data, k=10, lam=self.LAM, epochs=self.EPOCHS,
+                                seed=self.SEED)
+        train_sizes = []
+        for f, fold in enumerate(folds):
+            held_out = set(fold.tolist())
+            train = [sv for i, sv in enumerate(data) if i not in held_out]
+            train_sizes.append(len(train))
+            ref = reference_train_svm(train, lam=self.LAM, epochs=self.EPOCHS,
+                                      seed=self.SEED + f)
+            assert report.per_fold[f] == evaluate_fold(ref, [data[i] for i in fold])
+        assert sorted(train_sizes) == [822] * 4 + [823] * 6
+        full = reference_train_svm(data, lam=self.LAM, epochs=self.EPOCHS,
+                                   seed=self.SEED)
+        assert_matches_reference(report.model, full)
+        assert report.fits == 11
+        assert report.pegasos_steps == self.EPOCHS * (sum(train_sizes) + len(data))
+
+    def test_every_lockstep_row_matches_reference(self, data):
+        labels = [sv.label for sv in data]
+        folds = kfold_split(len(data), 10, seed=self.SEED, stratified=True,
+                            labels=labels)
+        everything = np.arange(len(data))
+        runs = [(np.setdiff1d(everything, fold), self.SEED + f)
+                for f, fold in enumerate(folds)] + [(everything, self.SEED)]
+        models = classifier._pegasos(
+            classifier._feature_matrix(data, augment=True),
+            classifier._labels_to_signs(data), runs, self.LAM, self.EPOCHS,
+        )
+        for model, (rows, seed) in zip(models, runs):
+            ref = reference_train_svm([data[i] for i in rows], lam=self.LAM,
+                                      epochs=self.EPOCHS, seed=seed)
+            assert_matches_reference(model, ref)
+
+    def test_one_row_train_svm_matches_reference(self, data):
+        model = train_svm(data, lam=self.LAM, epochs=self.EPOCHS, seed=self.SEED)
+        ref = reference_train_svm(data, lam=self.LAM, epochs=self.EPOCHS,
+                                  seed=self.SEED)
+        assert_matches_reference(model, ref)
+
+    def test_tiny_runs_cross_several_epochs_per_block(self):
+        # three training rows: each block of steps spans several epochs
+        rng = np.random.default_rng(14)
+        data = make_blobs(rng, n_per_class=3, dim=2, separation=1.0)
+        report = cross_validate(data, k=2, lam=1e-2, epochs=25, seed=5)
+        assert_matches_reference(
+            report.model, reference_train_svm(data, lam=1e-2, epochs=25, seed=5)
+        )
+        for n in (2, 3, 5):
+            model = train_svm(data[:n] + data[-1:], lam=1e-2, epochs=17, seed=n)
+            ref = reference_train_svm(data[:n] + data[-1:], lam=1e-2, epochs=17,
+                                      seed=n)
+            assert_matches_reference(model, ref)
 
 
 class TestModelPersistence:

@@ -155,6 +155,8 @@ class TestStageChaining:
         )
         assert code == 0
         assert 0.0 <= summary["mean_accuracy"] <= 1.0
+        assert summary["fits"] == 3  # two folds plus the full-data model
+        assert summary["pegasos_steps"] == 30 * (12 + 12)
         assert os.path.isfile(os.path.join(out, cli.CV_FILE))
         assert os.path.isfile(os.path.join(out, cli.MODEL_FILE))
 
@@ -178,6 +180,32 @@ class TestStageChaining:
             ["train-glove", "--dim", "8", "--epochs", "3", "--out", out],
         )
         assert code == 0 and len(summary["epoch_losses"]) == 3
+
+
+class TestCvErrors:
+    def write_vectors(self, tmp_path, rows):
+        out = tmp_path / "out"
+        out.mkdir()
+        write_lines(out / cli.SENTVEC_FILE, rows)
+        return str(out)
+
+    def test_fold_losing_a_class_is_a_one_line_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        rows = [f"literal 1/1 {a:.3f} {b:.3f}" for a, b in rng.normal(0, 1, (20, 2))]
+        out = self.write_vectors(tmp_path, rows + ["metaphor 1/1 0.5 0.5"])
+        code, summary, err = run_cli(capsys, ["cv", "--out", out])
+        assert code == 1 and summary is None
+        assert err == "error: fold 0: training split lost a class\n"
+        assert not os.path.exists(os.path.join(out, cli.CV_FILE))
+
+    def test_non_finite_vector_is_a_one_line_error(self, tmp_path, capsys):
+        out = self.write_vectors(
+            tmp_path, ["literal 1/1 0.5 0.5", "metaphor 1/1 nan 0.5"]
+        )
+        code, summary, err = run_cli(capsys, ["cv", "--out", out])
+        assert code == 1 and summary is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "line 2" in err and "non-finite" in err
 
 
 class TestPipeline:

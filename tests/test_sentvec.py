@@ -128,3 +128,39 @@ class TestTextFormat:
         path.write_text("")
         with pytest.raises(ValueError):
             load_sentence_vectors(str(path))
+
+
+class TestLoadValidation:
+    """Malformed rows fail at load, naming the path and the line."""
+
+    def load_error(self, tmp_path, text):
+        path = tmp_path / "sv.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_sentence_vectors(str(path))
+        return str(exc.value), str(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        message, path = self.load_error(
+            tmp_path, f"literal 1/1 0.5 0.5\nmetaphor 1/1 0.5 {value}\n"
+        )
+        assert path in message and "line 2" in message and "non-finite" in message
+
+    def test_row_of_another_dimension_rejected(self, tmp_path):
+        message, path = self.load_error(
+            tmp_path, "literal 1/1 0.5 0.5\nmetaphor 1/1 0.5 0.5\nliteral 1/1 0.5\n"
+        )
+        assert path in message and "line 3" in message
+        assert "1 values" in message and "has 2" in message
+
+    @pytest.mark.parametrize("cover", ["1", "1/2/3", "a/2", "3/2", "-1/2", "1/"])
+    def test_malformed_coverage_rejected(self, tmp_path, cover):
+        message, path = self.load_error(
+            tmp_path, f"literal 1/1 0.5 0.5\nmetaphor {cover} 0.5 0.5\n"
+        )
+        assert path in message and "line 2" in message and repr(cover) in message
+
+    def test_non_numeric_value_names_the_line(self, tmp_path):
+        message, path = self.load_error(tmp_path, "literal 1/1 0.5 abc\n")
+        assert path in message and "line 1" in message
