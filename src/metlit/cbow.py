@@ -1,19 +1,20 @@
 """CBOW word vector training by stochastic gradient descent.
 
-Predicts a center word from the mean of its context vectors. Two modes:
-an exact softmax (small vocabularies, used to verify gradients) and the
-negative-sampling surrogate for scale. The objective J = -log P(center |
-context) is minimized, which maximizes the log-likelihood.
+Predicts a center word from the mean of its context vectors. Training
+minimizes the negative-sampling surrogate of J = -log P(center | context)
+over minibatches of windows. The per-window functions below (exact
+softmax and negative sampling) are the references the batched step and
+the gradient checks are measured against.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cooccur import ContextWindow, iterate_windows
+from .cooccur import ContextWindow
 from .corpus import Vocabulary
 from .embeddings import EmbeddingMatrix
 
@@ -201,31 +202,141 @@ class CbowConfig:
     lr: float = 0.05
     negatives: int = 5
     seed: int = 0
-    threads: int = 1
-    mode: str = "negative"    # "negative" or "exact"
 
 
-def _window_schedule(lr0: float, processed: int, total: int) -> float:
-    frac = processed / total if total else 1.0
-    return lr0 * max(LR_FLOOR_FRACTION, 1.0 - (1.0 - LR_FLOOR_FRACTION) * frac)
+BATCH = 32           # windows per SGD step
+CHUNK_WINDOWS = 4096  # windows built and given negatives at a time
+LOOKAHEAD = 256      # windows scanned at once for center collisions
 
 
-def _train_shard(model, shard, lr0, processed_base, total, config, sampler, seed):
-    rng = np.random.default_rng(seed)
-    loss_sum = 0.0
-    loss_count = 0
-    for n, window in enumerate(shard):
-        if not window.context:
-            continue
-        lr = _window_schedule(lr0, processed_base + n, total)
-        if config.mode == "exact":
-            loss_sum += sgd_step_exact(model, window, lr)
-        else:
-            loss_sum += sgd_step_negative(
-                model, window, lr, config.negatives, sampler, rng
-            )
-        loss_count += 1
-    return loss_sum, loss_count
+def _window_schedule(lr0: float, processed: np.ndarray, total: int) -> np.ndarray:
+    """Linear decay from lr0 to lr0 * LR_FLOOR_FRACTION over `total` windows."""
+    frac = processed / total
+    return lr0 * np.maximum(LR_FLOOR_FRACTION, 1.0 - (1.0 - LR_FLOOR_FRACTION) * frac)
+
+
+def sentence_layout(
+    flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray, order: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Token ids and sentence ids of the sentences taken in `order`.
+
+    `flat` holds every sentence back to back, sentence s at
+    flat[starts[s]:starts[s] + lengths[s]].
+    """
+    lens = lengths[order]
+    ends = np.cumsum(lens)
+    tokens = flat[np.repeat(starts[order] - (ends - lens), lens) + np.arange(ends[-1])]
+    sentence_ids = np.repeat(np.arange(len(order)), lens)
+    return tokens, sentence_ids
+
+
+def build_windows(
+    tokens: np.ndarray, sentence_ids: np.ndarray, positions: np.ndarray, m: int,
+    pad: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Contexts of the windows centered at `positions`.
+
+    Returns (ids, counts): row r holds the counts[r] context ids of window
+    r, left context then right, cut at the sentence edges as
+    iterate_windows cuts them, followed by `pad` up to width 2m.
+    """
+    offsets = np.concatenate([np.arange(-m, 0), np.arange(1, m + 1)])
+    idx = positions[:, None] + offsets
+    inside = (idx >= 0) & (idx < len(tokens))
+    np.clip(idx, 0, len(tokens) - 1, out=idx)
+    inside &= sentence_ids[idx] == sentence_ids[positions][:, None]
+    ids = np.where(inside, tokens[idx], pad)
+    # a window's context is contiguous, so a stable sort of the holes to
+    # the end keeps left-then-right order
+    ids = np.take_along_axis(ids, np.argsort(~inside, axis=1, kind="stable"), axis=1)
+    return ids, inside.sum(axis=1)
+
+
+class NegativeStream:
+    """Negatives for consecutive windows, drawn as sample_negatives draws them.
+
+    Each window takes k draws, then one redraw per draw equal to its center,
+    from one rng. Draws come in blocks; the unused tail of a block carries
+    over to the next call.
+    """
+
+    def __init__(self, sampler: UnigramSampler, rng: np.random.Generator, k: int):
+        self.sampler = sampler
+        self.rng = rng
+        self.k = k
+        self._draws = np.empty(0, dtype=np.int64)
+
+    def take(self, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Return (negatives, kept), both (n, k); a dropped draw is not kept."""
+        k = self.k
+        n = len(centers)
+        negatives = np.empty((n, k), dtype=np.int64)
+        draws = self._draws
+        pos = off = 0
+        while pos < n:
+            span = min(n - pos, LOOKAHEAD)
+            if off + k * (span + 1) > len(draws):
+                fresh = self.sampler.draw(self.rng, k * (n - pos + 1))
+                draws = np.concatenate([draws[off:], fresh])
+                off = 0
+            block = draws[off:off + k * span].reshape(span, k)
+            hits = block == centers[pos:pos + span, None]
+            collided = hits.any(axis=1)
+            if not collided.any():
+                negatives[pos:pos + span] = block
+                pos += span
+                off += k * span
+                continue
+            # windows up to the first collision are final; the colliding
+            # draws take the next uniforms, which shifts all later windows
+            j = int(collided.argmax())
+            negatives[pos:pos + j + 1] = block[:j + 1]
+            off += k * (j + 1)
+            redraws = int(hits[j].sum())
+            negatives[pos + j, hits[j]] = draws[off:off + redraws]
+            off += redraws
+            pos += j + 1
+        self._draws = draws[off:]
+        return negatives, negatives != centers[:, None]
+
+
+def _batch_step(params, context, counts, rows, kept, lr, pads):
+    """One summed negative-sampling step over a batch; returns the loss sum.
+
+    `params` stacks the input rows, a zero row, the output rows and a zero
+    row; `rows` index its output half (center, then negatives). Every
+    window's gradient is taken at the pre-step parameters, as
+    negative_gradients takes it, and rows shared between windows
+    accumulate every contribution. Padding and dropped negatives point at
+    the zero rows `pads`, which are cleared again afterwards.
+    """
+    n = len(counts)
+    h = params.take(context.T, axis=0).sum(axis=0) / counts[:, None]
+    out = params.take(rows, axis=0)
+    scores = np.matmul(out, h[:, :, None])[..., 0]
+    loss = np.logaddexp(0.0, -scores[:, 0]).sum()
+    loss += np.logaddexp(0.0, scores[:, 1:]).sum(where=kept)
+    coeff = 1.0 / (1.0 + np.exp(-scores))
+    coeff[:, 0] -= 1.0
+    coeff[:, 1:] *= kept
+    grad_h = np.matmul(coeff[:, None, :], out)[:, 0]
+    # Scatter-add both updates as one product, which is faster than
+    # np.add.at on rows: touched row r gains sum_b m[r, b] * [grad_h; h][b],
+    # where m holds -lr/count per context occurrence of window b (column
+    # b) and -lr*coeff per output row of window b (column n + b).
+    touched, slot = np.unique(np.hstack([context, rows]), return_inverse=True)
+    window = np.arange(n)[:, None]
+    column = np.hstack([
+        np.broadcast_to(window, context.shape), np.broadcast_to(window + n, rows.shape)
+    ])
+    weight = np.hstack([
+        np.broadcast_to((-lr / counts)[:, None], context.shape), -lr[:, None] * coeff
+    ])
+    m = np.zeros((len(touched), 2 * n))
+    np.add.at(m, (slot.reshape(n, -1), column), weight)
+    params[touched] += m @ np.vstack([grad_h, h])
+    params[pads] = 0.0
+    return float(loss)
 
 
 def train_cbow(
@@ -236,54 +347,66 @@ def train_cbow(
     """Train over encoded sentences; return embeddings and mean loss per epoch.
 
     The final embeddings are the input (context-side) vectors. Sentence
-    order is reshuffled each epoch from the seed; with threads=1 training
-    is bit-reproducible. With threads>1 workers update the shared matrices
-    without locks, so lost updates are tolerated and only statistical
-    quality is guaranteed.
+    order is reshuffled each epoch from the seed, and training is
+    bit-reproducible for a given seed. Windows are stepped BATCH at a time;
+    with BATCH = 1 this is the per-window loop of sgd_step_negative.
     """
-    if config.mode not in ("negative", "exact"):
-        raise ValueError("mode must be 'negative' or 'exact'")
+    if config.negatives < 1:
+        raise ValueError("negatives count must be >= 1")
+    if config.window < 1:
+        raise ValueError("window radius must be >= 1")
     sentences = [s for s in sentences if s]
     if not sentences:
         raise ValueError("empty corpus")
-    model = init_model(len(vocab), config.dim, m=config.window, seed=config.seed)
+    # input rows, a zero row, output rows (zero at the start), a zero row
+    pad = len(vocab)
+    params = np.zeros((2 * pad + 2, config.dim))
+    params[:pad] = init_model(pad, config.dim, seed=config.seed).input_vectors
+    pads = np.array([pad, 2 * pad + 1])
     sampler = UnigramSampler.from_vocabulary(vocab)
     order_rng = np.random.default_rng(config.seed + 1)
-    windows_per_epoch = sum(len(s) for s in sentences)
+    lengths = np.array([len(s) for s in sentences])
+    starts = np.cumsum(lengths) - lengths
+    flat = np.fromiter(
+        (w for s in sentences for w in s), dtype=np.int64, count=int(lengths.sum())
+    )
+    windows_per_epoch = len(flat)
     total = windows_per_epoch * max(config.epochs, 1)
+    chunk = BATCH * max(1, CHUNK_WINDOWS // BATCH)
     epoch_losses: list[float] = []
-    processed = 0
     for epoch in range(config.epochs):
         order = order_rng.permutation(len(sentences))
-        windows = [
-            w
-            for idx in order
-            for w in iterate_windows(sentences[idx], config.window)
-        ]
-        if config.threads <= 1:
-            loss_sum, loss_count = _train_shard(
-                model, windows, config.lr, processed, total, config, sampler,
-                seed=config.seed + 7919 * (epoch + 1),
-            )
-        else:
-            shards = [windows[t::config.threads] for t in range(config.threads)]
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                futures = [
-                    pool.submit(
-                        _train_shard, model, shard, config.lr,
-                        processed + t * len(shard), total, config, sampler,
-                        config.seed + 7919 * (epoch + 1) + t,
+        tokens, sentence_ids = sentence_layout(flat, starts, lengths, order)
+        # a one-token sentence's window has no context: it is skipped and
+        # takes no draws, but its position still advances the lr schedule
+        positions = np.flatnonzero(lengths[order][sentence_ids] > 1)
+        stream = NegativeStream(
+            sampler, np.random.default_rng(config.seed + 7919 * (epoch + 1)),
+            config.negatives,
+        )
+        loss_sum = 0.0
+        with np.errstate(all="ignore"):
+            for a in range(0, len(positions), chunk):
+                where = positions[a:a + chunk]
+                context, counts = build_windows(
+                    tokens, sentence_ids, where, config.window, pad
+                )
+                centers = tokens[where]
+                negatives, kept = stream.take(centers)
+                negatives[~kept] = pad
+                rows = np.concatenate([centers[:, None], negatives], axis=1) + pad + 1
+                lr = _window_schedule(
+                    config.lr, epoch * windows_per_epoch + where, total
+                )
+                for b in range(0, len(where), BATCH):
+                    s = slice(b, b + BATCH)
+                    loss_sum += _batch_step(
+                        params, context[s], counts[s], rows[s], kept[s], lr[s], pads
                     )
-                    for t, shard in enumerate(shards)
-                ]
-                results = [f.result() for f in futures]
-            loss_sum = sum(r[0] for r in results)
-            loss_count = sum(r[1] for r in results)
-        processed += len(windows)
-        epoch_losses.append(loss_sum / loss_count if loss_count else 0.0)
-        if not np.isfinite(model.input_vectors).all() or not np.isfinite(
-            model.output_vectors
-        ).all():
+        if not np.isfinite(params).all():
             raise FloatingPointError(f"non-finite parameters after epoch {epoch}")
-    embeddings = EmbeddingMatrix(list(vocab.words), model.input_vectors.copy())
+        epoch_losses.append(loss_sum / len(positions) if len(positions) else 0.0)
+        if not math.isfinite(epoch_losses[-1]):
+            raise FloatingPointError(f"non-finite loss in epoch {epoch}")
+    embeddings = EmbeddingMatrix(list(vocab.words), params[:pad].copy())
     return embeddings, epoch_losses

@@ -93,7 +93,7 @@ def cmd_train_cbow(args) -> dict:
     encoded = [vocab.encode(s) for s in sentences]
     config = cbow.CbowConfig(
         dim=args.dim, window=args.window, epochs=args.epochs, lr=args.lr,
-        negatives=args.negatives, seed=args.seed, threads=args.threads,
+        negatives=args.negatives, seed=args.seed,
     )
     embeddings, losses = cbow.train_cbow(encoded, vocab, config)
     path = os.path.join(args.out, EMBEDDINGS_FILE)
@@ -115,7 +115,7 @@ def cmd_train_glove(args) -> dict:
     config = glove.GloveConfig(
         dim=args.dim, lr=args.lr, epochs=args.epochs,
         params=glove.WeightParams(a=args.alpha_exp, x_max=args.xmax),
-        seed=args.seed, threads=args.threads,
+        seed=args.seed,
     )
     embeddings, losses = glove.train_glove(table, vocab, config)
     path = os.path.join(args.out, EMBEDDINGS_FILE)
@@ -232,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--negatives", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     _add_common_out(p)
     p.set_defaults(func=cmd_train_cbow)
 
@@ -243,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmax", type=float, default=100.0)
     p.add_argument("--alpha-exp", type=float, default=0.75)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     _add_common_out(p)
     p.set_defaults(func=cmd_train_glove)
 
@@ -282,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--min-count", type=int, default=5)
     p.add_argument("--aggregate", choices=sentvec.MODES, default="mean")
     p.add_argument(
@@ -309,7 +306,9 @@ def main(argv: list[str] | None = None) -> int:
     _apply_pipeline_defaults(args)
     try:
         summary = args.func(args)
-    except (CliError, corpus.CorpusError, ValueError, OSError) as exc:
+    except (
+        CliError, corpus.CorpusError, ValueError, OSError, FloatingPointError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(summary)

@@ -1,10 +1,10 @@
-"""Sparse symmetric co-occurrence counting and context window iteration."""
+"""Sparse symmetric co-occurrence counting, and the context window record."""
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 WEIGHTINGS = ("flat", "inverse_distance")
 
@@ -17,8 +17,6 @@ _RECORD = struct.Struct("<IId")
 class ContextWindow:
     center: int
     context: list[int]
-    # radius the window was cut with; metadata only, not part of equality
-    m: int | None = field(default=None, compare=False)
 
 
 class CooccurrenceTable:
@@ -40,10 +38,6 @@ class CooccurrenceTable:
 
     def total_mass(self) -> float:
         return sum(self.entries.values())
-
-    def merge(self, other: "CooccurrenceTable") -> None:
-        for key, value in other.entries.items():
-            self.entries[key] = self.entries.get(key, 0.0) + value
 
     def sorted_items(self) -> list[tuple[tuple[int, int], float]]:
         return sorted(self.entries.items())
@@ -75,35 +69,6 @@ def build_cooccurrence(
                 weight = 1.0 if weighting == "flat" else 1.0 / d
                 table.add(i, j, weight)
     return table
-
-
-def build_cooccurrence_sharded(
-    sentences: Sequence[Sequence[int]],
-    window: int = 10,
-    weighting: str = "inverse_distance",
-    shards: int = 1,
-) -> CooccurrenceTable:
-    """Count shards of whole sentences independently, then merge.
-
-    The merge is entry-for-entry addition: exact for flat weighting (sums
-    of ones), and equal to the sequential build up to float addition order
-    for inverse-distance weights.
-    """
-    merged = CooccurrenceTable(window=window)
-    for s in range(shards):
-        part = build_cooccurrence(sentences[s::shards], window, weighting)
-        merged.merge(part)
-    return merged
-
-
-def iterate_windows(ids: Sequence[int], m: int) -> Iterator[ContextWindow]:
-    """Yield one window per position; edge windows are truncated, not padded."""
-    if m < 1:
-        raise ValueError("window radius must be >= 1")
-    n = len(ids)
-    for c in range(n):
-        context = list(ids[max(0, c - m):c]) + list(ids[c + 1:c + 1 + m])
-        yield ContextWindow(center=ids[c], context=context, m=m)
 
 
 def save_table(table: CooccurrenceTable, path: str) -> None:

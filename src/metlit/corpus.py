@@ -91,11 +91,7 @@ class Vocabulary:
 
 
 def count_tokens(sentences: Iterable[Iterable[str]]) -> Counter:
-    """Count token frequencies over an iterable of token lists.
-
-    Partial counts from stream shards merge with `+` into the identical
-    total, so sharded counting is equivalent to a single pass.
-    """
+    """Count token frequencies over an iterable of token lists."""
     counts: Counter = Counter()
     for sentence in sentences:
         counts.update(sentence)

@@ -8,7 +8,6 @@ frequent pairs: (x / x_max)^a below the cutoff, 1 above it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,18 +146,10 @@ class GloveConfig:
     epochs: int = 15
     params: WeightParams = None  # defaults applied in __post_init__
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.params is None:
             self.params = WeightParams()
-
-
-def _train_entries(model, entries, lr, params):
-    loss = 0.0
-    for i, j, x in entries:
-        loss += adagrad_step(model, i, j, x, lr, params)
-    return loss
 
 
 def train_glove(
@@ -171,7 +162,8 @@ def train_glove(
     Entries are visited in seeded shuffled order each epoch. The reported
     loss per epoch is the total weighted objective summed over entries (at
     the parameter values each entry was visited with). Divergence is
-    surfaced: non-finite parameters raise instead of being clipped.
+    surfaced: non-finite parameters or a non-finite loss raise instead of
+    being clipped.
     """
     if not table.entries:
         raise ValueError("empty co-occurrence table")
@@ -181,20 +173,16 @@ def train_glove(
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(entries))
-        shuffled = [entries[k] for k in order]
-        if config.threads <= 1:
-            epoch_loss = _train_entries(model, shuffled, config.lr, config.params)
-        else:
-            shards = [shuffled[t::config.threads] for t in range(config.threads)]
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                futures = [
-                    pool.submit(_train_entries, model, shard, config.lr, config.params)
-                    for shard in shards
-                ]
-                epoch_loss = sum(f.result() for f in futures)
-        epoch_losses.append(epoch_loss)
+        epoch_loss = 0.0
+        with np.errstate(all="ignore"):
+            for k in order:
+                i, j, x = entries[k]
+                epoch_loss += adagrad_step(model, i, j, x, config.lr, config.params)
         for arr in (model.w, model.w_tilde, model.b, model.b_tilde):
             if not np.isfinite(arr).all():
                 raise FloatingPointError(f"non-finite parameters after epoch {epoch}")
+        if not math.isfinite(epoch_loss):
+            raise FloatingPointError(f"non-finite loss in epoch {epoch}")
+        epoch_losses.append(epoch_loss)
     embeddings = EmbeddingMatrix(list(vocab.words), model.combined())
     return embeddings, epoch_losses

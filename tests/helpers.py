@@ -5,7 +5,15 @@ import math
 import numpy as np
 
 from metlit import LITERAL, METAPHOR
+from metlit.cbow import (
+    LR_FLOOR_FRACTION,
+    UnigramSampler,
+    init_model,
+    sgd_step_negative,
+)
 from metlit.classifier import SvmModel
+from metlit.cooccur import ContextWindow
+from metlit.embeddings import EmbeddingMatrix
 from metlit.sentvec import SentenceVector
 
 
@@ -179,3 +187,47 @@ def reference_train_svm(train, lam=1e-4, epochs=100, seed=0):
     return SvmModel(
         weights=w[:dim], bias=float(w[dim]), lam=lam, scale_mean=mean, scale_std=std
     )
+
+
+def iterate_windows(ids, m):
+    """Yield one window per position; edge windows are truncated, not padded."""
+    if m < 1:
+        raise ValueError("window radius must be >= 1")
+    for c in range(len(ids)):
+        context = list(ids[max(0, c - m):c]) + list(ids[c + 1:c + 1 + m])
+        yield ContextWindow(center=ids[c], context=context)
+
+
+def reference_train_cbow(sentences, vocab, config):
+    """Per-window negative-sampling loop: the oracle for the batched kernel.
+
+    Sentences are shuffled each epoch by a seed + 1 rng, and each epoch
+    draws its negatives from a seed + 7919 * (epoch + 1) rng. A window
+    without context is skipped but still advances the linear lr schedule.
+    Returns the input vectors as embeddings and the mean loss per epoch.
+    """
+    sentences = [s for s in sentences if s]
+    model = init_model(len(vocab), config.dim, m=config.window, seed=config.seed)
+    sampler = UnigramSampler.from_vocabulary(vocab)
+    order_rng = np.random.default_rng(config.seed + 1)
+    total = sum(len(s) for s in sentences) * max(config.epochs, 1)
+    epoch_losses = []
+    processed = 0
+    for epoch in range(config.epochs):
+        rng = np.random.default_rng(config.seed + 7919 * (epoch + 1))
+        loss_sum = 0.0
+        steps = 0
+        for idx in order_rng.permutation(len(sentences)):
+            for window in iterate_windows(sentences[idx], config.window):
+                if window.context:
+                    lr = config.lr * max(
+                        LR_FLOOR_FRACTION,
+                        1.0 - (1.0 - LR_FLOOR_FRACTION) * (processed / total),
+                    )
+                    loss_sum += sgd_step_negative(
+                        model, window, lr, config.negatives, sampler, rng
+                    )
+                    steps += 1
+                processed += 1
+        epoch_losses.append(loss_sum / steps if steps else 0.0)
+    return EmbeddingMatrix(list(vocab.words), model.input_vectors), epoch_losses

@@ -438,7 +438,7 @@ def test_reproducibility(check, tmp_path, capsys):
             ["pipeline", "--corpus", str(corpus_path), "--labeled",
              str(labeled_path), "--model", "cbow", "--dim", "16",
              "--epochs", "3", "--folds", "5", "--min-count", "1",
-             "--seed", "11", "--threads", "1", "--out", out]
+             "--seed", "11", "--out", out]
         )
         assert code == 0
     capsys.readouterr()  # drop the JSON summaries

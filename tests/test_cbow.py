@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from metlit import cbow
 from metlit.cbow import (
     CbowConfig,
     CbowModel,
+    NegativeStream,
     UnigramSampler,
+    build_windows,
     context_mean,
     exact_gradients,
     exact_probabilities,
@@ -15,6 +18,7 @@ from metlit.cbow import (
     negative_gradients,
     negative_loss,
     sample_negatives,
+    sentence_layout,
     sgd_step_exact,
     sgd_step_negative,
     train_cbow,
@@ -22,7 +26,14 @@ from metlit.cbow import (
 from metlit.cooccur import ContextWindow
 from metlit.corpus import build_vocabulary
 
-from helpers import max_relerr, numeric_grad, two_topic_corpus, mean_cosine
+from helpers import (
+    iterate_windows,
+    max_relerr,
+    mean_cosine,
+    numeric_grad,
+    reference_train_cbow,
+    two_topic_corpus,
+)
 
 
 def random_model(rng, vocab_size, dim):
@@ -258,7 +269,7 @@ class TestTrainCbow:
 
     def test_same_seed_bit_reproducible_single_thread(self):
         encoded, vocab, _, _ = self._corpus()
-        config = CbowConfig(dim=8, epochs=2, seed=5, threads=1)
+        config = CbowConfig(dim=8, epochs=2, seed=5)
         emb1, losses1 = train_cbow(encoded, vocab, config)
         emb2, losses2 = train_cbow(encoded, vocab, config)
         assert np.array_equal(emb1.vectors, emb2.vectors)
@@ -270,12 +281,6 @@ class TestTrainCbow:
         emb2, _ = train_cbow(encoded, vocab, CbowConfig(dim=8, epochs=1, seed=2))
         assert not np.array_equal(emb1.vectors, emb2.vectors)
 
-    def test_exact_mode_loss_decreases(self):
-        encoded, vocab, _, _ = self._corpus(n_tokens=1500)
-        config = CbowConfig(dim=8, epochs=4, seed=0, mode="exact", lr=0.1, window=3)
-        _, losses = train_cbow(encoded, vocab, config)
-        assert losses[-1] < losses[0]
-
     def test_two_topic_separation(self):
         encoded, vocab, topic_a, topic_b = self._corpus(n_tokens=4000)
         config = CbowConfig(dim=16, epochs=5, seed=0, window=4)
@@ -284,14 +289,141 @@ class TestTrainCbow:
         inter = mean_cosine(emb, topic_a, topic_b)
         assert intra > inter
 
-    def test_threads_two_runs_and_stays_finite(self):
-        encoded, vocab, _, _ = self._corpus(n_tokens=1000)
-        config = CbowConfig(dim=8, epochs=2, seed=0, threads=2)
-        emb, losses = train_cbow(encoded, vocab, config)
-        assert np.isfinite(emb.vectors).all()
-        assert len(losses) == 2
 
-    def test_unknown_mode_rejected(self):
-        encoded, vocab, _, _ = self._corpus()
-        with pytest.raises(ValueError):
-            train_cbow(encoded, vocab, CbowConfig(mode="hierarchical"))
+def layout_of(sentences):
+    """Token and sentence-id arrays of the sentences in their given order."""
+    lengths = np.array([len(x) for x in sentences])
+    flat = np.array([w for x in sentences for w in x])
+    return sentence_layout(
+        flat, np.cumsum(lengths) - lengths, lengths, np.arange(len(sentences))
+    )
+
+
+def batch_step(model, windows, negatives, lrs):
+    """Run the batched kernel on explicit windows and negatives, in place.
+
+    `negatives` lists each window's kept negatives; the kernel sees them
+    padded to a common width with the rest marked not kept.
+    """
+    v, d = model.input_vectors.shape
+    params = np.vstack([
+        model.input_vectors, np.zeros((1, d)), model.output_vectors, np.zeros((1, d))
+    ])
+    context = np.full((len(windows), max(len(w.context) for w in windows)), v)
+    k = max(len(n) for n in negatives)
+    negs = np.full((len(windows), k), v)
+    for r, (win, neg) in enumerate(zip(windows, negatives)):
+        context[r, :len(win.context)] = win.context
+        negs[r, :len(neg)] = neg
+    counts = np.array([len(w.context) for w in windows])
+    centers = np.array([w.center for w in windows])
+    rows = np.hstack([centers[:, None], negs]) + v + 1
+    loss = cbow._batch_step(
+        params, context, counts, rows, negs != v, np.asarray(lrs, dtype=float),
+        np.array([v, 2 * v + 1]),
+    )
+    model.input_vectors[:] = params[:v]
+    model.output_vectors[:] = params[v + 1:-1]
+    return loss
+
+
+class PlannedDraws:
+    """Stands in for an rng: random(n) returns uniforms that a uniform
+    sampler over `vocab_size` words maps to the planned word ids."""
+
+    def __init__(self, words, vocab_size):
+        self.uniforms = [(w + 0.5) / vocab_size for w in words]
+
+    def random(self, n):
+        taken, self.uniforms = self.uniforms[:n], self.uniforms[n:]
+        return np.array(taken)
+
+
+class TestBatchedKernel:
+    def _corpus(self):
+        rng = np.random.default_rng(3)
+        sentences, _, _ = two_topic_corpus(rng, n_tokens=1500)
+        # one-token sentences have no context: skipped, but on the lr clock
+        sentences += [["alpha1"], ["beta2"], ["alpha3", "beta1"], ["beta4"]]
+        order = rng.permutation(len(sentences))
+        sentences = [sentences[i] for i in order]
+        vocab = build_vocabulary(sentences)
+        return [vocab.encode(s) for s in sentences], vocab
+
+    @pytest.mark.parametrize("chunk, lookahead", [(4096, 256), (7, 3)])
+    def test_batch_of_one_equals_reference_loop(self, monkeypatch, chunk, lookahead):
+        encoded, vocab = self._corpus()
+        monkeypatch.setattr(cbow, "BATCH", 1)
+        monkeypatch.setattr(cbow, "CHUNK_WINDOWS", chunk)
+        monkeypatch.setattr(cbow, "LOOKAHEAD", lookahead)
+        config = CbowConfig(dim=8, epochs=2, seed=5, window=3, lr=0.1)
+        emb, losses = train_cbow(encoded, vocab, config)
+        ref, ref_losses = reference_train_cbow(encoded, vocab, config)
+        assert np.abs(emb.vectors - ref.vectors).max() <= 1e-12
+        assert np.allclose(losses, ref_losses, rtol=0, atol=1e-12)
+
+    def test_disjoint_windows_equal_two_sequential_steps(self):
+        rng = np.random.default_rng(12)
+        model = random_model(rng, 10, 4)
+        sampler = UnigramSampler(np.ones(10))
+        first, second = ContextWindow(0, [1, 2]), ContextWindow(5, [6])
+        planned = [[3, 4], [7, 8]]
+        expected = model.copy()
+        draws = PlannedDraws(planned[0] + planned[1], 10)
+        loss = sgd_step_negative(expected, first, 0.3, 2, sampler, draws)
+        loss += sgd_step_negative(expected, second, 0.2, 2, sampler, draws)
+        got = batch_step(model, [first, second], planned, [0.3, 0.2])
+        assert got == pytest.approx(loss, rel=1e-12)
+        assert np.abs(model.input_vectors - expected.input_vectors).max() <= 1e-12
+        assert np.abs(model.output_vectors - expected.output_vectors).max() <= 1e-12
+
+    def test_shared_rows_accumulate_every_contribution(self):
+        rng = np.random.default_rng(13)
+        model = random_model(rng, 8, 3)
+        # word 2 is context of both windows; word 4 is a negative twice in
+        # the first window and once in the second
+        windows = [ContextWindow(0, [2, 3]), ContextWindow(1, [2, 5, 2])]
+        negatives = [[4, 4, 6], [4]]
+        lrs = [0.25, 0.5]
+        expected_in = model.input_vectors.copy()
+        expected_out = model.output_vectors.copy()
+        for win, neg, lr in zip(windows, negatives, lrs):
+            _, rows, grad_rows, grad_h = negative_gradients(model, win, neg)
+            for row, grad in zip(rows, grad_rows):
+                expected_out[row] -= lr * grad
+            for c in win.context:
+                expected_in[c] -= lr * grad_h / len(win.context)
+        batch_step(model, windows, negatives, lrs)
+        assert np.abs(model.input_vectors - expected_in).max() <= 1e-12
+        assert np.abs(model.output_vectors - expected_out).max() <= 1e-12
+
+    def test_windows_equal_iterate_windows_across_chunks(self):
+        sentences = [[4], [0, 1, 2, 3, 4, 5, 6], [7, 8], [9], [1, 2, 3]]
+        tokens, sentence_ids = layout_of(sentences)
+        expected = [w for s in sentences for w in iterate_windows(s, 2)]
+        pad = 99
+        for size in (1, 3, 4, len(tokens)):
+            got = []
+            for a in range(0, len(tokens), size):
+                where = np.arange(a, min(a + size, len(tokens)))
+                context, counts = build_windows(tokens, sentence_ids, where, 2, pad)
+                assert (context[np.arange(4) >= counts[:, None]] == pad).all()
+                got += [
+                    ContextWindow(int(tokens[p]), context[r, :counts[r]].tolist())
+                    for r, p in enumerate(where)
+                ]
+            assert got == expected
+
+    def test_negative_stream_equals_sample_negatives(self):
+        # a small, skewed vocabulary makes center collisions frequent
+        sampler = UnigramSampler(np.array([50.0, 20.0, 5.0, 1.0]))
+        centers = np.random.default_rng(14).integers(0, 4, 300)
+        rng = np.random.default_rng(15)
+        expected = [sample_negatives(sampler, rng, int(c), 5) for c in centers]
+        stream = NegativeStream(sampler, np.random.default_rng(15), 5)
+        got = []
+        for a, b in ((0, 1), (1, 40), (40, 300)):
+            negatives, kept = stream.take(centers[a:b])
+            got += [n[k].tolist() for n, k in zip(negatives, kept)]
+        assert got == expected
+        assert any(len(n) < 5 for n in expected)  # some draws were dropped

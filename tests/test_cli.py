@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,52 @@ class TestCvErrors:
         assert code == 1 and summary is None
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "line 2" in err and "non-finite" in err
+
+
+class TestTrainingErrors:
+    @pytest.fixture
+    def trained_out(self, workspace, capsys):
+        """Workspace with vocabulary and co-occurrence artifacts written."""
+        out = workspace["out"]
+        for argv in (
+            ["vocab", "--corpus", workspace["corpus"], "--min-count", "1"],
+            ["cooccur", "--corpus", workspace["corpus"]],
+        ):
+            assert run_cli(capsys, argv + ["--out", out])[0] == 0
+        return workspace
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--negatives", "negatives count must be >= 1"),
+        ("--window", "window radius must be >= 1"),
+        ("--dim", "dim must be >= 1"),
+    ])
+    def test_invalid_cbow_setting_is_a_one_line_error(
+        self, trained_out, capsys, flag, message
+    ):
+        code, summary, err = run_cli(
+            capsys,
+            ["train-cbow", "--corpus", trained_out["corpus"], flag, "0",
+             "--out", trained_out["out"]],
+        )
+        assert code == 1 and summary is None
+        assert err == f"error: {message}\n"
+        assert not os.path.exists(os.path.join(trained_out["out"], cli.EMBEDDINGS_FILE))
+
+    @pytest.mark.parametrize("argv", [
+        ["train-cbow", "--corpus", None, "--epochs", "1"],
+        ["train-glove", "--epochs", "1"],
+    ])
+    def test_diverging_trainer_is_a_one_line_error(self, trained_out, capsys, argv):
+        argv = [trained_out["corpus"] if a is None else a for a in argv]
+        # an lr this large overflows within the first epoch; any numpy
+        # warning on the way would be raised here and fail the test
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, summary, err = run_cli(
+                capsys, argv + ["--lr", "1e30", "--out", trained_out["out"]]
+            )
+        assert code == 1 and summary is None
+        assert err == "error: non-finite parameters after epoch 0\n"
 
 
 class TestPipeline:

@@ -7,11 +7,11 @@ from metlit.cooccur import (
     ContextWindow,
     CooccurrenceTable,
     build_cooccurrence,
-    build_cooccurrence_sharded,
-    iterate_windows,
     load_table,
     save_table,
 )
+
+from helpers import iterate_windows
 
 
 def brute_force_mass(sentences, window, weighting):
@@ -104,40 +104,6 @@ class TestBuildCooccurrence:
     def test_nonpositive_window_rejected(self):
         with pytest.raises(ValueError):
             build_cooccurrence([[0, 1]], window=0)
-
-    def test_sharded_build_equals_single_pass_exactly_for_flat(self):
-        rng = np.random.default_rng(14)
-        sentences = random_sentences(rng, n_sentences=50)
-        whole = build_cooccurrence(sentences, window=4, weighting="flat")
-        sharded = build_cooccurrence_sharded(
-            sentences, window=4, weighting="flat", shards=3
-        )
-        assert sharded.entries == whole.entries  # integer-valued sums: exact
-
-    def test_sharded_build_matches_weighted_single_pass(self):
-        rng = np.random.default_rng(14)
-        sentences = random_sentences(rng, n_sentences=50)
-        whole = build_cooccurrence(sentences, window=4, weighting="inverse_distance")
-        sharded = build_cooccurrence_sharded(
-            sentences, window=4, weighting="inverse_distance", shards=3
-        )
-        assert set(sharded.entries) == set(whole.entries)
-        for key, value in whole.entries.items():
-            # merge order may differ from sequential addition order
-            assert sharded.entries[key] == pytest.approx(value, rel=1e-12)
-
-
-class TestTableMerge:
-    def test_merge_adds_weights(self):
-        a = CooccurrenceTable(window=2)
-        a.add(0, 1, 1.0)
-        b = CooccurrenceTable(window=2)
-        b.add(0, 1, 0.5)
-        b.add(2, 3, 1.0)
-        a.merge(b)
-        assert a.entries[(0, 1)] == 1.5
-        assert a.entries[(1, 0)] == 1.5
-        assert a.entries[(2, 3)] == 1.0
 
 
 class TestBinaryFormat:

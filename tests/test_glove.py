@@ -224,12 +224,6 @@ class TestTrainGlove:
         inter = mean_cosine(emb, topic_a, topic_b)
         assert intra > inter
 
-    def test_threads_two_runs_and_stays_finite(self):
-        table, vocab, _, _ = self._table_and_vocab(n_tokens=1200)
-        emb, losses = train_glove(table, vocab, GloveConfig(dim=6, epochs=2, threads=2))
-        assert np.isfinite(emb.vectors).all()
-        assert len(losses) == 2
-
 
 class TestFixedPoint:
     def test_exact_solution_has_negligible_loss(self):
