@@ -14,18 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooccur import ContextWindow
-from .corpus import Vocabulary
+from .corpus import Vocabulary, flatten
 from .embeddings import EmbeddingMatrix
 
 LR_FLOOR_FRACTION = 1e-4  # linear decay ends at lr0 * this
 
 
 @dataclass
+class ContextWindow:
+    center: int
+    context: list[int]
+
+
+@dataclass
 class CbowModel:
     input_vectors: np.ndarray   # (V, D) context side
     output_vectors: np.ndarray  # (V, D) center side
-    m: int = 5                  # window radius
 
     @property
     def dim(self) -> int:
@@ -36,10 +40,10 @@ class CbowModel:
         return self.input_vectors.shape[0]
 
     def copy(self) -> "CbowModel":
-        return CbowModel(self.input_vectors.copy(), self.output_vectors.copy(), self.m)
+        return CbowModel(self.input_vectors.copy(), self.output_vectors.copy())
 
 
-def init_model(vocab_size: int, dim: int, m: int = 5, seed: int = 0) -> CbowModel:
+def init_model(vocab_size: int, dim: int, seed: int = 0) -> CbowModel:
     """Input vectors uniform in [-0.5/D, 0.5/D]; output vectors zero."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -47,7 +51,7 @@ def init_model(vocab_size: int, dim: int, m: int = 5, seed: int = 0) -> CbowMode
     bound = 0.5 / dim
     input_vectors = rng.uniform(-bound, bound, size=(vocab_size, dim))
     output_vectors = np.zeros((vocab_size, dim))
-    return CbowModel(input_vectors, output_vectors, m=m)
+    return CbowModel(input_vectors, output_vectors)
 
 
 def context_mean(model: CbowModel, window: ContextWindow) -> np.ndarray:
@@ -215,21 +219,6 @@ def _window_schedule(lr0: float, processed: np.ndarray, total: int) -> np.ndarra
     return lr0 * np.maximum(LR_FLOOR_FRACTION, 1.0 - (1.0 - LR_FLOOR_FRACTION) * frac)
 
 
-def sentence_layout(
-    flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray, order: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Token ids and sentence ids of the sentences taken in `order`.
-
-    `flat` holds every sentence back to back, sentence s at
-    flat[starts[s]:starts[s] + lengths[s]].
-    """
-    lens = lengths[order]
-    ends = np.cumsum(lens)
-    tokens = flat[np.repeat(starts[order] - (ends - lens), lens) + np.arange(ends[-1])]
-    sentence_ids = np.repeat(np.arange(len(order)), lens)
-    return tokens, sentence_ids
-
-
 def build_windows(
     tokens: np.ndarray, sentence_ids: np.ndarray, positions: np.ndarray, m: int,
     pad: int,
@@ -351,6 +340,10 @@ def train_cbow(
     bit-reproducible for a given seed. Windows are stepped BATCH at a time;
     with BATCH = 1 this is the per-window loop of sgd_step_negative.
     """
+    if config.lr <= 0:
+        raise ValueError("learning rate must be > 0")
+    if config.epochs < 0:
+        raise ValueError("epochs must be >= 0")
     if config.negatives < 1:
         raise ValueError("negatives count must be >= 1")
     if config.window < 1:
@@ -365,21 +358,16 @@ def train_cbow(
     pads = np.array([pad, 2 * pad + 1])
     sampler = UnigramSampler.from_vocabulary(vocab)
     order_rng = np.random.default_rng(config.seed + 1)
-    lengths = np.array([len(s) for s in sentences])
-    starts = np.cumsum(lengths) - lengths
-    flat = np.fromiter(
-        (w for s in sentences for w in s), dtype=np.int64, count=int(lengths.sum())
-    )
-    windows_per_epoch = len(flat)
+    windows_per_epoch = sum(map(len, sentences))
     total = windows_per_epoch * max(config.epochs, 1)
     chunk = BATCH * max(1, CHUNK_WINDOWS // BATCH)
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
         order = order_rng.permutation(len(sentences))
-        tokens, sentence_ids = sentence_layout(flat, starts, lengths, order)
+        tokens, sentence_ids = flatten([sentences[k] for k in order])
         # a one-token sentence's window has no context: it is skipped and
         # takes no draws, but its position still advances the lr schedule
-        positions = np.flatnonzero(lengths[order][sentence_ids] > 1)
+        positions = np.flatnonzero(np.bincount(sentence_ids)[sentence_ids] > 1)
         stream = NegativeStream(
             sampler, np.random.default_rng(config.seed + 7919 * (epoch + 1)),
             config.negatives,

@@ -81,7 +81,7 @@ def cmd_cooccur(args) -> dict:
         "entries": len(table),
         "window": args.window,
         "weighting": args.cooccur_weighting,
-        "total_mass": table.total_mass(),
+        "total_mass": float(table["x"].sum()),
         "output": path,
     }
 

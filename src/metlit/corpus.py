@@ -6,7 +6,9 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import LABELS
 
@@ -88,6 +90,13 @@ class Vocabulary:
         if not isinstance(other, Vocabulary):
             return NotImplemented
         return self.words == other.words and self.freq == other.freq
+
+
+def flatten(sentences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Encoded sentences back to back: token ids, and each token's sentence id."""
+    lengths = np.array([len(s) for s in sentences], dtype=np.int64)
+    tokens = np.fromiter((w for s in sentences for w in s), np.int64, int(lengths.sum()))
+    return tokens, np.repeat(np.arange(len(lengths)), lengths)
 
 
 def count_tokens(sentences: Iterable[Iterable[str]]) -> Counter:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooccur import CooccurrenceTable
 from .corpus import Vocabulary
 from .embeddings import EmbeddingMatrix
 
@@ -131,12 +130,11 @@ def adagrad_step(
 
 
 def total_loss(
-    model: GloveModel, table: CooccurrenceTable,
+    model: GloveModel, table: np.ndarray,
     params: WeightParams = WeightParams(),
 ) -> float:
-    return sum(
-        pair_loss(model, i, j, x, params) for (i, j), x in table.entries.items()
-    )
+    """Weighted objective over a co-occurrence table (cooccur.RECORD array)."""
+    return sum(pair_loss(model, i, j, x, params) for i, j, x in table.tolist())
 
 
 @dataclass
@@ -153,22 +151,31 @@ class GloveConfig:
 
 
 def train_glove(
-    table: CooccurrenceTable,
+    table: np.ndarray,
     vocab: Vocabulary,
     config: GloveConfig,
 ) -> tuple[EmbeddingMatrix, list[float]]:
     """Fit vectors and biases over the table; return embeddings + epoch losses.
 
+    `table` is a cooccur.RECORD array whose word ids index `vocab`.
     Entries are visited in seeded shuffled order each epoch. The reported
     loss per epoch is the total weighted objective summed over entries (at
     the parameter values each entry was visited with). Divergence is
     surfaced: non-finite parameters or a non-finite loss raise instead of
     being clipped.
     """
-    if not table.entries:
+    if config.lr <= 0:
+        raise ValueError("learning rate must be > 0")
+    if config.epochs < 0:
+        raise ValueError("epochs must be >= 0")
+    if not len(table):
         raise ValueError("empty co-occurrence table")
+    top = max(table["i"].max(), table["j"].max())
+    if top >= len(vocab):
+        raise ValueError(f"co-occurrence table has word id {top}, outside the "
+                         f"vocabulary of {len(vocab)} words")
     model = init_model(len(vocab), config.dim, seed=config.seed)
-    entries = [(i, j, x) for (i, j), x in table.sorted_items()]
+    entries = table.tolist()
     shuffle_rng = np.random.default_rng(config.seed + 1)
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):

@@ -7,12 +7,12 @@ import numpy as np
 from metlit import LITERAL, METAPHOR
 from metlit.cbow import (
     LR_FLOOR_FRACTION,
+    ContextWindow,
     UnigramSampler,
     init_model,
     sgd_step_negative,
 )
 from metlit.classifier import SvmModel
-from metlit.cooccur import ContextWindow
 from metlit.embeddings import EmbeddingMatrix
 from metlit.sentvec import SentenceVector
 
@@ -207,7 +207,7 @@ def reference_train_cbow(sentences, vocab, config):
     Returns the input vectors as embeddings and the mean loss per epoch.
     """
     sentences = [s for s in sentences if s]
-    model = init_model(len(vocab), config.dim, m=config.window, seed=config.seed)
+    model = init_model(len(vocab), config.dim, seed=config.seed)
     sampler = UnigramSampler.from_vocabulary(vocab)
     order_rng = np.random.default_rng(config.seed + 1)
     total = sum(len(s) for s in sentences) * max(config.epochs, 1)
@@ -231,3 +231,22 @@ def reference_train_cbow(sentences, vocab, config):
                 processed += 1
         epoch_losses.append(loss_sum / steps if steps else 0.0)
     return EmbeddingMatrix(list(vocab.words), model.input_vectors), epoch_losses
+
+
+def reference_cooccurrence(sentences, window, weighting):
+    """Per-pair dict loop: the oracle for the vectorized co-occurrence count.
+
+    Each in-window position pair adds its weight to X_ij, then to X_ji,
+    as a running sum per key. Returns {(i, j): X_ij}.
+    """
+    entries = {}
+    for ids in sentences:
+        n = len(ids)
+        for a in range(n):
+            i = ids[a]
+            for d in range(1, min(window, n - 1 - a) + 1):
+                j = ids[a + d]
+                weight = 1.0 if weighting == "flat" else 1.0 / d
+                entries[(i, j)] = entries.get((i, j), 0.0) + weight
+                entries[(j, i)] = entries.get((j, i), 0.0) + weight
+    return entries

@@ -14,6 +14,7 @@ from metlit import LITERAL, METAPHOR, cli
 from metlit.cbow import (
     CbowConfig,
     CbowModel,
+    ContextWindow,
     exact_gradients,
     loss_exact,
     negative_gradients,
@@ -27,7 +28,7 @@ from metlit.classifier import (
     kfold_split,
     save_report,
 )
-from metlit.cooccur import ContextWindow, CooccurrenceTable, build_cooccurrence
+from metlit.cooccur import RECORD, build_cooccurrence
 from metlit.corpus import build_vocabulary, load_labeled_phrases
 from metlit.glove import (
     GloveConfig,
@@ -223,20 +224,19 @@ def test_glove_fixed_point_and_rank_complete(check):
     model.w_tilde = rng.normal(0, 1, (v, 3))
     model.b = rng.normal(0, 1, v)
     model.b_tilde = rng.normal(0, 1, v)
-    exact_table = CooccurrenceTable(window=2)
-    for i in range(v):
-        for j in range(v):
-            exact_table.entries[(i, j)] = math.exp(
-                float(model.w[i] @ model.w_tilde[j] + model.b[i] + model.b_tilde[j])
-            )
+    exact_table = np.array([
+        (i, j, math.exp(
+            float(model.w[i] @ model.w_tilde[j] + model.b[i] + model.b_tilde[j])
+        ))
+        for i in range(v) for j in range(v)
+    ], dtype=RECORD)
     fixed_point_loss = total_loss(model, exact_table)
 
-    table = CooccurrenceTable(window=2)
     logs = rng.normal(1.0, 0.8, (v, v))
     logs = (logs + logs.T) / 2  # symmetric counts
-    for i in range(v):
-        for j in range(v):
-            table.entries[(i, j)] = math.exp(float(logs[i, j]))
+    table = np.array([
+        (i, j, math.exp(float(logs[i, j]))) for i in range(v) for j in range(v)
+    ], dtype=RECORD)
     vocab = build_vocabulary([[f"w{i}" for i in range(v)] * 2], min_count=1)
     _, losses = train_glove(table, vocab, GloveConfig(dim=4, lr=0.1, epochs=2000, seed=0))
     best = min(losses)

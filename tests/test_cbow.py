@@ -7,6 +7,7 @@ from metlit import cbow
 from metlit.cbow import (
     CbowConfig,
     CbowModel,
+    ContextWindow,
     NegativeStream,
     UnigramSampler,
     build_windows,
@@ -18,13 +19,11 @@ from metlit.cbow import (
     negative_gradients,
     negative_loss,
     sample_negatives,
-    sentence_layout,
     sgd_step_exact,
     sgd_step_negative,
     train_cbow,
 )
-from metlit.cooccur import ContextWindow
-from metlit.corpus import build_vocabulary
+from metlit.corpus import build_vocabulary, flatten
 
 from helpers import (
     iterate_windows,
@@ -267,6 +266,16 @@ class TestTrainCbow:
         with pytest.raises(ValueError):
             train_cbow([[]], vocab, CbowConfig(dim=4))
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"lr": 0.0}, "learning rate must be > 0"),
+        ({"lr": -1.0}, "learning rate must be > 0"),
+        ({"epochs": -1}, "epochs must be >= 0"),
+    ])
+    def test_nonpositive_lr_and_negative_epochs_rejected(self, setting, message):
+        encoded, vocab, _, _ = self._corpus(n_tokens=200)
+        with pytest.raises(ValueError, match=message):
+            train_cbow(encoded, vocab, CbowConfig(dim=4, **setting))
+
     def test_same_seed_bit_reproducible_single_thread(self):
         encoded, vocab, _, _ = self._corpus()
         config = CbowConfig(dim=8, epochs=2, seed=5)
@@ -288,15 +297,6 @@ class TestTrainCbow:
         intra = mean_cosine(emb, topic_a, topic_a)
         inter = mean_cosine(emb, topic_a, topic_b)
         assert intra > inter
-
-
-def layout_of(sentences):
-    """Token and sentence-id arrays of the sentences in their given order."""
-    lengths = np.array([len(x) for x in sentences])
-    flat = np.array([w for x in sentences for w in x])
-    return sentence_layout(
-        flat, np.cumsum(lengths) - lengths, lengths, np.arange(len(sentences))
-    )
 
 
 def batch_step(model, windows, negatives, lrs):
@@ -399,7 +399,7 @@ class TestBatchedKernel:
 
     def test_windows_equal_iterate_windows_across_chunks(self):
         sentences = [[4], [0, 1, 2, 3, 4, 5, 6], [7, 8], [9], [1, 2, 3]]
-        tokens, sentence_ids = layout_of(sentences)
+        tokens, sentence_ids = flatten(sentences)
         expected = [w for s in sentences for w in iterate_windows(s, 2)]
         pad = 99
         for size in (1, 3, 4, len(tokens)):

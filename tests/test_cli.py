@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from metlit import cli
-from metlit.cooccur import load_table
+from metlit.cooccur import RECORD, load_table
 from metlit.corpus import load_vocabulary
 from metlit.embeddings import load_embeddings
 
@@ -174,7 +174,7 @@ class TestStageChaining:
              "--out", out],
         )
         assert code == 0 and summary["entries"] > 0
-        table = load_table(os.path.join(out, cli.COOCCUR_FILE), window=4)
+        table = load_table(os.path.join(out, cli.COOCCUR_FILE))
         assert len(table) == summary["entries"]
         code, summary, _ = run_cli(
             capsys,
@@ -253,6 +253,60 @@ class TestTrainingErrors:
             )
         assert code == 1 and summary is None
         assert err == "error: non-finite parameters after epoch 0\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["train-cbow", "--corpus", None],
+        ["train-glove"],
+    ])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lr", "-1", "learning rate must be > 0"),
+        ("--lr", "0", "learning rate must be > 0"),
+        ("--epochs", "-1", "epochs must be >= 0"),
+    ])
+    def test_negative_lr_or_epochs_is_a_one_line_error(
+        self, trained_out, capsys, argv, flag, value, message
+    ):
+        argv = [trained_out["corpus"] if a is None else a for a in argv]
+        code, summary, err = run_cli(
+            capsys, argv + [flag, value, "--out", trained_out["out"]]
+        )
+        assert code == 1 and summary is None
+        assert err == f"error: {message}\n"
+        assert not os.path.exists(os.path.join(trained_out["out"], cli.EMBEDDINGS_FILE))
+
+    def test_table_from_a_larger_vocabulary_is_a_one_line_error(
+        self, trained_out, capsys
+    ):
+        # the table was counted over the min-count 1 vocabulary; a smaller
+        # vocabulary written after it leaves ids the table still uses
+        out = trained_out["out"]
+        assert run_cli(
+            capsys,
+            ["vocab", "--corpus", trained_out["corpus"], "--min-count", "2",
+             "--out", out],
+        )[0] == 0
+        code, summary, err = run_cli(capsys, ["train-glove", "--out", out])
+        assert code == 1 and summary is None
+        assert err.startswith("error: co-occurrence table has word id ")
+        words = len(load_vocabulary(os.path.join(out, cli.VOCAB_FILE)))
+        assert err.endswith(f", outside the vocabulary of {words} words\n")
+
+    @pytest.mark.parametrize("records, message", [
+        ([(0, 1, 1.0), (0, 1, 1.0)], "record 2 does not follow record 1 in (i, j) order"),
+        ([(0, 1, 1.0), (0, 0, 1.0)], "record 2 does not follow record 1 in (i, j) order"),
+        ([(0, 1, 1.0), (1, 0, 0.0)], "record 2: count 0.0 is not finite and > 0"),
+        ([(0, 1, float("nan"))], "record 1: count nan is not finite and > 0"),
+    ])
+    def test_malformed_table_is_a_one_line_error(
+        self, trained_out, capsys, records, message
+    ):
+        path = os.path.join(trained_out["out"], cli.COOCCUR_FILE)
+        np.array(records, dtype=RECORD).tofile(path)
+        code, summary, err = run_cli(
+            capsys, ["train-glove", "--out", trained_out["out"]]
+        )
+        assert code == 1 and summary is None
+        assert err == f"error: {path}: {message}\n"
 
 
 class TestPipeline:

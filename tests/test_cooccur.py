@@ -2,16 +2,19 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from metlit.cbow import ContextWindow
 from metlit.cooccur import (
-    ContextWindow,
-    CooccurrenceTable,
+    RECORD,
+    WEIGHTINGS,
     build_cooccurrence,
     load_table,
     save_table,
 )
 
-from helpers import iterate_windows
+from helpers import iterate_windows, reference_cooccurrence
 
 
 def brute_force_mass(sentences, window, weighting):
@@ -23,6 +26,11 @@ def brute_force_mass(sentences, window, weighting):
                 w = 1.0 if weighting == "flat" else 1.0 / (j - i)
                 mass += 2 * w  # stored at (i,j) and (j,i)
     return mass
+
+
+def entries(table):
+    """The table as {(i, j): X_ij}."""
+    return {(i, j): x for i, j, x in table.tolist()}
 
 
 def random_sentences(rng, n_sentences=30, vocab=12):
@@ -51,38 +59,38 @@ class TestWindows:
 
 class TestBuildCooccurrence:
     def test_single_pair_counted_symmetrically(self):
-        table = build_cooccurrence([[0, 1]], window=10, weighting="flat")
-        assert table.entries[(0, 1)] == 1.0
-        assert table.entries[(1, 0)] == 1.0
-        assert len(table.entries) == 2
+        table = entries(build_cooccurrence([[0, 1]], window=10, weighting="flat"))
+        assert table[(0, 1)] == 1.0
+        assert table[(1, 0)] == 1.0
+        assert len(table) == 2
 
     def test_distance_beyond_window_excluded(self):
-        table = build_cooccurrence([[0, 1, 0]], window=1, weighting="flat")
-        assert table.entries[(0, 1)] == 2.0
-        assert table.entries[(1, 0)] == 2.0
-        assert (0, 0) not in table.entries
+        table = entries(build_cooccurrence([[0, 1, 0]], window=1, weighting="flat"))
+        assert table[(0, 1)] == 2.0
+        assert table[(1, 0)] == 2.0
+        assert (0, 0) not in table
 
     def test_inverse_distance_weighting(self):
         table = build_cooccurrence([[0, 1, 2]], window=2, weighting="inverse_distance")
-        assert table.entries[(0, 2)] == 0.5
+        assert entries(table)[(0, 2)] == 0.5
 
     def test_same_word_pair_accumulates_on_diagonal(self):
         table = build_cooccurrence([[0, 0]], window=5, weighting="flat")
-        assert table.entries[(0, 0)] == 2.0  # both orientations land on X_00
+        assert entries(table)[(0, 0)] == 2.0  # both orientations land on X_00
 
     def test_windows_never_cross_sentence_boundaries(self):
         split = build_cooccurrence([[0, 1], [2, 3]], window=10, weighting="flat")
         joined = build_cooccurrence([[0, 1, 2, 3]], window=10, weighting="flat")
-        assert (1, 2) not in split.entries
-        assert (1, 2) in joined.entries
+        assert (1, 2) not in entries(split)
+        assert (1, 2) in entries(joined)
 
     def test_symmetry_on_random_input(self):
         rng = np.random.default_rng(11)
         sentences = random_sentences(rng)
         for weighting in ("flat", "inverse_distance"):
-            table = build_cooccurrence(sentences, window=4, weighting=weighting)
-            for (i, j), x in table.entries.items():
-                assert table.entries[(j, i)] == x
+            table = entries(build_cooccurrence(sentences, window=4, weighting=weighting))
+            for (i, j), x in table.items():
+                assert table[(j, i)] == x
 
     def test_total_mass_matches_brute_force(self):
         rng = np.random.default_rng(12)
@@ -90,12 +98,12 @@ class TestBuildCooccurrence:
         for weighting in ("flat", "inverse_distance"):
             table = build_cooccurrence(sentences, window=3, weighting=weighting)
             expected = brute_force_mass(sentences, 3, weighting)
-            assert table.total_mass() == pytest.approx(expected, rel=1e-12)
+            assert table["x"].sum() == pytest.approx(expected, rel=1e-12)
 
     def test_entries_strictly_positive(self):
         rng = np.random.default_rng(13)
         table = build_cooccurrence(random_sentences(rng), window=5)
-        assert all(x > 0 for x in table.entries.values())
+        assert all(x > 0 for x in entries(table).values())
 
     def test_unknown_weighting_rejected(self):
         with pytest.raises(ValueError):
@@ -104,6 +112,24 @@ class TestBuildCooccurrence:
     def test_nonpositive_window_rejected(self):
         with pytest.raises(ValueError):
             build_cooccurrence([[0, 1]], window=0)
+
+    @settings(deadline=None)
+    @given(
+        sentences=st.lists(
+            st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1)),
+                     max_size=12),
+            max_size=6,
+        ),
+        window=st.integers(1, 14),
+        weighting=st.sampled_from(WEIGHTINGS),
+    )
+    def test_equals_reference_loop_exactly(self, sentences, window, weighting):
+        # small ids repeat (the diagonal), windows outrun sentences, and
+        # empty and one-token sentences occur
+        table = build_cooccurrence(sentences, window=window, weighting=weighting)
+        expected = reference_cooccurrence(sentences, window, weighting)
+        assert table.dtype == RECORD
+        assert table.tolist() == sorted((i, j, x) for (i, j), x in expected.items())
 
 
 class TestBinaryFormat:
@@ -114,12 +140,26 @@ class TestBinaryFormat:
         )
         path = tmp_path / "x.bin"
         save_table(table, str(path))
-        loaded = load_table(str(path), window=4)
-        assert loaded.entries == table.entries
+        loaded = load_table(str(path))
+        assert loaded.tolist() == table.tolist()
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.dictionaries(
+        st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    ))
+    def test_any_sorted_positive_table_round_trips(self, tmp_path, records):
+        table = np.array(
+            [(i, j, x) for (i, j), x in sorted(records.items())], dtype=RECORD
+        )
+        path = str(tmp_path / "x.bin")
+        save_table(table, path)
+        loaded = load_table(path)
+        assert loaded.dtype == RECORD
+        assert loaded.tolist() == table.tolist()
 
     def test_record_layout_is_little_endian_u32_u32_f64(self, tmp_path):
-        table = CooccurrenceTable(window=2)
-        table.add(1, 2, 0.5)
+        table = np.array([(1, 2, 0.5), (2, 1, 0.5)], dtype=RECORD)
         path = tmp_path / "x.bin"
         save_table(table, str(path))
         raw = path.read_bytes()
@@ -128,9 +168,7 @@ class TestBinaryFormat:
         assert (i, j, x) == (1, 2, 0.5)
 
     def test_records_sorted_by_pair(self, tmp_path):
-        table = CooccurrenceTable(window=2)
-        table.add(3, 1, 1.0)
-        table.add(0, 2, 1.0)
+        table = build_cooccurrence([[3, 1], [0, 2]], window=1, weighting="flat")
         path = tmp_path / "x.bin"
         save_table(table, str(path))
         raw = path.read_bytes()
@@ -142,5 +180,25 @@ class TestBinaryFormat:
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "x.bin"
         path.write_bytes(b"\x01\x00\x00\x00")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="x.bin: size 4 is not a multiple"):
             load_table(str(path))
+
+    @pytest.mark.parametrize("second", [(0, 1, 2.0), (0, 0, 1.0)])
+    def test_repeated_or_unsorted_key_rejected(self, tmp_path, second):
+        path = tmp_path / "x.bin"
+        np.array([(0, 1, 1.0), second, (5, 5, 1.0)], dtype=RECORD).tofile(path)
+        with pytest.raises(ValueError) as exc:
+            load_table(str(path))
+        assert str(exc.value) == (
+            f"{path}: record 2 does not follow record 1 in (i, j) order"
+        )
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_count_not_finite_and_positive_rejected(self, tmp_path, bad):
+        path = tmp_path / "x.bin"
+        np.array([(0, 1, 1.0), (1, 0, bad)], dtype=RECORD).tofile(path)
+        with pytest.raises(ValueError) as exc:
+            load_table(str(path))
+        assert str(exc.value) == (
+            f"{path}: record 2: count {bad} is not finite and > 0"
+        )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from metlit.cooccur import CooccurrenceTable, build_cooccurrence
+from metlit.cooccur import RECORD, build_cooccurrence
 from metlit.corpus import build_vocabulary
 from metlit.glove import (
     GloveConfig,
@@ -198,7 +198,26 @@ class TestTrainGlove:
     def test_empty_table_is_an_error(self):
         _, vocab, _, _ = self._table_and_vocab()
         with pytest.raises(ValueError):
-            train_glove(CooccurrenceTable(window=4), vocab, GloveConfig(dim=4))
+            train_glove(np.empty(0, dtype=RECORD), vocab, GloveConfig(dim=4))
+
+    def test_word_id_outside_vocabulary_is_an_error(self):
+        vocab = build_vocabulary([["a", "b", "c", "d"]], min_count=1)
+        table = np.array([(0, 4, 1.0), (4, 0, 1.0)], dtype=RECORD)
+        with pytest.raises(ValueError) as exc:
+            train_glove(table, vocab, GloveConfig(dim=4))
+        assert str(exc.value) == (
+            "co-occurrence table has word id 4, outside the vocabulary of 4 words"
+        )
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"lr": 0.0}, "learning rate must be > 0"),
+        ({"lr": -1.0}, "learning rate must be > 0"),
+        ({"epochs": -1}, "epochs must be >= 0"),
+    ])
+    def test_nonpositive_lr_and_negative_epochs_rejected(self, setting, message):
+        table, vocab, _, _ = self._table_and_vocab(n_tokens=200)
+        with pytest.raises(ValueError, match=message):
+            train_glove(table, vocab, GloveConfig(dim=4, **setting))
 
     def test_loss_decreases(self):
         table, vocab, _, _ = self._table_and_vocab()
@@ -230,11 +249,10 @@ class TestFixedPoint:
         rng = np.random.default_rng(8)
         v, d = 4, 3
         model = random_glove(rng, v, d)
-        table = CooccurrenceTable(window=2)
-        for i in range(v):
-            for j in range(v):
-                x = math.exp(
-                    float(model.w[i] @ model.w_tilde[j] + model.b[i] + model.b_tilde[j])
-                )
-                table.entries[(i, j)] = x
+        table = np.array([
+            (i, j, math.exp(
+                float(model.w[i] @ model.w_tilde[j] + model.b[i] + model.b_tilde[j])
+            ))
+            for i in range(v) for j in range(v)
+        ], dtype=RECORD)
         assert total_loss(model, table) < 1e-12
