@@ -11,3 +11,7 @@ __version__ = "0.1.0"
 LITERAL = "literal"
 METAPHOR = "metaphor"
 LABELS = (LITERAL, METAPHOR)
+
+
+class MetlitError(ValueError):
+    """Malformed input, an invalid setting or a numerical failure: one CLI `error:` line."""

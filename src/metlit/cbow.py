@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import MetlitError
 from .corpus import Vocabulary, flatten
 from .embeddings import EmbeddingMatrix
 
@@ -46,7 +47,7 @@ class CbowModel:
 def init_model(vocab_size: int, dim: int, seed: int = 0) -> CbowModel:
     """Input vectors uniform in [-0.5/D, 0.5/D]; output vectors zero."""
     if dim < 1:
-        raise ValueError("dim must be >= 1")
+        raise MetlitError("dim must be >= 1")
     rng = np.random.default_rng(seed)
     bound = 0.5 / dim
     input_vectors = rng.uniform(-bound, bound, size=(vocab_size, dim))
@@ -57,7 +58,7 @@ def init_model(vocab_size: int, dim: int, seed: int = 0) -> CbowModel:
 def context_mean(model: CbowModel, window: ContextWindow) -> np.ndarray:
     """Arithmetic mean of input vectors over the context ids."""
     if not window.context:
-        raise ValueError("empty context window")
+        raise MetlitError("empty context window")
     return model.input_vectors[window.context].mean(axis=0)
 
 
@@ -103,7 +104,7 @@ def exact_gradients(
 def sgd_step_exact(model: CbowModel, window: ContextWindow, lr: float) -> float:
     """Apply one exact-softmax gradient step in place; return pre-step loss."""
     if lr < 0:
-        raise ValueError("learning rate must be >= 0")
+        raise MetlitError("learning rate must be >= 0")
     loss, grad_output, grad_h = exact_gradients(model, window)
     ctx = np.asarray(window.context)
     model.output_vectors -= lr * grad_output
@@ -118,7 +119,7 @@ class UnigramSampler:
         weights = np.asarray(freqs, dtype=np.float64) ** power
         total = weights.sum()
         if total <= 0:
-            raise ValueError("sampler needs at least one positive frequency")
+            raise MetlitError("sampler needs at least one positive frequency")
         self._cumulative = np.cumsum(weights / total)
         self._cumulative[-1] = 1.0
 
@@ -189,7 +190,7 @@ def sgd_step_negative(
 ) -> float:
     """Apply one negative-sampling step in place; return pre-step loss."""
     if k < 1:
-        raise ValueError("negatives count must be >= 1")
+        raise MetlitError("negatives count must be >= 1")
     negatives = sample_negatives(sampler, rng, window.center, k)
     loss, rows, grad_rows, grad_h = negative_gradients(model, window, negatives)
     ctx = np.asarray(window.context)
@@ -341,16 +342,16 @@ def train_cbow(
     with BATCH = 1 this is the per-window loop of sgd_step_negative.
     """
     if config.lr <= 0:
-        raise ValueError("learning rate must be > 0")
+        raise MetlitError("learning rate must be > 0")
     if config.epochs < 0:
-        raise ValueError("epochs must be >= 0")
+        raise MetlitError("epochs must be >= 0")
     if config.negatives < 1:
-        raise ValueError("negatives count must be >= 1")
+        raise MetlitError("negatives count must be >= 1")
     if config.window < 1:
-        raise ValueError("window radius must be >= 1")
+        raise MetlitError("window radius must be >= 1")
     sentences = [s for s in sentences if s]
     if not sentences:
-        raise ValueError("empty corpus")
+        raise MetlitError("empty corpus")
     # input rows, a zero row, output rows (zero at the start), a zero row
     pad = len(vocab)
     params = np.zeros((2 * pad + 2, config.dim))
@@ -392,9 +393,9 @@ def train_cbow(
                         params, context[s], counts[s], rows[s], kept[s], lr[s], pads
                     )
         if not np.isfinite(params).all():
-            raise FloatingPointError(f"non-finite parameters after epoch {epoch}")
+            raise MetlitError(f"non-finite parameters after epoch {epoch}")
         epoch_losses.append(loss_sum / len(positions) if len(positions) else 0.0)
         if not math.isfinite(epoch_losses[-1]):
-            raise FloatingPointError(f"non-finite loss in epoch {epoch}")
+            raise MetlitError(f"non-finite loss in epoch {epoch}")
     embeddings = EmbeddingMatrix(list(vocab.words), params[:pad].copy())
     return embeddings, epoch_losses

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import LITERAL, METAPHOR
+from . import LITERAL, METAPHOR, MetlitError
+from .corpus import parse_count, parse_floats, read_lines
 from .embeddings import format_floats
 from .sentvec import SentenceVector
 
 
-class FoldError(ValueError):
+class FoldError(MetlitError):
     """A cross-validation training split lost one of the two classes."""
 
 
@@ -68,7 +69,7 @@ def _feature_matrix(vectors: list[SentenceVector], augment: bool = False) -> np.
     """One row per vector; `augment` appends the constant bias feature 1."""
     dims = {len(sv.values) for sv in vectors}
     if len(dims) != 1:
-        raise ValueError(f"inconsistent vector dimensions: {sorted(dims)}")
+        raise MetlitError(f"inconsistent vector dimensions: {sorted(dims)}")
     dim = dims.pop()
     x = np.ones((len(vectors), dim + augment))
     for row, sv in zip(x, vectors):
@@ -129,6 +130,10 @@ def _pegasos(
     The exact norms are computed only when a running upper bound on them,
     ||w'|| <= (1 - eta*lam)||w|| + eta*||z||, nears the ball's radius.
     """
+    if not lam > 0:
+        raise MetlitError("svm lambda must be > 0")
+    if epochs < 0:
+        raise MetlitError("svm epochs must be >= 0")
     dim = xa.shape[1] - 1
     order = sorted(range(len(runs)), key=lambda r: -len(runs[r][0]))
     streams = [_Shuffled(*runs[r]) for r in order]
@@ -225,10 +230,10 @@ def train_svm(
     training are averaged, which tightens convergence at small lam.
     """
     if not train:
-        raise ValueError("empty training set")
+        raise MetlitError("empty training set")
     signs = _labels_to_signs(train)
     if len(set(signs)) < 2:
-        raise ValueError("training set must contain both classes")
+        raise MetlitError("training set must contain both classes")
     xa = _feature_matrix(train, augment=True)
     return _pegasos(xa, signs, [(np.arange(len(train)), seed)], lam, epochs)[0]
 
@@ -246,7 +251,7 @@ def predict(model: SvmModel, values: np.ndarray) -> tuple[str, float]:
     """Return (label, margin); metaphor iff margin > 0, exact 0 -> literal."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (model.dim,):
-        raise ValueError(f"expected dimension {model.dim}, got {values.shape}")
+        raise MetlitError(f"expected dimension {model.dim}, got {values.shape}")
     margin = float(model.standardize(values) @ model.weights + model.bias)
     return (METAPHOR if margin > 0 else LITERAL), margin
 
@@ -265,15 +270,15 @@ def kfold_split(
     counts stay within one of the class's even share.
     """
     if k < 2:
-        raise ValueError("k must be >= 2")
+        raise MetlitError("k must be >= 2")
     if k > n:
-        raise ValueError(f"k={k} exceeds dataset size n={n}")
+        raise MetlitError(f"k={k} exceeds dataset size n={n}")
     rng = np.random.default_rng(seed)
     if not stratified:
         order = rng.permutation(n)
         return [fold for fold in np.array_split(order, k)]
     if labels is None or len(labels) != n:
-        raise ValueError("stratified split needs one label per item")
+        raise MetlitError("stratified split needs one label per item")
     folds: list[list[int]] = [[] for _ in range(k)]
     offset = 0
     for cls in sorted(set(labels)):
@@ -366,20 +371,15 @@ def save_model(model: SvmModel, path: str) -> None:
 
 
 def load_model(path: str) -> SvmModel:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError("model header must be 'D lambda bias'")
-        dim, lam, bias = int(header[0]), float(header[1]), float(header[2])
-        rows = []
-        for name in ("weights", "means", "stds"):
-            line = fh.readline().split()
-            if len(line) != dim:
-                raise ValueError(f"model {name} line must hold {dim} values")
-            rows.append(np.array([float(v) for v in line]))
-    return SvmModel(
-        weights=rows[0], bias=bias, lam=lam, scale_mean=rows[1], scale_std=rows[2]
-    )
+    """Read the `save_model` format; errors name the path and line."""
+    lines = [(where, line.split()) for where, line in read_lines(path)]
+    if len(lines) != 4 or len(lines[0][1]) != 3:
+        raise MetlitError(f"{path}: expected a 'D lambda bias' line, then 3 lines of D values")
+    (where, (dim, lam, bias)), *rows = lines
+    lam, bias = parse_floats([lam, bias], where)
+    dim = parse_count(dim, where)
+    weights, means, stds = (parse_floats(fields, where, dim) for where, fields in rows)
+    return SvmModel(weights, float(bias), float(lam), means, stds)
 
 
 def save_report(report: EvalReport, path: str) -> None:

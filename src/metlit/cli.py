@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import cbow, classifier, cooccur, corpus, glove, sentvec, stats
+from . import MetlitError, cbow, classifier, cooccur, corpus, glove, sentvec, stats
 from .embeddings import load_embeddings, save_embeddings
 
 VOCAB_FILE = "vocab.txt"
@@ -25,13 +25,9 @@ CV_FILE = "cv_report.tsv"
 MODEL_FILE = "svm_model.txt"
 
 
-class CliError(Exception):
-    """User-facing failure: printed to stderr, exit status 1."""
-
-
 def _require_file(path: str, what: str) -> str:
     if not os.path.isfile(path):
-        raise CliError(f"{what} not found: {path}")
+        raise MetlitError(f"{what} not found: {path}")
     return path
 
 
@@ -46,12 +42,11 @@ def _emit(summary: dict) -> None:
 def _read_sentences(path: str) -> list[list[str]]:
     sentences = [s for s in corpus.read_corpus_lines(path) if s]
     if not sentences:
-        raise CliError(f"corpus is empty: {path}")
+        raise MetlitError(f"corpus is empty: {path}")
     return sentences
 
 
 def cmd_vocab(args) -> dict:
-    _require_file(args.corpus, "corpus file")
     sentences = _read_sentences(args.corpus)
     vocab = corpus.build_vocabulary(sentences, min_count=args.min_count)
     os.makedirs(args.out, exist_ok=True)
@@ -67,7 +62,6 @@ def cmd_vocab(args) -> dict:
 
 
 def cmd_cooccur(args) -> dict:
-    _require_file(args.corpus, "corpus file")
     vocab = corpus.load_vocabulary(_artifact(args.out, VOCAB_FILE, "vocabulary"))
     sentences = _read_sentences(args.corpus)
     encoded = [vocab.encode(s) for s in sentences]
@@ -87,7 +81,6 @@ def cmd_cooccur(args) -> dict:
 
 
 def cmd_train_cbow(args) -> dict:
-    _require_file(args.corpus, "corpus file")
     vocab = corpus.load_vocabulary(_artifact(args.out, VOCAB_FILE, "vocabulary"))
     sentences = _read_sentences(args.corpus)
     encoded = [vocab.encode(s) for s in sentences]
@@ -130,7 +123,6 @@ def cmd_train_glove(args) -> dict:
 
 
 def cmd_embed(args) -> dict:
-    _require_file(args.labeled, "labeled phrase file")
     embeddings = load_embeddings(_artifact(args.out, EMBEDDINGS_FILE, "embeddings"))
     phrases = corpus.load_labeled_phrases(args.labeled)
     vectors, report = sentvec.embed_dataset(phrases, embeddings, mode=args.aggregate)
@@ -305,10 +297,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     _apply_pipeline_defaults(args)
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
+            raise MetlitError("seed must be >= 0")
         summary = args.func(args)
-    except (
-        CliError, corpus.CorpusError, ValueError, OSError, FloatingPointError
-    ) as exc:
+    except (MetlitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(summary)

@@ -11,6 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import MetlitError
 from .corpus import flatten
 
 WEIGHTINGS = ("flat", "inverse_distance")
@@ -32,9 +33,9 @@ def build_cooccurrence(
     when i == j. Windows never cross sentence boundaries.
     """
     if weighting not in WEIGHTINGS:
-        raise ValueError(f"weighting must be one of {WEIGHTINGS}")
+        raise MetlitError(f"weighting must be one of {WEIGHTINGS}")
     if window < 1:
-        raise ValueError("window must be >= 1")
+        raise MetlitError("window must be >= 1")
     tokens, sentence_ids = flatten(sentences)
     n = len(tokens)
     owner = np.append(sentence_ids, -1)  # -1: every partner past the end
@@ -70,16 +71,16 @@ def load_table(path: str) -> np.ndarray:
     """
     size = os.path.getsize(path)
     if size % RECORD.itemsize:
-        raise ValueError(f"{path}: size {size} is not a multiple of {RECORD.itemsize}")
+        raise MetlitError(f"{path}: size {size} is not a multiple of {RECORD.itemsize}")
     table = np.fromfile(path, dtype=RECORD)
     keys = table["i"].astype(np.uint64) << 32 | table["j"]
     unordered = np.flatnonzero(keys[1:] <= keys[:-1])
     if len(unordered):
         k = unordered[0] + 1
-        raise ValueError(f"{path}: record {k + 1} does not follow record {k} in (i, j) order")
+        raise MetlitError(f"{path}: record {k + 1} does not follow record {k} in (i, j) order")
     x = table["x"]
     bad = np.flatnonzero(~(np.isfinite(x) & (x > 0)))
     if len(bad):
         k = bad[0]
-        raise ValueError(f"{path}: record {k + 1}: count {x[k]} is not finite and > 0")
+        raise MetlitError(f"{path}: record {k + 1}: count {x[k]} is not finite and > 0")
     return table

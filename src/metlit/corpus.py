@@ -1,4 +1,5 @@
-"""Corpus ingestion: tokenization, vocabulary building, labeled phrase files."""
+"""Corpus ingestion (tokenization, vocabulary, labeled phrases) and the line
+reader and number parsers behind every text artifact reader."""
 
 from __future__ import annotations
 
@@ -10,13 +11,13 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import LABELS
+from . import LABELS, MetlitError
 
 # Maximal runs of Unicode letters/digits (\w minus the underscore).
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-class CorpusError(Exception):
+class CorpusError(MetlitError):
     """Raised on malformed corpus input (encoding, format, empty vocabulary)."""
 
 
@@ -29,14 +30,43 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(normalized)
 
 
-def decode_utf8(data: bytes, offset: int = 0) -> str:
-    """Decode bytes as UTF-8, reporting the absolute byte offset on failure."""
+def read_lines(path: str) -> Iterator[tuple[str, str]]:
+    """Yield `("<path>, line N", text)` per line, terminator kept, decoded as UTF-8."""
+    offset = 0
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            where = f"{path}, line {lineno}"
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusError(
+                    f"{where}: invalid UTF-8 at byte {offset + exc.start}"
+                ) from None
+            yield where, text
+            offset += len(raw)
+
+
+def parse_floats(fields: Sequence[str], where: str, count: int | None = None) -> np.ndarray:
+    """The fields as finite float64 values, exactly `count` of them if given.
+
+    Per-value float() parses repr output exactly, as fast as numpy parses strings.
+    """
+    if count is not None and len(fields) != count:
+        raise CorpusError(f"{where}: {len(fields)} values, the file has {count} per row")
     try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusError(
-            f"invalid UTF-8 at byte {offset + exc.start}"
-        ) from exc
+        values = np.array([float(f) for f in fields])
+    except ValueError as exc:  # float() names the field
+        raise CorpusError(f"{where}: {exc}") from None
+    if not np.isfinite(values).all():
+        raise CorpusError(f"{where}: non-finite value")
+    return values
+
+
+def parse_count(field: str, where: str) -> int:
+    """A decimal count of at most 18 digits, so it fits an int64."""
+    if not (field.isdecimal() and len(field) <= 18):
+        raise CorpusError(f"{where}: {field!r} is not a count")
+    return int(field)
 
 
 def read_corpus_lines(path: str) -> Iterator[list[str]]:
@@ -44,11 +74,8 @@ def read_corpus_lines(path: str) -> Iterator[list[str]]:
 
     Newlines delimit sentences: downstream windows never cross them.
     """
-    offset = 0
-    with open(path, "rb") as fh:
-        for raw in fh:
-            yield tokenize(decode_utf8(raw, offset))
-            offset += len(raw)
+    for _, line in read_lines(path):
+        yield tokenize(line)
 
 
 class Vocabulary:
@@ -133,24 +160,21 @@ def save_vocabulary(vocab: Vocabulary, path: str) -> None:
 
 
 def load_vocabulary(path: str) -> Vocabulary:
-    words: list[str] = []
+    """Read `<word> <frequency>` lines; blank lines are skipped."""
     freqs: dict[str, int] = {}
-    with open(path, "rb") as fh:
-        offset = 0
-        for lineno, raw in enumerate(fh, 1):
-            line = decode_utf8(raw, offset).strip()
-            offset += len(raw)
-            if not line:
-                continue
-            parts = line.split(" ")
-            if len(parts) != 2:
-                raise CorpusError(f"line {lineno}: expected '<word> <frequency>'")
-            word, freq = parts
-            freqs[word] = int(freq)
-            words.append(word)
-    if not words:
-        raise CorpusError("empty vocabulary file")
-    return Vocabulary(words, freqs)
+    for where, line in read_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise CorpusError(f"{where}: expected '<word> <frequency>'")
+        word, freq = parts
+        if word in freqs:
+            raise CorpusError(f"{where}: duplicate word {word!r}")
+        freqs[word] = parse_count(freq, where)
+    if not freqs:
+        raise CorpusError(f"{path}: empty vocabulary file")
+    return Vocabulary(list(freqs), freqs)
 
 
 @dataclass
@@ -178,35 +202,22 @@ def load_labeled_phrases(path: str) -> list[LabeledPhrase]:
     being dropped, so label counts stay trustworthy.
     """
     phrases: list[LabeledPhrase] = []
-    offset = 0
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = decode_utf8(raw, offset).rstrip("\n").rstrip("\r")
-            offset += len(raw)
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise CorpusError(
-                    f"line {lineno}: expected 3 tab-separated columns, got {len(parts)}"
-                )
-            label, verb_field, sentence = parts
-            if label not in LABELS:
-                raise CorpusError(f"line {lineno}: unknown label {label!r}")
-            verb_tokens = tokenize(verb_field)
-            if len(verb_tokens) != 1:
-                raise CorpusError(
-                    f"line {lineno}: verb column must hold exactly one token"
-                )
-            verb = verb_tokens[0]
-            tokens = tokenize(sentence)
-            if not tokens:
-                raise CorpusError(f"line {lineno}: sentence has no tokens")
-            if verb not in tokens:
-                raise CorpusError(
-                    f"line {lineno}: verb {verb!r} not found in sentence"
-                )
-            phrases.append(LabeledPhrase(tokens=tokens, verb=verb, label=label))
+    for where, line in read_lines(path):
+        if not line.strip():
+            continue
+        parts = line.rstrip("\r\n").split("\t")
+        if len(parts) != 3:
+            raise CorpusError(
+                f"{where}: expected 3 tab-separated columns, got {len(parts)}"
+            )
+        label, verb_field, sentence = parts
+        verb = tokenize(verb_field)
+        if len(verb) != 1:
+            raise CorpusError(f"{where}: verb column must hold exactly one token")
+        try:
+            phrases.append(LabeledPhrase(tokenize(sentence), verb[0], label))
+        except CorpusError as exc:
+            raise CorpusError(f"{where}: {exc}") from None
     return phrases
 
 

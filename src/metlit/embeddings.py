@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import CorpusError, decode_utf8
+from . import MetlitError
+from .corpus import CorpusError, parse_count, parse_floats, read_lines
 
 
 class EmbeddingMatrix:
@@ -13,10 +14,12 @@ class EmbeddingMatrix:
     def __init__(self, words: list[str], vectors: np.ndarray):
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[0] != len(words):
-            raise ValueError("vectors must be a (len(words), D) matrix")
+            raise MetlitError("vectors must be a (len(words), D) matrix")
         self.words = list(words)
         self.vectors = vectors
         self._ids = {w: i for i, w in enumerate(self.words)}
+        if len(self._ids) != len(self.words):
+            raise MetlitError("duplicate word in embeddings")
 
     @property
     def dim(self) -> int:
@@ -47,27 +50,21 @@ def save_embeddings(emb: EmbeddingMatrix, path: str) -> None:
 
 
 def load_embeddings(path: str) -> EmbeddingMatrix:
-    with open(path, "rb") as fh:
-        offset = 0
-        header = fh.readline()
-        text = decode_utf8(header, offset)
-        offset += len(header)
-        parts = text.split()
-        if len(parts) != 2:
-            raise CorpusError("embedding header must be '<V> <D>'")
-        n_words, dim = int(parts[0]), int(parts[1])
-        words: list[str] = []
-        rows = np.empty((n_words, dim), dtype=np.float64)
-        for i in range(n_words):
-            raw = fh.readline()
-            if not raw:
-                raise CorpusError(f"embedding file truncated at word {i}")
-            fields = decode_utf8(raw, offset).split()
-            offset += len(raw)
-            if len(fields) != dim + 1:
-                raise CorpusError(
-                    f"embedding line {i + 2}: expected {dim} values, got {len(fields) - 1}"
-                )
-            words.append(fields[0])
-            rows[i] = [float(x) for x in fields[1:]]
-    return EmbeddingMatrix(words, rows)
+    """Read the `save_embeddings` format: a `<V> <D>` header, then V rows."""
+    lines = read_lines(path)
+    where, header = next(lines, (path, ""))
+    sizes = header.split()
+    if len(sizes) != 2:
+        raise CorpusError(f"{where}: embedding header must be '<V> <D>'")
+    n_words, dim = (parse_count(size, where) for size in sizes)
+    rows: dict[str, np.ndarray] = {}
+    for where, line in lines:
+        word, *values = line.split() or [""]
+        if len(rows) == n_words:
+            raise CorpusError(f"{where}: more rows than the {n_words} of the header")
+        if word in rows:
+            raise CorpusError(f"{where}: duplicate word {word!r}")
+        rows[word] = parse_floats(values, where, dim)
+    if len(rows) != n_words:
+        raise CorpusError(f"{path}: {len(rows)} rows, the header says {n_words}")
+    return EmbeddingMatrix(list(rows), np.array(list(rows.values())).reshape(n_words, dim))

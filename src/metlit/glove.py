@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import MetlitError
 from .corpus import Vocabulary
 from .embeddings import EmbeddingMatrix
 
@@ -23,15 +24,15 @@ class WeightParams:
 
     def __post_init__(self):
         if not 0 < self.a <= 1:
-            raise ValueError("weight exponent must be in (0, 1]")
+            raise MetlitError("weight exponent must be in (0, 1]")
         if self.x_max <= 0:
-            raise ValueError("x_max must be positive")
+            raise MetlitError("x_max must be positive")
 
 
 def weight_f(x: float, params: WeightParams = WeightParams()) -> float:
     """(x/x_max)^alpha for x < x_max, else 1. Monotone, in [0, 1]."""
     if x < 0:
-        raise ValueError("co-occurrence count must be nonnegative")
+        raise MetlitError("co-occurrence count must be nonnegative")
     if x >= params.x_max:
         return 1.0
     return (x / params.x_max) ** params.a
@@ -66,7 +67,7 @@ class GloveModel:
 def init_model(vocab_size: int, dim: int, seed: int = 0) -> GloveModel:
     """All four parameter groups uniform in [-0.5/D, 0.5/D]; accumulators 1."""
     if dim < 1:
-        raise ValueError("dim must be >= 1")
+        raise MetlitError("dim must be >= 1")
     rng = np.random.default_rng(seed)
     bound = 0.5 / dim
     return GloveModel(
@@ -87,7 +88,7 @@ def pair_loss(
 ) -> float:
     """f(X_ij) * (w_i . w~_j + b_i + b~_j - ln X_ij)^2."""
     if x <= 0:
-        raise ValueError("pair loss requires X_ij > 0 (log undefined)")
+        raise MetlitError("pair loss requires X_ij > 0 (log undefined)")
     residual = float(model.w[i] @ model.w_tilde[j] + model.b[i] + model.b_tilde[j]) - math.log(x)
     return weight_f(x, params) * residual * residual
 
@@ -98,7 +99,7 @@ def pair_gradients(
 ) -> tuple[float, np.ndarray, np.ndarray, float, float]:
     """Loss and analytic gradients (d_wi, d_wtj, d_bi, d_btj) for one entry."""
     if x <= 0:
-        raise ValueError("pair loss requires X_ij > 0 (log undefined)")
+        raise MetlitError("pair loss requires X_ij > 0 (log undefined)")
     f = weight_f(x, params)
     residual = float(model.w[i] @ model.w_tilde[j] + model.b[i] + model.b_tilde[j]) - math.log(x)
     loss = f * residual * residual
@@ -116,7 +117,7 @@ def adagrad_step(
     are added, matching the usual convention for this objective.
     """
     if lr0 <= 0:
-        raise ValueError("lr0 must be positive")
+        raise MetlitError("lr0 must be positive")
     loss, d_wi, d_wtj, d_bi, d_btj = pair_gradients(model, i, j, x, params)
     model.w[i] -= lr0 * d_wi / np.sqrt(model.acc_w[i])
     model.w_tilde[j] -= lr0 * d_wtj / np.sqrt(model.acc_w_tilde[j])
@@ -165,14 +166,14 @@ def train_glove(
     being clipped.
     """
     if config.lr <= 0:
-        raise ValueError("learning rate must be > 0")
+        raise MetlitError("learning rate must be > 0")
     if config.epochs < 0:
-        raise ValueError("epochs must be >= 0")
+        raise MetlitError("epochs must be >= 0")
     if not len(table):
-        raise ValueError("empty co-occurrence table")
+        raise MetlitError("empty co-occurrence table")
     top = max(table["i"].max(), table["j"].max())
     if top >= len(vocab):
-        raise ValueError(f"co-occurrence table has word id {top}, outside the "
+        raise MetlitError(f"co-occurrence table has word id {top}, outside the "
                          f"vocabulary of {len(vocab)} words")
     model = init_model(len(vocab), config.dim, seed=config.seed)
     entries = table.tolist()
@@ -187,9 +188,9 @@ def train_glove(
                 epoch_loss += adagrad_step(model, i, j, x, config.lr, config.params)
         for arr in (model.w, model.w_tilde, model.b, model.b_tilde):
             if not np.isfinite(arr).all():
-                raise FloatingPointError(f"non-finite parameters after epoch {epoch}")
+                raise MetlitError(f"non-finite parameters after epoch {epoch}")
         if not math.isfinite(epoch_loss):
-            raise FloatingPointError(f"non-finite loss in epoch {epoch}")
+            raise MetlitError(f"non-finite loss in epoch {epoch}")
         epoch_losses.append(epoch_loss)
     embeddings = EmbeddingMatrix(list(vocab.words), model.combined())
     return embeddings, epoch_losses

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import LABELS
-from .corpus import LabeledPhrase
+from . import LABELS, MetlitError
+from .corpus import LabeledPhrase, parse_count, parse_floats, read_lines
 from .embeddings import EmbeddingMatrix, format_floats
 
 MODES = ("mean", "sum")
@@ -43,7 +43,7 @@ def aggregate(
     must exclude it downstream.
     """
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+        raise MetlitError(f"mode must be one of {MODES}")
     rows = [embeddings.vector(t) for t in phrase.tokens if t in embeddings]
     if not rows:
         values = np.zeros(embeddings.dim)
@@ -62,7 +62,7 @@ def embed_dataset(
 ) -> tuple[list[SentenceVector], CoverageReport]:
     """Aggregate every phrase; exclude and report uncoverable ones."""
     if not phrases:
-        raise ValueError("empty phrase list")
+        raise MetlitError("empty phrase list")
     vectors: list[SentenceVector] = []
     excluded: list[int] = []
     class_counts = {label: 0 for label in LABELS}
@@ -76,7 +76,7 @@ def embed_dataset(
         class_counts[sv.label] += 1
         coverage_sum += sv.coverage
     if not vectors:
-        raise ValueError("all phrases uncoverable: no token in vocabulary")
+        raise MetlitError("all phrases uncoverable: no token in vocabulary")
     report = CoverageReport(
         class_counts=class_counts,
         mean_coverage=coverage_sum / len(vectors),
@@ -100,35 +100,21 @@ def load_sentence_vectors(path: str) -> list[SentenceVector]:
     Errors name the path and line.
     """
     vectors: list[SentenceVector] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            where = f"{path}, line {lineno}"
-            if len(parts) < 3:
-                raise ValueError(f"{where}: expected label, coverage, values")
-            label, cover = parts[0], parts[1]
-            if label not in LABELS:
-                raise ValueError(f"{where}: unknown label {label!r}")
-            covered, _, total = cover.partition("/")
-            if not (covered.isdecimal() and total.isdecimal()
-                    and int(covered) <= int(total)):
-                raise ValueError(f"{where}: coverage must be covered/total, got {cover!r}")
-            try:
-                values = np.array([float(p) for p in parts[2:]])
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            if not np.isfinite(values).all():
-                raise ValueError(f"{where}: non-finite value")
-            if vectors and len(values) != len(vectors[0].values):
-                raise ValueError(
-                    f"{where}: {len(values)} values, the first row has "
-                    f"{len(vectors[0].values)}"
-                )
-            vectors.append(
-                SentenceVector(values, label, covered=int(covered), total=int(total))
-            )
+    for where, line in read_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) < 3:
+            raise MetlitError(f"{where}: expected label, coverage, values")
+        label, cover = parts[0], parts[1]
+        if label not in LABELS:
+            raise MetlitError(f"{where}: unknown label {label!r}")
+        covered, _, total = cover.partition("/")
+        if not (covered.isdecimal() and total.isdecimal()
+                and parse_count(covered, where) <= parse_count(total, where)):
+            raise MetlitError(f"{where}: coverage must be covered/total, got {cover!r}")
+        values = parse_floats(parts[2:], where, len(vectors[0].values) if vectors else None)
+        vectors.append(SentenceVector(values, label, int(covered), int(total)))
     if not vectors:
-        raise ValueError(f"{path}: empty sentence-vector file")
+        raise MetlitError(f"{path}: empty sentence-vector file")
     return vectors

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import LITERAL, METAPHOR
+from . import LITERAL, METAPHOR, MetlitError
 from .sentvec import SentenceVector
 
 _CF_EPS = 1e-15
@@ -20,11 +20,11 @@ _CF_FPMIN = 1e-300
 _CF_MAX_ITER = 500
 
 
-class DegenerateSampleError(ValueError):
+class DegenerateSampleError(MetlitError):
     """Both samples have zero variance: the t statistic is undefined."""
 
 
-class SampleSizeError(ValueError):
+class SampleSizeError(MetlitError):
     """A sample has fewer than 2 elements."""
 
 
@@ -60,15 +60,15 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             return h
-    raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
+    raise MetlitError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
 
 
 def betainc_reg(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1]."""
     if a <= 0 or b <= 0:
-        raise ValueError("beta parameters must be positive")
+        raise MetlitError("beta parameters must be positive")
     if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
+        raise MetlitError("x must lie in [0, 1]")
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -87,7 +87,7 @@ def betainc_reg(a: float, b: float, x: float) -> float:
 def student_t_sf(t: float, df: float) -> float:
     """P(T > t) for T ~ Student's t with df degrees of freedom."""
     if df <= 0:
-        raise ValueError("degrees of freedom must be positive")
+        raise MetlitError("degrees of freedom must be positive")
     tail = 0.5 * betainc_reg(0.5 * df, 0.5, df / (df + t * t))
     return tail if t >= 0 else 1.0 - tail
 
@@ -95,7 +95,7 @@ def student_t_sf(t: float, df: float) -> float:
 def two_sided_p(t: float, df: float) -> float:
     """Two-sided p value: P(|T| > |t|)."""
     if df <= 0:
-        raise ValueError("degrees of freedom must be positive")
+        raise MetlitError("degrees of freedom must be positive")
     return betainc_reg(0.5 * df, 0.5, df / (df + t * t))
 
 
@@ -143,8 +143,11 @@ def group_ttest(
     """One Welch test per embedding dimension plus one on Euclidean norms.
 
     Contrasts the literal and metaphor groups; both must have at least two
-    members. The summary counts dimensions significant at alpha.
+    members. The summary counts dimensions significant at alpha, which
+    must lie in (0, 1).
     """
+    if not 0 < alpha < 1:
+        raise MetlitError(f"alpha must lie in (0, 1), got {alpha}")
     literal = [sv.values for sv in vectors if sv.label == LITERAL]
     metaphor = [sv.values for sv in vectors if sv.label == METAPHOR]
     if len(literal) < 2 or len(metaphor) < 2:
@@ -155,7 +158,7 @@ def group_ttest(
     lit = np.stack(literal)
     met = np.stack(metaphor)
     if lit.shape[1] != met.shape[1]:
-        raise ValueError("dimension mismatch between classes")
+        raise MetlitError("dimension mismatch between classes")
     results: list[TTestResult] = []
     for d in range(lit.shape[1]):
         res = welch_t(lit[:, d], met[:, d], alpha=alpha)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metlit import LITERAL, METAPHOR
+from metlit import LITERAL, METAPHOR, MetlitError
 from metlit import classifier
 from metlit.classifier import (
     EvalReport,
@@ -360,6 +360,28 @@ class TestLockstepMatchesReference:
             assert_matches_reference(model, ref)
 
 
+class TestSettings:
+    """The Pegasos kernel behind train_svm and cross_validate checks its settings."""
+
+    @pytest.mark.parametrize("lam, epochs, message", [
+        (0.0, 5, "svm lambda must be > 0"),
+        (-1.0, 5, "svm lambda must be > 0"),
+        (float("nan"), 5, "svm lambda must be > 0"),
+        (1e-4, -1, "svm epochs must be >= 0"),
+    ])
+    def test_nonpositive_lambda_and_negative_epochs_rejected(self, lam, epochs, message):
+        data = make_blobs(np.random.default_rng(12), n_per_class=6, dim=2, separation=3.0)
+        with pytest.raises(MetlitError, match=message):
+            train_svm(data, lam=lam, epochs=epochs)
+        with pytest.raises(MetlitError, match=message):
+            cross_validate(data, k=2, lam=lam, epochs=epochs)
+
+    def test_zero_epochs_gives_the_untrained_model(self):
+        data = make_blobs(np.random.default_rng(13), n_per_class=6, dim=2, separation=3.0)
+        model = train_svm(data, epochs=0)
+        assert not model.weights.any() and model.bias == 0.0
+
+
 class TestModelPersistence:
     def test_save_load_round_trip_preserves_predictions(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -379,6 +401,19 @@ class TestModelPersistence:
         path.write_text("2 0.0001 0.5\n1.0 2.0\n")
         with pytest.raises(ValueError):
             load_model(str(path))
+
+    @pytest.mark.parametrize("text, message", [
+        ("x 0.0001 0.5\n1 2\n0 0\n1 1\n", "line 1: 'x' is not a count"),
+        ("2 0.0001\n1 2\n0 0\n1 1\n", "expected a 'D lambda bias' line"),
+        ("2 0.0001 0.5\n1 nan\n0 0\n1 1\n", "line 2: non-finite value"),
+        ("2 0.0001 0.5\n1 2\n0 0\n1\n", "line 4: 1 values, the file has 2 per row"),
+    ])
+    def test_malformed_model_names_path_and_line(self, tmp_path, text, message):
+        path = tmp_path / "model.txt"
+        path.write_text(text)
+        with pytest.raises(MetlitError) as exc:
+            load_model(str(path))
+        assert str(exc.value).startswith(str(path)) and message in str(exc.value)
 
 
 class TestReportFile:

@@ -5,10 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from metlit import cli
+from metlit import MetlitError, cli
+from metlit.classifier import FoldError
 from metlit.cooccur import RECORD, load_table
-from metlit.corpus import load_vocabulary
+from metlit.corpus import CorpusError, load_vocabulary
 from metlit.embeddings import load_embeddings
+from metlit.stats import DegenerateSampleError, SampleSizeError
 
 from helpers import verb_object_corpus, write_corpus, write_lines
 
@@ -207,6 +209,94 @@ class TestCvErrors:
         assert code == 1 and summary is None
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "line 2" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--svm-lambda", "0", "svm lambda must be > 0"),
+        ("--svm-lambda", "-1", "svm lambda must be > 0"),
+        ("--svm-epochs", "-1", "svm epochs must be >= 0"),
+        ("--seed", "-1", "seed must be >= 0"),
+    ])
+    def test_invalid_setting_is_a_one_line_error(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        rng = np.random.default_rng(4)
+        rows = [f"{label} 1/1 {a:.3f} {b:.3f}"
+                for label in ("literal", "metaphor") for a, b in rng.normal(0, 1, (6, 2))]
+        out = self.write_vectors(tmp_path, rows)
+        code, summary, err = run_cli(capsys, ["cv", flag, value, "--out", out])
+        assert code == 1 and summary is None
+        assert err == f"error: {message}\n"
+        assert not os.path.exists(os.path.join(out, cli.MODEL_FILE))
+
+
+class TestErrorContract:
+    def test_every_error_class_is_a_metlit_error(self):
+        for cls in (CorpusError, FoldError, SampleSizeError, DegenerateSampleError):
+            assert issubclass(cls, MetlitError)
+
+    def test_other_exceptions_are_not_turned_into_error_lines(self, monkeypatch):
+        def broken(args):
+            raise ValueError("a bug, not a malformed input")
+        monkeypatch.setattr(cli, "cmd_ttest", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            cli.main(["ttest", "--out", "unused"])
+
+    @pytest.fixture
+    def done(self, workspace, capsys):
+        """Workspace after a whole CBOW pipeline run."""
+        assert run_cli(capsys, [
+            "pipeline", "--corpus", workspace["corpus"], "--labeled", workspace["labeled"],
+            "--dim", "4", "--epochs", "1", "--min-count", "1", "--folds", "2",
+            "--svm-epochs", "5", "--out", workspace["out"],
+        ])[0] == 0
+        return workspace
+
+    @pytest.mark.parametrize("name, lineno, line, argv, message", [
+        (cli.SENTVEC_FILE, 2, b"literal 1/1 0.5 \xff\n", ["ttest"],
+         "invalid UTF-8 at byte "),
+        (cli.VOCAB_FILE, 2, b"w\xff 3\n", ["train-cbow", "--corpus", None],
+         "invalid UTF-8 at byte "),
+        (cli.VOCAB_FILE, 2, b"zz x\n", ["train-cbow", "--corpus", None],
+         "'x' is not a count"),
+        (cli.EMBEDDINGS_FILE, 1, b"x 10\n", ["embed", "--labeled", None],
+         "'x' is not a count"),
+        (cli.EMBEDDINGS_FILE, 1, b"-3 10\n", ["embed", "--labeled", None],
+         "'-3' is not a count"),
+        (cli.EMBEDDINGS_FILE, 2, b"zz 1 nan 2 3\n", ["embed", "--labeled", None],
+         "non-finite value"),
+        (cli.EMBEDDINGS_FILE, None, b"zz 1 2 3 4\n", ["embed", "--labeled", None],
+         "more rows than the "),
+        (cli.EMBEDDINGS_FILE, 3, None, ["embed", "--labeled", None],
+         "duplicate word "),
+    ])
+    def test_malformed_artifact_is_one_line_naming_path_and_line(
+        self, done, capsys, name, lineno, line, argv, message
+    ):
+        """Replace (or, with lineno None, append) one line of an artifact."""
+        path = os.path.join(done["out"], name)
+        with open(path, "rb") as fh:
+            lines = fh.readlines()
+        if line is None:  # this line's values under the word of the line before
+            word, values = lines[lineno - 2].split(b" ", 1)[0], lines[lineno - 1].split(b" ", 1)[1]
+            line = word + b" " + values
+        if lineno is None:
+            lines.append(line)
+            lineno = len(lines)
+        else:
+            lines[lineno - 1] = line
+        with open(path, "wb") as fh:
+            fh.writelines(lines)
+        argv = [done[argv[k - 1][2:]] if a is None else a for k, a in enumerate(argv)]
+        code, summary, err = run_cli(capsys, argv + ["--out", done["out"]])
+        assert code == 1 and summary is None
+        assert err.startswith(f"error: {path}, line {lineno}: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("alpha", ["5", "0", "1"])
+    def test_alpha_outside_unit_interval_is_a_one_line_error(self, done, capsys, alpha):
+        code, summary, err = run_cli(capsys, ["ttest", "--alpha", alpha, "--out", done["out"]])
+        assert code == 1 and summary is None
+        assert err == f"error: alpha must lie in (0, 1), got {float(alpha)}\n"
 
 
 class TestTrainingErrors:

@@ -8,10 +8,10 @@ from metlit.corpus import (
     build_vocabulary,
     count_labels,
     count_tokens,
-    decode_utf8,
     load_labeled_phrases,
     load_vocabulary,
     read_corpus_lines,
+    read_lines,
     save_vocabulary,
     tokenize,
     vocabulary_from_counts,
@@ -44,13 +44,17 @@ class TestTokenize:
 
 
 class TestDecodeUtf8:
-    def test_valid_bytes(self):
-        assert decode_utf8("θάλασσα".encode("utf-8")) == "θάλασσα"
+    def test_valid_bytes(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes("θάλασσα\n".encode("utf-8"))
+        assert list(read_lines(str(path))) == [(f"{path}, line 1", "θάλασσα\n")]
 
-    def test_invalid_byte_reports_absolute_offset(self):
+    def test_invalid_byte_reports_absolute_offset(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"x" * 99 + b"\nab\xffcd")
         with pytest.raises(CorpusError) as exc:
-            decode_utf8(b"ab\xffcd", offset=100)
-        assert "102" in str(exc.value)
+            list(read_lines(str(path)))
+        assert str(exc.value) == f"{path}, line 2: invalid UTF-8 at byte 102"
 
 
 class TestVocabulary:
@@ -95,6 +99,21 @@ class TestVocabulary:
         path.write_text("")
         with pytest.raises(CorpusError):
             load_vocabulary(str(path))
+
+    @pytest.mark.parametrize("text, message", [
+        ("a 3\nb x\n", "line 2: 'x' is not a count"),
+        ("a 3\nb -1\n", "line 2: '-1' is not a count"),
+        ("a 3\nb 1234567890123456789\n", "line 2: '1234567890123456789' is not a count"),
+        ("a 3\nb 1 2\n", "line 2: expected '<word> <frequency>'"),
+        ("a 3\nb 2\na 1\n", "line 3: duplicate word 'a'"),
+        ("a 3\nb\xff 2\n", "line 2: invalid UTF-8 at byte 5"),
+    ])
+    def test_load_names_path_and_line(self, tmp_path, text, message):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(CorpusError) as exc:
+            load_vocabulary(str(path))
+        assert str(exc.value) == f"{path}, {message}"
 
 
 class TestReadCorpusLines:

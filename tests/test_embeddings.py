@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from metlit import MetlitError
 from metlit.corpus import CorpusError
 from metlit.embeddings import (
     EmbeddingMatrix,
@@ -30,6 +31,10 @@ class TestEmbeddingMatrix:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             EmbeddingMatrix(["x", "y"], np.zeros((3, 2)))
+
+    def test_duplicate_word_rejected(self):
+        with pytest.raises(MetlitError, match="duplicate word"):
+            EmbeddingMatrix(["x", "y", "x"], np.zeros((3, 2)))
 
 
 class TestTextFormat:
@@ -69,3 +74,28 @@ class TestTextFormat:
         path.write_text("2 2\nw 1.0 2.0\n", encoding="utf-8")
         with pytest.raises(CorpusError):
             load_embeddings(str(path))
+
+    @pytest.mark.parametrize("text, message", [
+        ("", ": embedding header must be '<V> <D>'"),
+        ("2\n", ", line 1: embedding header must be '<V> <D>'"),
+        ("x 2\nw 1.0 2.0\n", ", line 1: 'x' is not a count"),
+        ("-3 2\nw 1.0 2.0\n", ", line 1: '-3' is not a count"),
+        ("1 2\nw 1.0 nan\n", ", line 2: non-finite value"),
+        ("1 2\nw 1.0 x\n", ", line 2: could not convert string to float: 'x'"),
+        ("1 2\nw 1.0 2.0\nv 1.0 2.0\n", ", line 3: more rows than the 1 of the header"),
+        ("2 2\nw 1.0 2.0\nw 3.0 4.0\n", ", line 3: duplicate word 'w'"),
+        ("2 2\nw 1.0 2.0\n\n", ", line 3: 0 values, the file has 2 per row"),
+        ("2 2\nw 1.0 2.0\n", ": 1 rows, the header says 2"),
+    ])
+    def test_load_names_path_and_line(self, tmp_path, text, message):
+        path = tmp_path / "emb.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CorpusError) as exc:
+            load_embeddings(str(path))
+        assert str(exc.value) == f"{path}{message}"
+
+    def test_empty_matrix_round_trips(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        save_embeddings(EmbeddingMatrix([], np.zeros((0, 3))), str(path))
+        loaded = load_embeddings(str(path))
+        assert loaded.words == [] and loaded.vectors.shape == (0, 3)

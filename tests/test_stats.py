@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from metlit import LITERAL, METAPHOR
+from metlit import LITERAL, METAPHOR, MetlitError
 from metlit.sentvec import SentenceVector
 from metlit.stats import (
     DegenerateSampleError,
@@ -212,6 +212,12 @@ class TestGroupTTest:
         ]
         with pytest.raises(ValueError):
             group_ttest(vectors)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0, -0.05, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        vectors = blob_vectors(np.random.default_rng(9), 5, 2, offset=1.0)
+        with pytest.raises(MetlitError, match=r"alpha must lie in \(0, 1\)"):
+            group_ttest(vectors, alpha=alpha)
 
 
 class TestReport:
