@@ -42,19 +42,28 @@ def build_cooccurrence(
     window = min(window, max(map(len, sentences), default=1) - 1)
     # partner[a, d] is position a + d + 1, at distance d + 1, or n past the end
     partner = np.minimum(np.arange(n)[:, None] + np.arange(1, window + 1), n)
-    # row-major order is position, then distance, with (i, j) before (j, i):
-    # the order of a running sum per pair. np.bincount adds its weights in
-    # input order, so each X_ij equals that running sum to the last bit.
+    # Row-major order is position, then distance: a running sum's order. X_ij
+    # and X_ji gain every weight of the pair, so one key (min, max) is counted
+    # per pair, twice in place on the diagonal, then mirrored. np.bincount adds
+    # in input order, so each X_ij equals the running sum to the last bit.
     a, d = np.nonzero(owner[partner] == owner[:-1, None])
-    i = tokens[a].astype(np.uint64)
-    j = tokens[partner[a, d]].astype(np.uint64)
+    del partner  # free each position array once it is used
+    i, j = tokens[a].astype(np.uint64), tokens[a + d + 1].astype(np.uint64)
     weights = np.ones(len(d)) if weighting == "flat" else 1.0 / (d + 1.0)
-    pairs = np.stack([i << 32 | j, j << 32 | i], axis=1).ravel()
-    del partner, a, d, i, j  # free the position arrays before the sort
+    del a, d
+    times = 1 + (i == j)
+    pairs = np.repeat(np.minimum(i, j) << 32 | np.maximum(i, j), times)
+    weights = np.repeat(weights, times)
+    del i, j, times
     keys, slot = np.unique(pairs, return_inverse=True)
+    del pairs
+    x = np.bincount(slot, weights=weights)
+    off = keys >> 32 != keys & 0xFFFFFFFF
+    keys = np.concatenate([keys, keys[off] << 32 | keys[off] >> 32])  # (j, i)
+    order = np.argsort(keys)
+    keys, x = keys[order], np.concatenate([x, x[off]])[order]
     table = np.empty(len(keys), dtype=RECORD)
-    table["i"], table["j"] = keys >> 32, keys & 0xFFFFFFFF
-    table["x"] = np.bincount(slot, weights=np.repeat(weights, 2))
+    table["i"], table["j"], table["x"] = keys >> 32, keys & 0xFFFFFFFF, x
     return table
 
 

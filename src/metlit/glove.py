@@ -16,6 +16,8 @@ from . import MetlitError
 from .corpus import Vocabulary
 from .embeddings import EmbeddingMatrix
 
+BATCH = 32  # records per AdaGrad step
+
 
 @dataclass
 class WeightParams:
@@ -27,6 +29,11 @@ class WeightParams:
             raise MetlitError("weight exponent must be in (0, 1]")
         if self.x_max <= 0:
             raise MetlitError("x_max must be positive")
+
+
+def weights(x: np.ndarray, params: WeightParams = WeightParams()) -> np.ndarray:
+    """weight_f over an array of nonnegative counts."""
+    return np.minimum(x / params.x_max, 1.0) ** params.a
 
 
 def weight_f(x: float, params: WeightParams = WeightParams()) -> float:
@@ -49,37 +56,15 @@ class GloveModel:
     acc_b: np.ndarray
     acc_b_tilde: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.w.shape[1]
-
-    def copy(self) -> "GloveModel":
-        return GloveModel(*(a.copy() for a in (
-            self.w, self.w_tilde, self.b, self.b_tilde,
-            self.acc_w, self.acc_w_tilde, self.acc_b, self.acc_b_tilde,
-        )))
-
-    def combined(self) -> np.ndarray:
-        """Final embedding per word: w + w~ (both sides see the same evidence)."""
-        return self.w + self.w_tilde
-
 
 def init_model(vocab_size: int, dim: int, seed: int = 0) -> GloveModel:
     """All four parameter groups uniform in [-0.5/D, 0.5/D]; accumulators 1."""
     if dim < 1:
         raise MetlitError("dim must be >= 1")
     rng = np.random.default_rng(seed)
-    bound = 0.5 / dim
-    return GloveModel(
-        w=rng.uniform(-bound, bound, size=(vocab_size, dim)),
-        w_tilde=rng.uniform(-bound, bound, size=(vocab_size, dim)),
-        b=rng.uniform(-bound, bound, size=vocab_size),
-        b_tilde=rng.uniform(-bound, bound, size=vocab_size),
-        acc_w=np.ones((vocab_size, dim)),
-        acc_w_tilde=np.ones((vocab_size, dim)),
-        acc_b=np.ones(vocab_size),
-        acc_b_tilde=np.ones(vocab_size),
-    )
+    shapes = [(vocab_size, dim), (vocab_size, dim), vocab_size, vocab_size]
+    drawn = [rng.uniform(-0.5 / dim, 0.5 / dim, size=shape) for shape in shapes]
+    return GloveModel(*drawn, *(np.ones(shape) for shape in shapes))
 
 
 def pair_loss(
@@ -87,10 +72,7 @@ def pair_loss(
     params: WeightParams = WeightParams(),
 ) -> float:
     """f(X_ij) * (w_i . w~_j + b_i + b~_j - ln X_ij)^2."""
-    if x <= 0:
-        raise MetlitError("pair loss requires X_ij > 0 (log undefined)")
-    residual = float(model.w[i] @ model.w_tilde[j] + model.b[i] + model.b_tilde[j]) - math.log(x)
-    return weight_f(x, params) * residual * residual
+    return pair_gradients(model, i, j, x, params)[0]
 
 
 def pair_gradients(
@@ -151,6 +133,28 @@ class GloveConfig:
             self.params = WeightParams()
 
 
+def _batch_step(params, acc, rows, weight, log_x, lr):
+    """One AdaGrad step over n records, rows i then V + j of `params`
+    ([w | b] then [w~ | b~]); returns the sum of their pre-step losses."""
+    n, d = len(weight), params.shape[1] - 1
+    q = params.take(rows, axis=0)
+    residual = np.einsum("nd,nd->n", q[:n, :d], q[n:, :d]) + q[:n, d] + q[n:, d] - log_x
+    loss = float(weight @ (residual * residual))
+    common = 2.0 * weight * residual
+    # row i's gradient is common * [w~_j | 1], row V + j's is common * [w_i | 1]
+    grad = np.concatenate([q[n:], q[:n]])
+    grad[:, d] = 1.0
+    grad *= np.concatenate([common, common])[:, None]
+    # a row repeated in the batch adds its gradients and squared gradients
+    touched, slot = np.unique(rows, return_inverse=True)
+    cells = (slot[:, None] * (d + 1) + np.arange(d + 1)).ravel()
+    g, s = (np.bincount(cells, v.ravel(), touched.size * (d + 1)).reshape(-1, d + 1)
+            for v in (grad, grad * grad))
+    params[touched] -= lr * g / np.sqrt(acc[touched])
+    acc[touched] += s
+    return loss
+
+
 def train_glove(
     table: np.ndarray,
     vocab: Vocabulary,
@@ -158,12 +162,12 @@ def train_glove(
 ) -> tuple[EmbeddingMatrix, list[float]]:
     """Fit vectors and biases over the table; return embeddings + epoch losses.
 
-    `table` is a cooccur.RECORD array whose word ids index `vocab`.
-    Entries are visited in seeded shuffled order each epoch. The reported
-    loss per epoch is the total weighted objective summed over entries (at
-    the parameter values each entry was visited with). Divergence is
-    surfaced: non-finite parameters or a non-finite loss raise instead of
-    being clipped.
+    `table` is a cooccur.RECORD array whose word ids index `vocab`. Each
+    epoch visits the records in seeded shuffled order, BATCH at a time, and
+    takes each record's loss and gradient at its batch's pre-step
+    parameters: a batch of one is the per-record loop of adagrad_step. The
+    loss per epoch is the sum of those losses. Divergence is surfaced:
+    non-finite parameters or a non-finite loss raise, never clipped.
     """
     if config.lr <= 0:
         raise MetlitError("learning rate must be > 0")
@@ -175,22 +179,31 @@ def train_glove(
     if top >= len(vocab):
         raise MetlitError(f"co-occurrence table has word id {top}, outside the "
                          f"vocabulary of {len(vocab)} words")
-    model = init_model(len(vocab), config.dim, seed=config.seed)
-    entries = table.tolist()
+    if not (table["x"] > 0).all():
+        raise MetlitError("pair loss requires X_ij > 0 (log undefined)")
+    v = len(vocab)
+    model = init_model(v, config.dim, seed=config.seed)
+    params = np.vstack([np.column_stack([model.w, model.b]),
+                        np.column_stack([model.w_tilde, model.b_tilde])])
+    acc = np.ones_like(params)
+    weight, log_x = weights(table["x"], config.params), np.log(table["x"])
+    rows = np.stack([table["i"], table["j"]]).astype(np.intp) + [[0], [v]]
     shuffle_rng = np.random.default_rng(config.seed + 1)
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(len(entries))
+        order = shuffle_rng.permutation(len(table))
+        pairs, f, ln_x = rows[:, order], weight[order], log_x[order]
         epoch_loss = 0.0
         with np.errstate(all="ignore"):
-            for k in order:
-                i, j, x = entries[k]
-                epoch_loss += adagrad_step(model, i, j, x, config.lr, config.params)
-        for arr in (model.w, model.w_tilde, model.b, model.b_tilde):
-            if not np.isfinite(arr).all():
-                raise MetlitError(f"non-finite parameters after epoch {epoch}")
+            for b in range(0, len(order), BATCH):
+                s = slice(b, b + BATCH)
+                epoch_loss += _batch_step(
+                    params, acc, pairs[:, s].ravel(), f[s], ln_x[s], config.lr
+                )
+        if not np.isfinite(params).all():
+            raise MetlitError(f"non-finite parameters after epoch {epoch}")
         if not math.isfinite(epoch_loss):
             raise MetlitError(f"non-finite loss in epoch {epoch}")
         epoch_losses.append(epoch_loss)
-    embeddings = EmbeddingMatrix(list(vocab.words), model.combined())
+    embeddings = EmbeddingMatrix(list(vocab.words), params[:v, :-1] + params[v:, :-1])
     return embeddings, epoch_losses

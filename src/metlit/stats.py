@@ -161,7 +161,10 @@ def group_ttest(
         raise MetlitError("dimension mismatch between classes")
     results: list[TTestResult] = []
     for d in range(lit.shape[1]):
-        res = welch_t(lit[:, d], met[:, d], alpha=alpha)
+        try:
+            res = welch_t(lit[:, d], met[:, d], alpha=alpha)
+        except DegenerateSampleError as exc:
+            raise DegenerateSampleError(f"dimension {d}: {exc}") from None
         res.dimension = d
         results.append(res)
     norm_res = welch_t(

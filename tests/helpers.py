@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from metlit import LITERAL, METAPHOR
+from metlit import LITERAL, METAPHOR, MetlitError
 from metlit.cbow import (
     LR_FLOOR_FRACTION,
     ContextWindow,
@@ -14,6 +14,8 @@ from metlit.cbow import (
 )
 from metlit.classifier import SvmModel
 from metlit.embeddings import EmbeddingMatrix
+from metlit.glove import adagrad_step
+from metlit.glove import init_model as init_glove
 from metlit.sentvec import SentenceVector
 
 
@@ -250,3 +252,29 @@ def reference_cooccurrence(sentences, window, weighting):
                 entries[(i, j)] = entries.get((i, j), 0.0) + weight
                 entries[(j, i)] = entries.get((j, i), 0.0) + weight
     return entries
+
+
+def reference_train_glove(table, vocab, config):
+    """Per-record AdaGrad loop: the oracle for the batched GloVe kernel.
+
+    Records are visited in a seed + 1 shuffled order each epoch; the loss
+    per epoch is the sum of each record's pre-step loss.
+    """
+    model = init_glove(len(vocab), config.dim, seed=config.seed)
+    entries = table.tolist()
+    shuffle_rng = np.random.default_rng(config.seed + 1)
+    epoch_losses = []
+    for epoch in range(config.epochs):
+        order = shuffle_rng.permutation(len(entries))
+        epoch_loss = 0.0
+        with np.errstate(all="ignore"):
+            for k in order:
+                i, j, x = entries[k]
+                epoch_loss += adagrad_step(model, i, j, x, config.lr, config.params)
+        for arr in (model.w, model.w_tilde, model.b, model.b_tilde):
+            if not np.isfinite(arr).all():
+                raise MetlitError(f"non-finite parameters after epoch {epoch}")
+        if not math.isfinite(epoch_loss):
+            raise MetlitError(f"non-finite loss in epoch {epoch}")
+        epoch_losses.append(epoch_loss)
+    return EmbeddingMatrix(list(vocab.words), model.w + model.w_tilde), epoch_losses

@@ -298,6 +298,19 @@ class TestErrorContract:
         assert code == 1 and summary is None
         assert err == f"error: alpha must lie in (0, 1), got {float(alpha)}\n"
 
+    def test_flat_dimension_is_a_one_line_error_naming_it(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        out = tmp_path / "out"
+        out.mkdir()
+        write_lines(out / cli.SENTVEC_FILE, [
+            f"{label} 1/1 {a:.3f} 0.0 {b:.3f}"
+            for label in ("literal", "metaphor") for a, b in rng.normal(0, 1, (10, 2))
+        ])
+        code, summary, err = run_cli(capsys, ["ttest", "--out", str(out)])
+        assert code == 1 and summary is None
+        assert err == "error: dimension 1: both samples have zero variance\n"
+        assert not os.path.exists(out / cli.TTEST_FILE)
+
 
 class TestTrainingErrors:
     @pytest.fixture

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from metlit import glove
 from metlit.cooccur import RECORD, build_cooccurrence
 from metlit.corpus import build_vocabulary
 from metlit.glove import (
@@ -16,9 +17,16 @@ from metlit.glove import (
     total_loss,
     train_glove,
     weight_f,
+    weights,
 )
 
-from helpers import max_relerr, mean_cosine, numeric_grad, two_topic_corpus
+from helpers import (
+    max_relerr,
+    mean_cosine,
+    numeric_grad,
+    reference_train_glove,
+    two_topic_corpus,
+)
 
 
 def random_glove(rng, v, d):
@@ -55,6 +63,17 @@ class TestWeightFunction:
     def test_custom_params(self):
         params = WeightParams(a=1.0, x_max=10.0)
         assert weight_f(5.0, params) == pytest.approx(0.5, abs=1e-12)
+
+    def test_vectorized_equals_scalar_below_at_and_above_cutoff(self):
+        for params in (WeightParams(), WeightParams(a=0.5, x_max=10.0)):
+            xs = np.array([1e-9, 0.3, 1.0, 7.5, 9.999, 10.0, 10.5, 50.0,
+                           99.99, 100.0, 100.01, 1e6])
+            for x, f in zip(xs.tolist(), weights(xs, params).tolist()):
+                if x < params.x_max:
+                    # numpy's vectorized power may round 1 ulp off libm's pow
+                    assert f == pytest.approx(weight_f(x, params), rel=1e-15, abs=0)
+                else:
+                    assert f == weight_f(x, params) == 1.0
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
@@ -193,7 +212,7 @@ class TestTrainGlove:
         emb, losses = train_glove(table, vocab, GloveConfig(dim=6, epochs=0, seed=2))
         assert losses == []
         init = init_model(len(vocab), 6, seed=2)
-        assert np.array_equal(emb.vectors, init.combined())
+        assert np.array_equal(emb.vectors, init.w + init.w_tilde)
 
     def test_empty_table_is_an_error(self):
         _, vocab, _, _ = self._table_and_vocab()
@@ -209,6 +228,13 @@ class TestTrainGlove:
             "co-occurrence table has word id 4, outside the vocabulary of 4 words"
         )
 
+    @pytest.mark.parametrize("count", [0.0, -1.0, float("nan")])
+    def test_count_not_positive_is_an_error(self, count):
+        vocab = build_vocabulary([["a", "b"]], min_count=1)
+        table = np.array([(0, 1, count), (1, 0, 2.0)], dtype=RECORD)
+        with pytest.raises(ValueError, match=r"pair loss requires X_ij > 0"):
+            train_glove(table, vocab, GloveConfig(dim=4, epochs=0))
+
     @pytest.mark.parametrize("setting, message", [
         ({"lr": 0.0}, "learning rate must be > 0"),
         ({"lr": -1.0}, "learning rate must be > 0"),
@@ -223,10 +249,6 @@ class TestTrainGlove:
         table, vocab, _, _ = self._table_and_vocab()
         _, losses = train_glove(table, vocab, GloveConfig(dim=8, epochs=8, seed=0))
         assert losses[-1] < losses[0]
-
-    def test_combined_embedding_is_sum_of_both_matrices(self):
-        model = init_model(4, 3, seed=9)
-        assert np.array_equal(model.combined(), model.w + model.w_tilde)
 
     def test_same_seed_bit_reproducible(self):
         table, vocab, _, _ = self._table_and_vocab(n_tokens=1200)
@@ -256,3 +278,66 @@ class TestFixedPoint:
             for i in range(v) for j in range(v)
         ], dtype=RECORD)
         assert total_loss(model, table) < 1e-12
+
+
+class TestBatchedKernel:
+    def _table_and_vocab(self, n_tokens):
+        rng = np.random.default_rng(11)
+        sentences, _, _ = two_topic_corpus(rng, n_tokens=n_tokens, topic_size=5)
+        vocab = build_vocabulary(sentences)
+        table = build_cooccurrence([vocab.encode(s) for s in sentences], window=3)
+        return table, vocab
+
+    def test_batch_of_one_equals_per_record_loop(self, monkeypatch):
+        table, vocab = self._table_and_vocab(400)
+        assert len(table) % 32 and len(table) > 32
+        config = GloveConfig(dim=5, lr=0.1, epochs=2, seed=3)
+        expected, expected_losses = reference_train_glove(table, vocab, config)
+        monkeypatch.setattr(glove, "BATCH", 1)
+        emb, losses = train_glove(table, vocab, config)
+        assert np.abs(emb.vectors - expected.vectors).max() < 1e-12
+        assert len(losses) == 2
+        assert np.allclose(losses, expected_losses, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("batch, lr", [
+        (None, 0.05),  # the whole table in one batch: all at the initial values
+        (32, 1e-300),  # updates round away; the last, partial batch still counts
+    ])
+    def test_epoch_loss_sums_every_record_at_pre_step_values(self, monkeypatch, batch, lr):
+        table, vocab = self._table_and_vocab(400)
+        assert len(table) % 32
+        monkeypatch.setattr(glove, "BATCH", batch or len(table))
+        config = GloveConfig(dim=5, lr=lr, epochs=1, seed=3)
+        _, losses = train_glove(table, vocab, config)
+        initial = total_loss(init_model(len(vocab), 5, seed=3), table)
+        assert losses[0] == pytest.approx(initial, rel=1e-12)
+
+    def test_shared_rows_add_gradients_and_squared_gradients(self):
+        rng = np.random.default_rng(12)
+        v, d, lr = 3, 4, 0.1
+        params = rng.normal(0, 0.5, (2 * v, d + 1))
+        acc = rng.uniform(1.0, 2.0, (2 * v, d + 1))
+        # records (0, 1) and (0, 2) share main row 0; (1, 1) has i == j and
+        # shares context row 1 with (0, 1)
+        records = [(0, 1, 3.0), (0, 2, 20.0), (1, 1, 150.0)]
+        expected_p, expected_a = params.copy(), acc.copy()
+        grads = {}
+        expected_loss = 0.0
+        for i, j, x in records:
+            main, context = params[i], params[v + j]
+            residual = main[:d] @ context[:d] + main[d] + context[d] - math.log(x)
+            f = weight_f(x)
+            expected_loss += f * residual * residual
+            common = 2.0 * f * residual
+            grads.setdefault(i, []).append(common * np.append(context[:d], 1.0))
+            grads.setdefault(v + j, []).append(common * np.append(main[:d], 1.0))
+        assert [len(grads[r]) for r in (0, v + 1)] == [2, 2]
+        for r, gs in grads.items():
+            expected_p[r] -= lr * sum(gs) / np.sqrt(acc[r])
+            expected_a[r] += sum(g * g for g in gs)
+        rows = np.array([i for i, _, _ in records] + [v + j for _, j, _ in records])
+        xs = np.array([x for _, _, x in records])
+        loss = glove._batch_step(params, acc, rows, weights(xs), np.log(xs), lr)
+        assert loss == pytest.approx(expected_loss, rel=1e-12)
+        assert np.allclose(params, expected_p, rtol=0, atol=1e-14)
+        assert np.allclose(acc, expected_a, rtol=0, atol=1e-14)
