@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import LITERAL, METAPHOR, MetlitError
+from . import MetlitError
 from .corpus import parse_count, parse_floats, read_lines
 from .embeddings import format_floats
-from .sentvec import SentenceVector
+from .sentvec import SentenceVectors
 
 
 class FoldError(MetlitError):
@@ -61,22 +61,6 @@ class EvalReport:
     pegasos_steps: int = 0         # summed over every fit
 
 
-def _labels_to_signs(vectors: list[SentenceVector]) -> np.ndarray:
-    return np.array([1.0 if sv.label == METAPHOR else -1.0 for sv in vectors])
-
-
-def _feature_matrix(vectors: list[SentenceVector], augment: bool = False) -> np.ndarray:
-    """One row per vector; `augment` appends the constant bias feature 1."""
-    dims = {len(sv.values) for sv in vectors}
-    if len(dims) != 1:
-        raise MetlitError(f"inconsistent vector dimensions: {sorted(dims)}")
-    dim = dims.pop()
-    x = np.ones((len(vectors), dim + augment))
-    for row, sv in zip(x, vectors):
-        row[:dim] = sv.values
-    return x
-
-
 # Steps whose standardized rows are built at once, per fit. Small, so the
 # block buffers stay well under one copy of the data.
 _BLOCK = 16
@@ -107,16 +91,15 @@ class _Shuffled:
 
 
 def _pegasos(
-    xa: np.ndarray,
-    signs: np.ndarray,
+    vectors: SentenceVectors,
     runs: list[tuple[np.ndarray, int]],
     lam: float,
     epochs: int,
 ) -> list[SvmModel]:
     """Fit one model per (training rows, seed) run, all runs in lockstep.
 
-    `xa` holds the features with the constant bias feature appended. Each
-    run is an independent Pegasos fit over its rows of `xa`, with its own
+    Each run is an independent Pegasos fit over its rows of `vectors`, with
+    the constant bias feature appended to every row, and with its own
     standardization, rng, step count and averaging window, and is one row
     of a (runs, D+1) weight matrix. Per run the arithmetic is exactly the
     per-sample loop's: at step t, with eta = 1/(lam*t), decay w by
@@ -134,7 +117,9 @@ def _pegasos(
         raise MetlitError("svm lambda must be > 0")
     if epochs < 0:
         raise MetlitError("svm epochs must be >= 0")
-    dim = xa.shape[1] - 1
+    dim = vectors.values.shape[1]
+    xa = np.column_stack([vectors.values, np.ones(len(vectors))])
+    signs = np.where(vectors.metaphor, 1.0, -1.0)
     order = sorted(range(len(runs)), key=lambda r: -len(runs[r][0]))
     streams = [_Shuffled(*runs[r]) for r in order]
     ends = epochs * np.array([len(s.rows) for s in streams])  # last step
@@ -218,7 +203,7 @@ def _pegasos(
 
 
 def train_svm(
-    train: list[SentenceVector],
+    train: SentenceVectors,
     lam: float = 1e-4,
     epochs: int = 100,
     seed: int = 0,
@@ -229,31 +214,25 @@ def train_svm(
     step schedule stays stable, and iterates over the second half of
     training are averaged, which tightens convergence at small lam.
     """
-    if not train:
+    if not len(train):
         raise MetlitError("empty training set")
-    signs = _labels_to_signs(train)
-    if len(set(signs)) < 2:
+    if train.metaphor.all() or not train.metaphor.any():
         raise MetlitError("training set must contain both classes")
-    xa = _feature_matrix(train, augment=True)
-    return _pegasos(xa, signs, [(np.arange(len(train)), seed)], lam, epochs)[0]
+    return _pegasos(train, [(np.arange(len(train)), seed)], lam, epochs)[0]
 
 
-def hinge_objective(model: SvmModel, vectors: list[SentenceVector]) -> float:
+def hinge_objective(model: SvmModel, vectors: SentenceVectors) -> float:
     """lambda/2 ||w||^2 + mean hinge loss on standardized features."""
-    z = model.standardize(_feature_matrix(vectors))
-    signs = _labels_to_signs(vectors)
-    margins = signs * (z @ model.weights + model.bias)
+    margins = np.where(vectors.metaphor, 1.0, -1.0) * decision(model, vectors.values)
     hinge = np.maximum(0.0, 1.0 - margins).mean()
     return float(0.5 * model.lam * model.weights @ model.weights + hinge)
 
 
-def predict(model: SvmModel, values: np.ndarray) -> tuple[str, float]:
-    """Return (label, margin); metaphor iff margin > 0, exact 0 -> literal."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (model.dim,):
-        raise MetlitError(f"expected dimension {model.dim}, got {values.shape}")
-    margin = float(model.standardize(values) @ model.weights + model.bias)
-    return (METAPHOR if margin > 0 else LITERAL), margin
+def decision(model: SvmModel, x: np.ndarray) -> np.ndarray:
+    """The margin of each row of x; metaphor iff margin > 0, exact 0 -> literal."""
+    if x.ndim != 2 or x.shape[1] != model.dim:
+        raise MetlitError(f"expected rows of dimension {model.dim}, got shape {x.shape}")
+    return model.standardize(x) @ model.weights + model.bias
 
 
 def kfold_split(
@@ -261,7 +240,7 @@ def kfold_split(
     k: int,
     seed: int = 0,
     stratified: bool = False,
-    labels: list[str] | None = None,
+    labels: list | None = None,
 ) -> list[np.ndarray]:
     """Partition 0..n-1 into k folds with sizes differing by at most one.
 
@@ -296,61 +275,44 @@ def kfold_split(
     return [np.array(sorted(fold)) for fold in folds]
 
 
-def evaluate_fold(
-    model: SvmModel, test: list[SentenceVector]
-) -> FoldMetrics:
-    tp = fp = tn = fn = 0
-    for sv in test:
-        predicted, _ = predict(model, sv.values)
-        if predicted == METAPHOR:
-            if sv.label == METAPHOR:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if sv.label == LITERAL:
-                tn += 1
-            else:
-                fn += 1
-    total = tp + fp + tn + fn
-    accuracy = (tp + tn) / total
+def evaluate_fold(model: SvmModel, test: SentenceVectors) -> FoldMetrics:
+    predicted = decision(model, test.values) > 0
+    tp = int(np.count_nonzero(predicted & test.metaphor))
+    fp = int(np.count_nonzero(predicted & ~test.metaphor))
+    fn = int(np.count_nonzero(~predicted & test.metaphor))
+    tn = len(test) - tp - fp - fn
+    accuracy = (tp + tn) / len(test)
     precision = tp / (tp + fp) if (tp + fp) > 0 else None
     return FoldMetrics(accuracy=accuracy, precision=precision, tp=tp, fp=fp, tn=tn, fn=fn)
 
 
 def cross_validate(
-    vectors: list[SentenceVector],
+    vectors: SentenceVectors,
     k: int = 10,
     lam: float = 1e-4,
     epochs: int = 100,
     seed: int = 0,
-    stratified: bool = True,
 ) -> EvalReport:
     """Train on k-1 folds, evaluate on the held-out fold, for every fold.
 
-    Folds are stratified by default so near-balanced data cannot produce a
+    Folds are stratified so near-balanced data cannot produce a
     single-class training split. Fold f trains with seed + f; the reference
     model on the full dataset (seed) trains in the same lockstep pass and
     comes back as `report.model`. Mean precision averages only the folds
     where precision is defined.
     """
-    labels = [sv.label for sv in vectors]
-    folds = kfold_split(len(vectors), k, seed=seed, stratified=stratified, labels=labels)
-    signs = _labels_to_signs(vectors)
+    folds = kfold_split(len(vectors), k, seed=seed, stratified=True,
+                        labels=vectors.metaphor.tolist())
     everything = np.arange(len(vectors))
     runs = []
     for f, fold in enumerate(folds):
         train = np.setdiff1d(everything, fold)
-        if len(set(signs[train])) < 2:
+        if vectors.metaphor[train].all() or not vectors.metaphor[train].any():
             raise FoldError(f"fold {f}: training split lost a class")
         runs.append((train, seed + f))
     runs.append((everything, seed))
-    *fold_models, model = _pegasos(
-        _feature_matrix(vectors, augment=True), signs, runs, lam, epochs)
-    per_fold = [
-        evaluate_fold(m, [vectors[i] for i in fold])
-        for m, fold in zip(fold_models, folds)
-    ]
+    *fold_models, model = _pegasos(vectors, runs, lam, epochs)
+    per_fold = [evaluate_fold(m, vectors[fold]) for m, fold in zip(fold_models, folds)]
     mean_accuracy = sum(m.accuracy for m in per_fold) / len(per_fold)
     defined = [m.precision for m in per_fold if m.precision is not None]
     mean_precision = sum(defined) / len(defined) if defined else None

@@ -219,10 +219,3 @@ def load_labeled_phrases(path: str) -> list[LabeledPhrase]:
         except CorpusError as exc:
             raise CorpusError(f"{where}: {exc}") from None
     return phrases
-
-
-def count_labels(phrases: Iterable[LabeledPhrase]) -> dict[str, int]:
-    counts = {label: 0 for label in LABELS}
-    for phrase in phrases:
-        counts[phrase.label] += 1
-    return counts

@@ -31,8 +31,9 @@ class EmbeddingMatrix:
     def __contains__(self, word: str) -> bool:
         return word in self._ids
 
-    def vector(self, word: str) -> np.ndarray:
-        return self.vectors[self._ids[word]]
+    def ids(self, tokens) -> list[int]:
+        """Row ids of the in-vocabulary tokens, in order; the rest are skipped."""
+        return [self._ids[t] for t in tokens if t in self._ids]
 
 
 def format_floats(values) -> str:

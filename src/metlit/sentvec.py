@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import LABELS, MetlitError
+from . import LABELS, LITERAL, METAPHOR, MetlitError
 from .corpus import LabeledPhrase, parse_count, parse_floats, read_lines
 from .embeddings import EmbeddingMatrix, format_floats
 
@@ -14,15 +14,21 @@ MODES = ("mean", "sum")
 
 
 @dataclass
-class SentenceVector:
-    values: np.ndarray
-    label: str
-    covered: int   # tokens found in the vocabulary
-    total: int     # all tokens in the phrase
+class SentenceVectors:
+    """One row per phrase; metaphor is the positive class throughout."""
 
-    @property
-    def coverage(self) -> float:
-        return self.covered / self.total if self.total else 0.0
+    values: np.ndarray    # (n, D) float64
+    metaphor: np.ndarray  # (n,) bool; False is literal
+    covered: np.ndarray   # (n,) tokens found in the vocabulary
+    total: np.ndarray     # (n,) all tokens in the phrase
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, rows) -> SentenceVectors:
+        return SentenceVectors(
+            self.values[rows], self.metaphor[rows], self.covered[rows], self.total[rows]
+        )
 
 
 @dataclass
@@ -32,74 +38,68 @@ class CoverageReport:
     excluded: list[int]  # indices of phrases with no in-vocabulary token
 
 
-def aggregate(
-    phrase: LabeledPhrase, embeddings: EmbeddingMatrix, mode: str = "mean"
-) -> SentenceVector:
-    """Mean (default) or sum of the embeddings of in-vocabulary tokens.
-
-    Out-of-vocabulary tokens are skipped and counted, never zero-filled:
-    zero vectors would bias the mean toward the origin. A phrase with no
-    covered token comes back with covered=0 and a zero vector; callers
-    must exclude it downstream.
-    """
-    if mode not in MODES:
-        raise MetlitError(f"mode must be one of {MODES}")
-    rows = [embeddings.vector(t) for t in phrase.tokens if t in embeddings]
-    if not rows:
-        values = np.zeros(embeddings.dim)
-    else:
-        stacked = np.stack(rows)
-        values = stacked.mean(axis=0) if mode == "mean" else stacked.sum(axis=0)
-    return SentenceVector(
-        values=values, label=phrase.label, covered=len(rows), total=len(phrase.tokens)
-    )
-
-
 def embed_dataset(
     phrases: list[LabeledPhrase],
     embeddings: EmbeddingMatrix,
     mode: str = "mean",
-) -> tuple[list[SentenceVector], CoverageReport]:
-    """Aggregate every phrase; exclude and report uncoverable ones."""
+) -> tuple[SentenceVectors, CoverageReport]:
+    """Mean (default) or sum of each phrase's in-vocabulary token embeddings.
+
+    Out-of-vocabulary tokens are skipped and counted, never zero-filled:
+    zero vectors would bias the mean toward the origin. A phrase with no
+    covered token gets no row and is reported as excluded.
+    """
+    if mode not in MODES:
+        raise MetlitError(f"mode must be one of {MODES}")
     if not phrases:
         raise MetlitError("empty phrase list")
-    vectors: list[SentenceVector] = []
-    excluded: list[int] = []
-    class_counts = {label: 0 for label in LABELS}
-    coverage_sum = 0.0
-    for idx, phrase in enumerate(phrases):
-        sv = aggregate(phrase, embeddings, mode)
-        if sv.covered == 0:
-            excluded.append(idx)
-            continue
-        vectors.append(sv)
-        class_counts[sv.label] += 1
-        coverage_sum += sv.coverage
-    if not vectors:
+    ids = [embeddings.ids(phrase.tokens) for phrase in phrases]
+    covered = np.array([len(row) for row in ids])
+    kept = np.flatnonzero(covered)
+    if not len(kept):
         raise MetlitError("all phrases uncoverable: no token in vocabulary")
+    # Rows are summed token by token, in phrase order, from -0.0 (which,
+    # unlike 0.0, leaves every addend's sign alone).
+    values = np.full((len(phrases), embeddings.dim), -0.0)
+    np.add.at(values, np.repeat(np.arange(len(phrases)), covered),
+              embeddings.vectors[[i for row in ids for i in row]])
+    vectors = SentenceVectors(
+        values=values[kept],
+        metaphor=np.array([phrases[i].label == METAPHOR for i in kept]),
+        covered=covered[kept],
+        total=np.array([len(phrases[i].tokens) for i in kept]),
+    )
+    if mode == "mean":
+        vectors.values /= vectors.covered[:, None]
+    n_metaphor = int(np.count_nonzero(vectors.metaphor))
     report = CoverageReport(
-        class_counts=class_counts,
-        mean_coverage=coverage_sum / len(vectors),
-        excluded=excluded,
+        class_counts={LITERAL: len(kept) - n_metaphor, METAPHOR: n_metaphor},
+        mean_coverage=sum((vectors.covered / vectors.total).tolist()) / len(kept),
+        excluded=np.flatnonzero(covered == 0).tolist(),
     )
     return vectors, report
 
 
-def save_sentence_vectors(vectors: list[SentenceVector], path: str) -> None:
+def save_sentence_vectors(vectors: SentenceVectors, path: str) -> None:
     """Write one `<label> <covered>/<total> <v1> ... <vD>` line per phrase."""
     with open(path, "w", encoding="utf-8") as fh:
-        for sv in vectors:
-            fh.write(f"{sv.label} {sv.covered}/{sv.total} {format_floats(sv.values)}\n")
+        for metaphor, covered, total, row in zip(
+            vectors.metaphor.tolist(), vectors.covered.tolist(),
+            vectors.total.tolist(), vectors.values,
+        ):
+            fh.write(f"{LABELS[metaphor]} {covered}/{total} {format_floats(row)}\n")
 
 
-def load_sentence_vectors(path: str) -> list[SentenceVector]:
+def load_sentence_vectors(path: str) -> SentenceVectors:
     """Read the `save_sentence_vectors` format, rejecting malformed rows.
 
     Every row must hold a known label, a `covered/total` field with
     0 <= covered <= total, and finite values, as many as the first row.
     Errors name the path and line.
     """
-    vectors: list[SentenceVector] = []
+    rows: list[np.ndarray] = []
+    metaphor: list[bool] = []
+    counts: list[tuple[int, int]] = []
     for where, line in read_lines(path):
         parts = line.split()
         if not parts:
@@ -113,8 +113,10 @@ def load_sentence_vectors(path: str) -> list[SentenceVector]:
         if not (covered.isdecimal() and total.isdecimal()
                 and parse_count(covered, where) <= parse_count(total, where)):
             raise MetlitError(f"{where}: coverage must be covered/total, got {cover!r}")
-        values = parse_floats(parts[2:], where, len(vectors[0].values) if vectors else None)
-        vectors.append(SentenceVector(values, label, int(covered), int(total)))
-    if not vectors:
+        rows.append(parse_floats(parts[2:], where, len(rows[0]) if rows else None))
+        metaphor.append(label == METAPHOR)
+        counts.append((int(covered), int(total)))
+    if not rows:
         raise MetlitError(f"{path}: empty sentence-vector file")
-    return vectors
+    covered, total = np.array(counts).T
+    return SentenceVectors(np.array(rows), np.array(metaphor), covered, total)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import LITERAL, METAPHOR, MetlitError
-from .sentvec import SentenceVector
+from . import MetlitError
+from .sentvec import SentenceVectors
 
 _CF_EPS = 1e-15
 _CF_FPMIN = 1e-300
@@ -138,7 +138,7 @@ def welch_t(sample_a, sample_b, alpha: float = 0.05) -> TTestResult:
 
 
 def group_ttest(
-    vectors: list[SentenceVector], alpha: float = 0.05
+    vectors: SentenceVectors, alpha: float = 0.05
 ) -> tuple[list[TTestResult], dict]:
     """One Welch test per embedding dimension plus one on Euclidean norms.
 
@@ -148,38 +148,32 @@ def group_ttest(
     """
     if not 0 < alpha < 1:
         raise MetlitError(f"alpha must lie in (0, 1), got {alpha}")
-    literal = [sv.values for sv in vectors if sv.label == LITERAL]
-    metaphor = [sv.values for sv in vectors if sv.label == METAPHOR]
-    if len(literal) < 2 or len(metaphor) < 2:
+    lit = vectors.values[~vectors.metaphor]
+    met = vectors.values[vectors.metaphor]
+    if len(lit) < 2 or len(met) < 2:
         raise SampleSizeError(
-            f"need >= 2 members per class, got literal={len(literal)}, "
-            f"metaphor={len(metaphor)}"
+            f"need >= 2 members per class, got literal={len(lit)}, "
+            f"metaphor={len(met)}"
         )
-    lit = np.stack(literal)
-    met = np.stack(metaphor)
-    if lit.shape[1] != met.shape[1]:
-        raise MetlitError("dimension mismatch between classes")
+    dim = lit.shape[1]
+    columns = [*range(dim), "norm"]
+    lit, met = (np.column_stack([x, np.linalg.norm(x, axis=1)]) for x in (lit, met))
     results: list[TTestResult] = []
-    for d in range(lit.shape[1]):
+    for c, column in enumerate(columns):
         try:
-            res = welch_t(lit[:, d], met[:, d], alpha=alpha)
+            res = welch_t(lit[:, c], met[:, c], alpha=alpha)
         except DegenerateSampleError as exc:
-            raise DegenerateSampleError(f"dimension {d}: {exc}") from None
-        res.dimension = d
+            name = column if c == dim else f"dimension {column}"
+            raise DegenerateSampleError(f"{name}: {exc}") from None
+        res.dimension = column
         results.append(res)
-    norm_res = welch_t(
-        np.linalg.norm(lit, axis=1), np.linalg.norm(met, axis=1), alpha=alpha
-    )
-    norm_res.dimension = "norm"
-    results.append(norm_res)
-    n_significant = sum(1 for r in results[:-1] if r.significant)
     summary = {
         "n_literal": lit.shape[0],
         "n_metaphor": met.shape[0],
-        "dimensions": lit.shape[1],
+        "dimensions": dim,
         "alpha": alpha,
-        "significant_dimensions": n_significant,
-        "norm_significant": norm_res.significant,
+        "significant_dimensions": sum(1 for r in results[:-1] if r.significant),
+        "norm_significant": results[-1].significant,
     }
     return results, summary
 

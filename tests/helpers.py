@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from metlit import LITERAL, METAPHOR, MetlitError
+from metlit import LABELS, LITERAL, METAPHOR, MetlitError
 from metlit.cbow import (
     LR_FLOOR_FRACTION,
     ContextWindow,
@@ -12,11 +12,11 @@ from metlit.cbow import (
     init_model,
     sgd_step_negative,
 )
-from metlit.classifier import SvmModel
+from metlit.classifier import FoldMetrics, SvmModel
 from metlit.embeddings import EmbeddingMatrix
 from metlit.glove import adagrad_step
 from metlit.glove import init_model as init_glove
-from metlit.sentvec import SentenceVector
+from metlit.sentvec import SentenceVectors
 
 
 def relerr(analytic, numeric):
@@ -72,7 +72,7 @@ def mean_cosine(emb, group_a, group_b):
     With group_a == group_b, averages distinct unordered pairs (intra-group).
     """
     def unit(w):
-        v = emb.vector(w)
+        v = emb.vectors[emb.ids([w])[0]]
         return v / np.linalg.norm(v)
 
     ua = [unit(w) for w in group_a if w in emb]
@@ -87,17 +87,22 @@ def mean_cosine(emb, group_a, group_b):
     return float(np.mean(sims))
 
 
+def labeled_vectors(values, metaphor):
+    """Sentence vectors from rows and metaphor flags, each phrase covered 1/1."""
+    values = np.array(values, dtype=np.float64)
+    ones = np.ones(len(values), dtype=np.int64)
+    return SentenceVectors(values, np.array(metaphor, dtype=bool), ones, ones.copy())
+
+
 def make_blobs(rng, n_per_class=40, dim=2, separation=4.0):
-    """Two Gaussian blobs along dimension 0, labelled literal/metaphor."""
-    vectors = []
-    for label, center in ((LITERAL, -separation / 2), (METAPHOR, separation / 2)):
+    """Two Gaussian blobs along dimension 0: literal rows, then metaphor rows."""
+    rows = []
+    for center in (-separation / 2, separation / 2):
         for _ in range(n_per_class):
             values = rng.normal(0.0, 1.0, dim)
             values[0] += center
-            vectors.append(
-                SentenceVector(values=values, label=label, covered=1, total=1)
-            )
-    return vectors
+            rows.append(values)
+    return labeled_vectors(rows, [False] * n_per_class + [True] * n_per_class)
 
 
 def verb_object_corpus(rng, n_sentences=400, n_labeled=120, vocab_per_family=12):
@@ -155,8 +160,8 @@ def reference_train_svm(train, lam=1e-4, epochs=100, seed=0):
     projection onto ||w|| <= 1/sqrt(lam), and iterates over the second half
     of training averaged.
     """
-    signs = np.array([1.0 if sv.label == METAPHOR else -1.0 for sv in train])
-    x = np.stack([sv.values for sv in train])
+    signs = np.array([1.0 if m else -1.0 for m in train.metaphor.tolist()])
+    x = train.values
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std = np.where(std > 0, std, 1.0)
@@ -189,6 +194,37 @@ def reference_train_svm(train, lam=1e-4, epochs=100, seed=0):
     return SvmModel(
         weights=w[:dim], bias=float(w[dim]), lam=lam, scale_mean=mean, scale_std=std
     )
+
+
+def reference_predict(model, values):
+    """Return (label, margin) for one row; metaphor iff margin > 0, exact 0 -> literal."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (model.dim,):
+        raise MetlitError(f"expected dimension {model.dim}, got {values.shape}")
+    margin = float(model.standardize(values) @ model.weights + model.bias)
+    return (METAPHOR if margin > 0 else LITERAL), margin
+
+
+def reference_evaluate_fold(model, test):
+    """Per-row confusion counts: the oracle for `classifier.evaluate_fold`."""
+    tp = fp = tn = fn = 0
+    for values, metaphor in zip(test.values, test.metaphor.tolist()):
+        label = LABELS[metaphor]
+        predicted, _ = reference_predict(model, values)
+        if predicted == METAPHOR:
+            if label == METAPHOR:
+                tp += 1
+            else:
+                fp += 1
+        else:
+            if label == LITERAL:
+                tn += 1
+            else:
+                fn += 1
+    total = tp + fp + tn + fn
+    accuracy = (tp + tn) / total
+    precision = tp / (tp + fp) if (tp + fp) > 0 else None
+    return FoldMetrics(accuracy=accuracy, precision=precision, tp=tp, fp=fp, tn=tn, fn=fn)
 
 
 def iterate_windows(ids, m):

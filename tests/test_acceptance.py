@@ -40,10 +40,11 @@ from metlit.glove import (
     train_glove,
     weight_f,
 )
-from metlit.sentvec import SentenceVector, embed_dataset
+from metlit.sentvec import SentenceVectors, embed_dataset
 from metlit.stats import group_ttest, welch_t
 
 from helpers import (
+    labeled_vectors,
     max_relerr,
     mean_cosine,
     numeric_grad,
@@ -319,11 +320,10 @@ def test_statistics_oracle(check):
     rng = np.random.default_rng(123)
     alpha = 0.05
     dim, n = 100, 200
-    vectors = [
-        SentenceVector(rng.normal(0, 1, dim), label, 1, 1)
-        for label in (LITERAL, METAPHOR)
-        for _ in range(n)
-    ]
+    vectors = labeled_vectors(
+        [rng.normal(0, 1, dim) for label in (LITERAL, METAPHOR) for _ in range(n)],
+        [False] * n + [True] * n,
+    )
     results, _ = group_ttest(vectors, alpha=alpha)
     per_dim = [r for r in results if r.dimension != "norm"]
     frac = sum(r.significant for r in per_dim) / len(per_dim)
@@ -397,14 +397,13 @@ def test_end_to_end_synthetic_pipeline(check, tmp_path):
     accuracy = report.mean_accuracy
 
     chance_means = []
-    labels = [sv.label for sv in vectors]
+    labels = vectors.metaphor
     for seed in range(5):
         shuffle_rng = np.random.default_rng(seed)
-        shuffled = [labels[i] for i in shuffle_rng.permutation(len(labels))]
-        shuffled_vectors = [
-            SentenceVector(sv.values, lab, sv.covered, sv.total)
-            for sv, lab in zip(vectors, shuffled)
-        ]
+        shuffled = labels[shuffle_rng.permutation(len(labels))]
+        shuffled_vectors = SentenceVectors(
+            vectors.values, shuffled, vectors.covered, vectors.total
+        )
         chance_means.append(
             cross_validate(shuffled_vectors, k=10, seed=seed).mean_accuracy
         )
@@ -420,8 +419,8 @@ def test_end_to_end_synthetic_pipeline(check, tmp_path):
 
 
 def test_reproducibility(check, tmp_path, capsys):
-    """Two `pipeline` runs with the same seed and threads=1 produce
-    byte-identical embedding, model, and report files.
+    """Two `pipeline` runs with the same seed produce byte-identical
+    embedding, model, and report files.
     """
     rng = np.random.default_rng(2)
     corpus_sents, labeled_lines = verb_object_corpus(
@@ -455,7 +454,7 @@ def test_reproducibility(check, tmp_path, capsys):
     ]
     ok = not mismatched
     check(
-        "identical-seed single-thread pipelines byte-identical",
+        "identical-seed pipelines byte-identical",
         ok,
         "all artifacts identical" if ok else f"differs: {', '.join(mismatched)}",
     )

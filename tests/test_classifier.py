@@ -9,18 +9,23 @@ from metlit.classifier import (
     FoldMetrics,
     SvmModel,
     cross_validate,
+    decision,
     evaluate_fold,
     hinge_objective,
     kfold_split,
     load_model,
-    predict,
     save_model,
     save_report,
     train_svm,
 )
-from metlit.sentvec import SentenceVector
 
-from helpers import make_blobs, reference_train_svm
+from helpers import (
+    labeled_vectors,
+    make_blobs,
+    reference_evaluate_fold,
+    reference_predict,
+    reference_train_svm,
+)
 
 
 def identity_model(weights, bias=0.0, lam=1e-4):
@@ -34,26 +39,55 @@ def identity_model(weights, bias=0.0, lam=1e-4):
     )
 
 
-class TestPredict:
+def predicted_metaphor(model, values, metaphor):
+    """Whether evaluate_fold counts the one row as predicted metaphor."""
+    metrics = evaluate_fold(model, labeled_vectors([values], [metaphor]))
+    return metrics.tp + metrics.fp == 1
+
+
+# 914 rows in 10 folds: training sizes 823 (six folds) and 822 (four)
+@pytest.fixture(scope="module")
+def blobs_914():
+    return make_blobs(np.random.default_rng(13), n_per_class=457, dim=6,
+                      separation=1.5)
+
+
+def fold_runs(data, k, seed):
+    """The stratified folds cross_validate draws, and its (rows, seed) runs."""
+    folds = kfold_split(len(data), k, seed=seed, stratified=True,
+                        labels=data.metaphor.tolist())
+    everything = np.arange(len(data))
+    runs = [(np.setdiff1d(everything, fold), seed + f)
+            for f, fold in enumerate(folds)] + [(everything, seed)]
+    return folds, runs
+
+
+class TestDecision:
     def test_positive_margin_is_metaphor(self):
         model = identity_model([1.0, 0.0])
-        label, margin = predict(model, np.array([2.0, 5.0]))
-        assert label == METAPHOR and margin == 2.0
+        assert decision(model, np.array([[2.0, 5.0]])).tolist() == [2.0]
+        assert all(predicted_metaphor(model, [2.0, 5.0], m) for m in (False, True))
 
     def test_negative_margin_is_literal(self):
         model = identity_model([1.0, 0.0])
-        label, margin = predict(model, np.array([-1.0, 7.0]))
-        assert label == LITERAL and margin == -1.0
+        assert decision(model, np.array([[-1.0, 7.0]])).tolist() == [-1.0]
+        assert not any(predicted_metaphor(model, [-1.0, 7.0], m) for m in (False, True))
 
     def test_exact_zero_margin_breaks_tie_to_literal(self):
         model = identity_model([1.0, 0.0])
-        label, margin = predict(model, np.array([0.0, 3.0]))
-        assert label == LITERAL and margin == 0.0
+        assert decision(model, np.array([[0.0, 3.0]])).tolist() == [0.0]
+        literal = evaluate_fold(model, labeled_vectors([[0.0, 3.0]], [False]))
+        metaphor = evaluate_fold(model, labeled_vectors([[0.0, 3.0]], [True]))
+        assert (literal.tn, metaphor.fn) == (1, 1)
+        assert literal == reference_evaluate_fold(model, labeled_vectors([[0.0, 3.0]], [False]))
 
-    def test_dimension_mismatch_rejected(self):
+    @pytest.mark.parametrize("x", [
+        np.array([[1.0, 2.0, 3.0]]), np.array([[1.0]]), np.array([1.0, 2.0]),
+    ])
+    def test_dimension_mismatch_rejected(self, x):
         model = identity_model([1.0, 0.0])
-        with pytest.raises(ValueError):
-            predict(model, np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(MetlitError, match="expected rows of dimension 2"):
+            decision(model, x)
 
     def test_standardization_applied_before_dot_product(self):
         model = SvmModel(
@@ -63,8 +97,18 @@ class TestPredict:
             scale_mean=np.array([10.0]),
             scale_std=np.array([2.0]),
         )
-        _, margin = predict(model, np.array([14.0]))
-        assert margin == 2.0  # (14 - 10) / 2
+        assert decision(model, np.array([[14.0]])).tolist() == [2.0]  # (14 - 10) / 2
+
+    def test_margins_and_confusion_counts_match_per_row_reference(self, blobs_914):
+        data = blobs_914
+        folds, runs = fold_runs(data, 10, seed=3)
+        models = classifier._pegasos(data, runs, 1e-3, 4)
+        for model, fold in zip(models, folds + [np.arange(len(data))]):
+            margins = decision(model, data.values)
+            ref = np.array([reference_predict(model, row)[1] for row in data.values])
+            assert np.all(np.abs(margins - ref) <= 1e-12 * np.abs(ref))
+            assert evaluate_fold(model, data[fold]) == reference_evaluate_fold(
+                model, data[fold])
 
 
 class TestTrainSvm:
@@ -77,9 +121,7 @@ class TestTrainSvm:
 
     def test_identical_inputs_fall_back_to_majority(self):
         values = np.array([1.5, -2.0])
-        train = [
-            SentenceVector(values.copy(), LITERAL, 1, 1) for _ in range(6)
-        ] + [SentenceVector(values.copy(), METAPHOR, 1, 1) for _ in range(4)]
+        train = labeled_vectors([values] * 10, [False] * 6 + [True] * 4)
         model = train_svm(train, lam=1e-2, epochs=40, seed=0)
         metrics = evaluate_fold(model, train)
         assert metrics.accuracy == pytest.approx(0.6)
@@ -89,29 +131,19 @@ class TestTrainSvm:
         train = make_blobs(rng, n_per_class=5, dim=3)
         model = train_svm(train, epochs=0)
         assert not model.weights.any() and model.bias == 0.0
-        for sv in train:
-            label, margin = predict(model, sv.values)
-            assert label == LITERAL and margin == 0.0
+        assert not decision(model, train.values).any()
+        metrics = evaluate_fold(model, train)
+        assert metrics.tp + metrics.fp == 0
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(2)
-        train = [
-            SentenceVector(rng.normal(0, 1, 2), LITERAL, 1, 1) for _ in range(8)
-        ]
+        train = labeled_vectors([rng.normal(0, 1, 2) for _ in range(8)], [False] * 8)
         with pytest.raises(ValueError):
             train_svm(train)
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
-            train_svm([])
-
-    def test_inconsistent_dimensions_rejected(self):
-        train = [
-            SentenceVector(np.zeros(2), LITERAL, 1, 1),
-            SentenceVector(np.zeros(3), METAPHOR, 1, 1),
-        ]
-        with pytest.raises(ValueError):
-            train_svm(train)
+            train_svm(labeled_vectors(np.empty((0, 2)), []))
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(3)
@@ -127,22 +159,18 @@ class TestTrainSvm:
         train = make_blobs(rng, n_per_class=25, dim=3, separation=3.0)
         scale = np.array([5.0, 0.2, 40.0])
         shift = np.array([-3.0, 7.0, 100.0])
-        transformed = [
-            SentenceVector(sv.values * scale + shift, sv.label, 1, 1) for sv in train
-        ]
+        transformed = labeled_vectors(train.values * scale + shift, train.metaphor)
         m_base = train_svm(train, epochs=20, seed=5)
         m_tran = train_svm(transformed, epochs=20, seed=5)
-        for sv, tv in zip(train, transformed):
-            label_base, margin_base = predict(m_base, sv.values)
-            label_tran, margin_tran = predict(m_tran, tv.values)
-            assert label_base == label_tran
-            assert margin_base == pytest.approx(margin_tran, rel=1e-9)
+        margin_base = decision(m_base, train.values)
+        margin_tran = decision(m_tran, transformed.values)
+        assert np.array_equal(margin_base > 0, margin_tran > 0)
+        assert margin_base == pytest.approx(margin_tran, rel=1e-9)
 
     def test_zero_variance_dimension_passes_through(self):
         rng = np.random.default_rng(5)
         train = make_blobs(rng, n_per_class=10, dim=2, separation=4.0)
-        for sv in train:
-            sv.values[1] = 42.0  # constant dimension
+        train.values[:, 1] = 42.0  # constant dimension
         model = train_svm(train, epochs=20)
         assert model.scale_std[1] == 1.0
         metrics = evaluate_fold(model, train)
@@ -223,22 +251,17 @@ class TestEvaluate:
 
     def test_precision_none_when_nothing_predicted_positive(self):
         model = identity_model([0.0, 0.0], bias=-1.0)  # always literal
-        data = [
-            SentenceVector(np.array([1.0, 1.0]), METAPHOR, 1, 1),
-            SentenceVector(np.array([0.0, 1.0]), LITERAL, 1, 1),
-        ]
+        data = labeled_vectors([[1.0, 1.0], [0.0, 1.0]], [True, False])
         metrics = evaluate_fold(model, data)
         assert metrics.precision is None
         assert metrics.tp == 0 and metrics.fp == 0
 
     def test_precision_counts_metaphor_as_positive(self):
         model = identity_model([1.0])
-        data = [
-            SentenceVector(np.array([2.0]), METAPHOR, 1, 1),   # tp
-            SentenceVector(np.array([3.0]), LITERAL, 1, 1),    # fp
-            SentenceVector(np.array([-1.0]), LITERAL, 1, 1),   # tn
-            SentenceVector(np.array([-2.0]), METAPHOR, 1, 1),  # fn
-        ]
+        data = labeled_vectors(
+            [[2.0], [3.0], [-1.0], [-2.0]],  # tp, fp, tn, fn
+            [True, False, False, True],
+        )
         metrics = evaluate_fold(model, data)
         assert (metrics.tp, metrics.fp, metrics.tn, metrics.fn) == (1, 1, 1, 1)
         assert metrics.precision == 0.5
@@ -255,11 +278,10 @@ class TestCrossValidate:
 
     def test_training_split_losing_a_class_raises_fold_error(self):
         rng = np.random.default_rng(9)
-        data = [
-            SentenceVector(rng.normal(0, 1, 2), LITERAL, 1, 1) for _ in range(5)
-        ] + [SentenceVector(rng.normal(0, 1, 2), METAPHOR, 1, 1)]
+        data = labeled_vectors([rng.normal(0, 1, 2) for _ in range(6)], [False] * 5 + [True])
+        # at k=2 the training split of the lone metaphor's fold has no metaphor
         with pytest.raises(FoldError):
-            cross_validate(data, k=2, stratified=False, epochs=2)
+            cross_validate(data, k=2, epochs=2)
 
     def test_fold_error_raised_before_any_training(self, monkeypatch):
         def no_training(*args, **kwargs):
@@ -267,9 +289,7 @@ class TestCrossValidate:
 
         monkeypatch.setattr(classifier, "_pegasos", no_training)
         rng = np.random.default_rng(9)
-        data = [
-            SentenceVector(rng.normal(0, 1, 2), LITERAL, 1, 1) for _ in range(9)
-        ] + [SentenceVector(rng.normal(0, 1, 2), METAPHOR, 1, 1)]
+        data = labeled_vectors([rng.normal(0, 1, 2) for _ in range(10)], [False] * 9 + [True])
         # the lone metaphor lands in the last fold; folds 0-3 are fine
         with pytest.raises(FoldError, match="fold 4: training split lost a class"):
             cross_validate(data, k=5, epochs=2)
@@ -297,25 +317,20 @@ class TestLockstepMatchesReference:
     LAM, EPOCHS, SEED = 1e-3, 4, 3
 
     @pytest.fixture(scope="class")
-    def data(self):
-        # 914 rows in 10 folds: training sizes 823 (six folds) and 822 (four)
-        return make_blobs(np.random.default_rng(13), n_per_class=457, dim=6,
-                          separation=1.5)
+    def data(self, blobs_914):
+        return blobs_914
 
     def test_cross_validate_matches_per_fold_reference(self, data):
-        labels = [sv.label for sv in data]
-        folds = kfold_split(len(data), 10, seed=self.SEED, stratified=True,
-                            labels=labels)
+        folds, _ = fold_runs(data, 10, seed=self.SEED)
         report = cross_validate(data, k=10, lam=self.LAM, epochs=self.EPOCHS,
                                 seed=self.SEED)
         train_sizes = []
         for f, fold in enumerate(folds):
-            held_out = set(fold.tolist())
-            train = [sv for i, sv in enumerate(data) if i not in held_out]
+            train = data[np.setdiff1d(np.arange(len(data)), fold)]
             train_sizes.append(len(train))
             ref = reference_train_svm(train, lam=self.LAM, epochs=self.EPOCHS,
                                       seed=self.SEED + f)
-            assert report.per_fold[f] == evaluate_fold(ref, [data[i] for i in fold])
+            assert report.per_fold[f] == evaluate_fold(ref, data[fold])
         assert sorted(train_sizes) == [822] * 4 + [823] * 6
         full = reference_train_svm(data, lam=self.LAM, epochs=self.EPOCHS,
                                    seed=self.SEED)
@@ -324,18 +339,10 @@ class TestLockstepMatchesReference:
         assert report.pegasos_steps == self.EPOCHS * (sum(train_sizes) + len(data))
 
     def test_every_lockstep_row_matches_reference(self, data):
-        labels = [sv.label for sv in data]
-        folds = kfold_split(len(data), 10, seed=self.SEED, stratified=True,
-                            labels=labels)
-        everything = np.arange(len(data))
-        runs = [(np.setdiff1d(everything, fold), self.SEED + f)
-                for f, fold in enumerate(folds)] + [(everything, self.SEED)]
-        models = classifier._pegasos(
-            classifier._feature_matrix(data, augment=True),
-            classifier._labels_to_signs(data), runs, self.LAM, self.EPOCHS,
-        )
+        _, runs = fold_runs(data, 10, seed=self.SEED)
+        models = classifier._pegasos(data, runs, self.LAM, self.EPOCHS)
         for model, (rows, seed) in zip(models, runs):
-            ref = reference_train_svm([data[i] for i in rows], lam=self.LAM,
+            ref = reference_train_svm(data[rows], lam=self.LAM,
                                       epochs=self.EPOCHS, seed=seed)
             assert_matches_reference(model, ref)
 
@@ -354,9 +361,9 @@ class TestLockstepMatchesReference:
             report.model, reference_train_svm(data, lam=1e-2, epochs=25, seed=5)
         )
         for n in (2, 3, 5):
-            model = train_svm(data[:n] + data[-1:], lam=1e-2, epochs=17, seed=n)
-            ref = reference_train_svm(data[:n] + data[-1:], lam=1e-2, epochs=17,
-                                      seed=n)
+            rows = [*range(n), len(data) - 1]
+            model = train_svm(data[rows], lam=1e-2, epochs=17, seed=n)
+            ref = reference_train_svm(data[rows], lam=1e-2, epochs=17, seed=n)
             assert_matches_reference(model, ref)
 
 
@@ -393,8 +400,7 @@ class TestModelPersistence:
         assert np.array_equal(loaded.weights, model.weights)
         assert loaded.bias == model.bias
         assert loaded.lam == model.lam
-        for sv in data:
-            assert predict(loaded, sv.values) == predict(model, sv.values)
+        assert np.array_equal(decision(loaded, data.values), decision(model, data.values))
 
     def test_truncated_model_file_rejected(self, tmp_path):
         path = tmp_path / "model.txt"

@@ -12,7 +12,9 @@ from metlit.corpus import CorpusError, load_vocabulary
 from metlit.embeddings import load_embeddings
 from metlit.stats import DegenerateSampleError, SampleSizeError
 
-from helpers import verb_object_corpus, write_corpus, write_lines
+from metlit.sentvec import save_sentence_vectors
+
+from helpers import make_blobs, verb_object_corpus, write_corpus, write_lines
 
 
 @pytest.fixture
@@ -229,6 +231,41 @@ class TestCvErrors:
         assert not os.path.exists(os.path.join(out, cli.MODEL_FILE))
 
 
+class TestFrozenReports:
+    """`ttest` and `cv` reports of a small seeded file, frozen as text."""
+
+    TTEST = (
+        "dimension\tt\tdf\tp\tsignificant\n"
+        "0\t-4.234867\t21.982253\t0.000340474\ttrue\n"
+        "1\t1.163600\t20.361652\t0.258041\tfalse\n"
+        "2\t-2.176643\t19.478097\t0.0419984\ttrue\n"
+        "norm\t-0.569448\t20.855875\t0.575135\tfalse\n"
+    )
+    CV = (
+        "fold\taccuracy\tprecision\ttp\tfp\ttn\tfn\n"
+        "0\t0.800000\t0.666667\t2\t1\t2\t0\n"
+        "1\t0.800000\t1.000000\t1\t0\t3\t1\n"
+        "2\t0.600000\t0.600000\t3\t2\t0\t0\n"
+        "3\t0.600000\t1.000000\t1\t0\t2\t2\n"
+        "4\t0.750000\t0.666667\t2\t1\t1\t0\n"
+        "mean\t0.710000\t0.786667\t\t\t\t\n"
+    )
+
+    def test_reports_match_frozen_text(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        os.mkdir(out)
+        data = make_blobs(np.random.default_rng(20), n_per_class=12, dim=3,
+                          separation=2.0)
+        save_sentence_vectors(data, os.path.join(out, cli.SENTVEC_FILE))
+        assert run_cli(capsys, ["ttest", "--out", out])[0] == 0
+        assert run_cli(capsys, ["cv", "--out", out, "--folds", "5",
+                                "--svm-epochs", "20"])[0] == 0
+        with open(os.path.join(out, cli.TTEST_FILE), encoding="utf-8") as fh:
+            assert fh.read() == self.TTEST
+        with open(os.path.join(out, cli.CV_FILE), encoding="utf-8") as fh:
+            assert fh.read() == self.CV
+
+
 class TestErrorContract:
     def test_every_error_class_is_a_metlit_error(self):
         for cls in (CorpusError, FoldError, SampleSizeError, DegenerateSampleError):
@@ -298,17 +335,23 @@ class TestErrorContract:
         assert code == 1 and summary is None
         assert err == f"error: alpha must lie in (0, 1), got {float(alpha)}\n"
 
-    def test_flat_dimension_is_a_one_line_error_naming_it(self, tmp_path, capsys):
-        rng = np.random.default_rng(5)
+    @pytest.mark.parametrize("rows, column", [
+        ([f"{label} 1/1 {a:.3f} 0.0 {b:.3f}"
+          for label in ("literal", "metaphor")
+          for a, b in np.random.default_rng(5).normal(0, 1, (10, 2))], "dimension 1"),
+        # every vector has unit norm, while both dimensions vary
+        (["literal 1/1 1.0 0.0", "literal 1/1 0.6 0.8", "literal 1/1 0.0 1.0",
+          "metaphor 1/1 0.8 0.6", "metaphor 1/1 0.0 1.0", "metaphor 1/1 1.0 0.0"], "norm"),
+    ], ids=["dimension", "norm"])
+    def test_flat_dimension_is_a_one_line_error_naming_it(
+        self, tmp_path, capsys, rows, column
+    ):
         out = tmp_path / "out"
         out.mkdir()
-        write_lines(out / cli.SENTVEC_FILE, [
-            f"{label} 1/1 {a:.3f} 0.0 {b:.3f}"
-            for label in ("literal", "metaphor") for a, b in rng.normal(0, 1, (10, 2))
-        ])
+        write_lines(out / cli.SENTVEC_FILE, rows)
         code, summary, err = run_cli(capsys, ["ttest", "--out", str(out)])
         assert code == 1 and summary is None
-        assert err == "error: dimension 1: both samples have zero variance\n"
+        assert err == f"error: {column}: both samples have zero variance\n"
         assert not os.path.exists(out / cli.TTEST_FILE)
 
 

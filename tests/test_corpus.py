@@ -6,7 +6,6 @@ from metlit.corpus import (
     LabeledPhrase,
     Vocabulary,
     build_vocabulary,
-    count_labels,
     count_tokens,
     load_labeled_phrases,
     load_vocabulary,
@@ -181,14 +180,6 @@ class TestLabeledPhrases:
         path.write_text("literal\tΑνοίγω\tανοίγω την πόρτα\n", encoding="utf-8")
         (phrase,) = load_labeled_phrases(str(path))
         assert phrase.verb == "ανοίγω"
-
-    def test_count_labels(self):
-        phrases = [
-            LabeledPhrase(tokens=["a"], verb="a", label=LITERAL),
-            LabeledPhrase(tokens=["b"], verb="b", label=METAPHOR),
-            LabeledPhrase(tokens=["c"], verb="c", label=LITERAL),
-        ]
-        assert count_labels(phrases) == {LITERAL: 2, METAPHOR: 1}
 
     def test_constructor_rejects_bad_label_and_missing_verb(self):
         with pytest.raises(CorpusError):

@@ -17,16 +17,15 @@ def make_matrix(rng, words=("a", "b", "c"), dim=4):
 
 
 class TestEmbeddingMatrix:
-    def test_vector_lookup_and_contains(self):
+    def test_row_lookup_and_contains(self):
         emb = EmbeddingMatrix(["x", "y"], np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.array_equal(emb.vector("y"), [3.0, 4.0])
+        assert np.array_equal(emb.vectors[emb.ids(["y"])], [[3.0, 4.0]])
         assert "x" in emb and "z" not in emb
         assert emb.dim == 2
 
-    def test_unknown_word_raises(self):
-        emb = EmbeddingMatrix(["x"], np.array([[1.0]]))
-        with pytest.raises(KeyError):
-            emb.vector("nope")
+    def test_unknown_words_skipped_in_order(self):
+        emb = EmbeddingMatrix(["x", "y"], np.array([[1.0], [2.0]]))
+        assert emb.ids(["nope", "y", "x", "zz", "y"]) == [1, 0, 1]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from metlit import LABELS, MetlitError
+from metlit import LABELS, METAPHOR, MetlitError
 from metlit.classifier import SvmModel, load_model, save_model
 from metlit.cooccur import build_cooccurrence, load_table, save_table
 from metlit.corpus import (
@@ -20,7 +20,7 @@ from metlit.corpus import (
     save_vocabulary,
 )
 from metlit.embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
-from metlit.sentvec import SentenceVector, load_sentence_vectors, save_sentence_vectors
+from metlit.sentvec import SentenceVectors, load_sentence_vectors, save_sentence_vectors
 
 # each test reuses one file, so a function-scoped tmp_path is safe here
 FILE_SETTINGS = settings(
@@ -69,18 +69,19 @@ class TestRoundTrip:
                       st.integers(0, 10**6), matrices(1, dim)),
             min_size=1, max_size=6,
         ))
-        vectors = [
-            SentenceVector(values[0], label, min(a, b), max(a, b))
-            for label, a, b, values in rows
-        ]
+        vectors = SentenceVectors(
+            values=np.concatenate([values for *_, values in rows]),
+            metaphor=np.array([label == METAPHOR for label, *_ in rows]),
+            covered=np.array([min(a, b) for _, a, b, _ in rows]),
+            total=np.array([max(a, b) for _, a, b, _ in rows]),
+        )
         path = str(tmp_path / "sentence_vectors.txt")
         save_sentence_vectors(vectors, path)
         loaded = load_sentence_vectors(path)
         assert len(loaded) == len(vectors)
-        for orig, back in zip(vectors, loaded):
-            assert (back.label, back.covered, back.total) == (
-                orig.label, orig.covered, orig.total)
-            assert same_floats(back.values, orig.values)
+        for name in ("metaphor", "covered", "total"):
+            assert np.array_equal(getattr(loaded, name), getattr(vectors, name))
+        assert same_floats(loaded.values, vectors.values)
 
     @FILE_SETTINGS
     @given(st.data())
@@ -105,10 +106,10 @@ def write_embeddings(path):
 
 
 def write_sentence_vectors(path):
-    save_sentence_vectors([
-        SentenceVector(np.array([0.5, -2.0]), "literal", 2, 3),
-        SentenceVector(np.array([1e-9, 7.0]), "metaphor", 1, 1),
-    ], path)
+    save_sentence_vectors(SentenceVectors(
+        np.array([[0.5, -2.0], [1e-9, 7.0]]), np.array([False, True]),
+        np.array([2, 1]), np.array([3, 1]),
+    ), path)
 
 
 def write_model(path):

@@ -5,8 +5,6 @@ from metlit import LITERAL, METAPHOR
 from metlit.corpus import LabeledPhrase
 from metlit.embeddings import EmbeddingMatrix
 from metlit.sentvec import (
-    SentenceVector,
-    aggregate,
     embed_dataset,
     load_sentence_vectors,
     save_sentence_vectors,
@@ -25,6 +23,13 @@ def phrase(tokens, label=LITERAL):
     return LabeledPhrase(tokens=list(tokens), verb=tokens[0], label=label)
 
 
+def aggregate(p, emb, mode="mean"):
+    """The one row embed_dataset makes of a single phrase."""
+    vectors, _ = embed_dataset([p], emb, mode)
+    assert len(vectors) == 1
+    return vectors[0]
+
+
 class TestAggregate:
     def test_singleton_mean_is_the_vector(self, emb):
         sv = aggregate(phrase(["a"]), emb)
@@ -38,27 +43,45 @@ class TestAggregate:
 
     def test_oov_tokens_skipped_not_zero_filled(self, emb):
         emb2 = EmbeddingMatrix(["a"], np.array([[3.0, 3.0]]))
-        sv = aggregate(phrase(["a", "zzz"]), emb2)
-        assert np.array_equal(sv.values, [3.0, 3.0])
-        assert sv.covered == 1 and sv.total == 2
-        assert sv.coverage == 0.5
+        vectors, report = embed_dataset([phrase(["a", "zzz"])], emb2)
+        assert np.array_equal(vectors.values, [[3.0, 3.0]])
+        assert vectors.covered.tolist() == [1] and vectors.total.tolist() == [2]
+        assert report.mean_coverage == 0.5
 
-    def test_no_covered_token_yields_zero_vector_signal(self, emb):
-        sv = aggregate(phrase(["zzz"]), emb)
-        assert sv.covered == 0
-        assert not sv.values.any()
+    def test_no_covered_token_gets_no_row(self, emb):
+        vectors, report = embed_dataset([phrase(["zzz"]), phrase(["a"])], emb)
+        assert report.excluded == [0]
+        assert vectors.covered.tolist() == [1]
+        assert np.array_equal(vectors.values, [[2.0, 4.0]])
 
     def test_duplicate_token_weighs_twice_in_mean(self, emb):
         sv = aggregate(phrase(["b", "b", "c"]), emb)
         assert np.allclose(sv.values, [2 / 3, 1 / 3])
 
     def test_label_carried_through(self, emb):
-        sv = aggregate(phrase(["a"], label=METAPHOR), emb)
-        assert sv.label == METAPHOR
+        assert aggregate(phrase(["a"], label=METAPHOR), emb).metaphor
+        assert not aggregate(phrase(["a"], label=LITERAL), emb).metaphor
 
     def test_unknown_mode_rejected(self, emb):
         with pytest.raises(ValueError):
             aggregate(phrase(["a"]), emb, mode="max")
+
+    @pytest.mark.parametrize("dim", [2, 50])
+    def test_rows_match_a_per_phrase_stack(self, dim):
+        # each row is the token rows summed in order, then divided for the mean
+        rng = np.random.default_rng(dim)
+        words = [f"w{i}" for i in range(12)]
+        vectors = rng.normal(0, 1, (12, dim))
+        vectors[3] = -0.0
+        emb = EmbeddingMatrix(words, vectors)
+        phrases = [phrase([words[j] for j in rng.integers(0, 12, int(n))] + ["oov"])
+                   for n in rng.integers(1, 15, 40)]
+        for mode in ("mean", "sum"):
+            got, _ = embed_dataset(phrases, emb, mode)
+            for row, p in zip(got.values, phrases):
+                stacked = np.stack([emb.vectors[i] for i in emb.ids(p.tokens)])
+                want = stacked.mean(axis=0) if mode == "mean" else stacked.sum(axis=0)
+                assert row.tobytes() == want.tobytes()
 
 
 class TestEmbedDataset:
@@ -80,6 +103,7 @@ class TestEmbedDataset:
         assert len(vectors) == 2
         assert report.excluded == [1]
         assert report.class_counts == {LITERAL: 1, METAPHOR: 1}
+        assert vectors.metaphor.tolist() == [False, True]
 
     def test_mean_coverage_over_kept_phrases(self, emb):
         phrases = [phrase(["a", "zz"]), phrase(["b"])]
@@ -101,11 +125,10 @@ class TestTextFormat:
         save_sentence_vectors(vectors, str(path))
         loaded = load_sentence_vectors(str(path))
         assert len(loaded) == 2
-        for orig, back in zip(vectors, loaded):
-            assert back.label == orig.label
-            assert back.covered == orig.covered
-            assert back.total == orig.total
-            assert np.array_equal(back.values, orig.values)
+        assert np.array_equal(loaded.metaphor, vectors.metaphor)
+        assert np.array_equal(loaded.covered, vectors.covered)
+        assert np.array_equal(loaded.total, vectors.total)
+        assert np.array_equal(loaded.values, vectors.values)
 
     def test_line_shape(self, tmp_path, emb):
         vectors, _ = embed_dataset([phrase(["a", "qq"])], emb)

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from metlit import LITERAL, METAPHOR, MetlitError
-from metlit.sentvec import SentenceVector
+from metlit import MetlitError
 from metlit.stats import (
     DegenerateSampleError,
     SampleSizeError,
@@ -16,6 +15,8 @@ from metlit.stats import (
     two_sided_p,
     welch_t,
 )
+
+from helpers import labeled_vectors
 
 # Frozen from an independent evaluation of the regularized incomplete beta
 # (scipy.special.betainc, scipy 1.15.3), kept as literals so the test stays
@@ -43,13 +44,13 @@ FIXTURE2_P = 0.001336825058451009
 
 
 def blob_vectors(rng, n_per_class, dim, offset=0.0):
-    vectors = []
-    for label, shift in ((LITERAL, 0.0), (METAPHOR, offset)):
+    rows = []
+    for shift in (0.0, offset):
         for _ in range(n_per_class):
             values = rng.normal(0, 1, dim)
             values[0] += shift
-            vectors.append(SentenceVector(values, label, covered=1, total=1))
-    return vectors
+            rows.append(values)
+    return labeled_vectors(rows, [False] * n_per_class + [True] * n_per_class)
 
 
 class TestIncompleteBeta:
@@ -169,12 +170,13 @@ class TestWelch:
 class TestGroupTTest:
     def test_single_informative_dimension_found(self):
         rng = np.random.default_rng(3)
-        vectors = []
-        for label, shift in ((LITERAL, 0.0), (METAPHOR, 1.0)):
+        rows = []
+        for shift in (0.0, 1.0):
             for _ in range(100):
                 values = rng.normal(0, 0.1, 5)
                 values[0] += shift
-                vectors.append(SentenceVector(values, label, covered=1, total=1))
+                rows.append(values)
+        vectors = labeled_vectors(rows, [False] * 100 + [True] * 100)
         results, summary = group_ttest(vectors, alpha=0.05)
         by_dim = {r.dimension: r for r in results}
         assert by_dim[0].significant
@@ -207,9 +209,7 @@ class TestGroupTTest:
 
     def test_one_class_missing_is_an_error(self):
         rng = np.random.default_rng(7)
-        vectors = [
-            SentenceVector(rng.normal(0, 1, 3), LITERAL, 1, 1) for _ in range(10)
-        ]
+        vectors = labeled_vectors([rng.normal(0, 1, 3) for _ in range(10)], [False] * 10)
         with pytest.raises(ValueError):
             group_ttest(vectors)
 
