@@ -4,8 +4,9 @@ The SVM minimizes lambda/2 ||w||^2 + mean hinge loss by Pegasos-style
 subgradient descent (one sample per step, eta_t = 1/(lambda*t), bias
 unregularized). Features are standardized on training statistics. Labels:
 literal -> -1, metaphor -> +1; metaphor is the positive class throughout.
-Cross-validation trains its k fold models and the full-data model together,
-in one lockstep pass of the same kernel that `train_svm` runs for one fit.
+One kernel fits every model: it holds the weights as a vector over lambda*t
+and so does work only on the steps that violate a margin. Cross-validation
+runs it once per fold and once more for the full-data model.
 """
 
 from __future__ import annotations
@@ -56,150 +57,104 @@ class EvalReport:
     per_fold: list[FoldMetrics]
     mean_accuracy: float
     mean_precision: float | None
-    model: SvmModel | None = None  # full-data fit from the same training pass
+    model: SvmModel | None = None  # the full-data fit
     fits: int = 0                  # folds plus the full-data fit
     pegasos_steps: int = 0         # summed over every fit
+    margin_violations: int = 0     # steps that updated the weights, over every fit
 
 
-# Steps whose standardized rows are built at once, per fit. Small, so the
-# block buffers stay well under one copy of the data.
-_BLOCK = 16
-# Relative headroom of the running norm bound, far above its rounding error.
-_SLACK = 1e-6
+# Rows of an epoch whose margins one product gives at once.
+BLOCK = 128
 
 
-class _Shuffled:
-    """One fit's training rows, in a fresh random order each epoch."""
+def _fit(vectors: SentenceVectors, rows: np.ndarray, seed: int, lam: float,
+         epochs: int) -> tuple[SvmModel, int]:
+    """One Pegasos fit over `vectors[rows]`, and how many of its steps updated it.
 
-    def __init__(self, rows: np.ndarray, seed: int):
-        self.rows = rows
-        self.rng = np.random.default_rng(seed)
-        self.order = rows
-        self.pos = len(rows)
-
-    def take(self, out: np.ndarray) -> None:
-        """Fill `out` with the next len(out) rows, crossing epochs as needed."""
-        filled = 0
-        while filled < len(out):
-            if self.pos == len(self.rows):
-                self.order = self.rows[self.rng.permutation(len(self.rows))]
-                self.pos = 0
-            k = min(len(out) - filled, len(self.rows) - self.pos)
-            out[filled:filled + k] = self.order[self.pos:self.pos + k]
-            filled += k
-            self.pos += k
-
-
-def _pegasos(
-    vectors: SentenceVectors,
-    runs: list[tuple[np.ndarray, int]],
-    lam: float,
-    epochs: int,
-) -> list[SvmModel]:
-    """Fit one model per (training rows, seed) run, all runs in lockstep.
-
-    Each run is an independent Pegasos fit over its rows of `vectors`, with
-    the constant bias feature appended to every row, and with its own
-    standardization, rng, step count and averaging window, and is one row
-    of a (runs, D+1) weight matrix. Per run the arithmetic is exactly the
-    per-sample loop's: at step t, with eta = 1/(lam*t), decay w by
+    Per step t this is the per-sample loop: with eta = 1/(lam*t), decay w by
     1 - eta*lam, add eta*y*z if y*(z.w) < 1, project onto the ball
     ||w|| <= 1/sqrt(lam), and average the iterates of the second half of
-    training. The label sign is folded into the standardized row, so y*(z.w)
-    is computed as (y*z).w, which is the same number.
+    training. The label sign is folded into the standardized row z, which
+    carries the constant bias feature, and w_t is held as v/(lam*t): the
+    decay is then free, an update is v += z, the test is z.v < lam*(t-1)
+    (step 1 always updates), and only an update can take ||v|| past
+    t*sqrt(lam). So one product gives the margins of a block of an epoch's
+    rows, and work is done only at the violations in it. The average of the
+    w_t is kept in closed form: each block credits v with tail[0], and a
+    change d of v at row e adds tail[e]*d, where tail[e] sums 1/(lam*t) over
+    the block's averaged steps from row e on.
+    """
+    x = vectors.values[rows]  # contiguous, so its statistics are the reference's
+    n, dim = x.shape
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    std[std == 0] = 1.0  # zero-variance dimensions pass through
+    z = np.empty((n, dim + 1))
+    np.subtract(x, mean, out=z[:, :dim])
+    del x
+    z[:, :dim] /= std
+    z[:, dim] = 1.0
+    z *= np.where(vectors.metaphor[rows], 1.0, -1.0)[:, None]
 
-    Runs are sorted longest first, so the runs still training at a step are
-    a prefix of the weight matrix and the ones averaging are a slice of it.
-    The exact norms are computed only when a running upper bound on them,
-    ||w'|| <= (1 - eta*lam)||w|| + eta*||z||, nears the ball's radius.
+    v = np.zeros(dim + 1)
+    avg = np.zeros(dim + 1)
+    first_averaged = epochs * n // 2 + 1
+    root = math.sqrt(lam)
+    rng = np.random.default_rng(seed)
+    updates = done = 0  # done: steps taken
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, BLOCK):
+            block = z[order[start:start + BLOCK]]
+            steps = np.arange(done + 1, done + len(block) + 1)
+            limit = lam * (steps - 1.0)
+            if done == 0:
+                limit[0] = math.inf
+            averaging = steps[-1] >= first_averaged
+            if averaging:
+                share = np.where(steps >= first_averaged, 1.0 / (lam * steps), 0.0)
+                tail = np.cumsum(share[::-1])[::-1]
+                avg += tail[0] * v
+            e = 0
+            while e < len(block):
+                below = block[e:] @ v < limit[e:]
+                k = int(below.argmax())
+                if not below[k]:
+                    break
+                e += k
+                row = block[e]
+                v += row
+                updates += 1
+                if averaging:
+                    avg += tail[e] * row
+                sq = float(v @ v)
+                reach = (done + e + 1) * root
+                if sq > reach * reach:
+                    f = reach / math.sqrt(sq)
+                    if averaging:
+                        avg += tail[e] * (f - 1.0) * v
+                    v *= f
+                e += 1
+            done += len(block)
+
+    w = avg / (done - first_averaged + 1) if epochs else v
+    return SvmModel(w[:dim], float(w[dim]), lam, mean, std), updates
+
+
+def _pegasos(vectors: SentenceVectors, runs: list[tuple[np.ndarray, int]], lam: float,
+             epochs: int, violations: list[int] | None = None) -> list[SvmModel]:
+    """Fit one model per (training rows, seed) run, one `_fit` after another.
+
+    If `violations` is a list, each run appends its count of updating steps.
     """
     if not lam > 0:
         raise MetlitError("svm lambda must be > 0")
     if epochs < 0:
         raise MetlitError("svm epochs must be >= 0")
-    dim = vectors.values.shape[1]
-    xa = np.column_stack([vectors.values, np.ones(len(vectors))])
-    signs = np.where(vectors.metaphor, 1.0, -1.0)
-    order = sorted(range(len(runs)), key=lambda r: -len(runs[r][0]))
-    streams = [_Shuffled(*runs[r]) for r in order]
-    ends = epochs * np.array([len(s.rows) for s in streams])  # last step
-    averaging_from = ends // 2  # a run averages its steps t > this
-    mean = np.zeros((len(runs), dim + 1))  # the bias feature stays (1 - 0) / 1
-    std = np.ones((len(runs), dim + 1))
-    for r, stream in enumerate(streams):
-        xr = xa[stream.rows, :dim]
-        mean[r, :dim] = xr.mean(axis=0)
-        std[r, :dim] = xr.std(axis=0)
-        del xr  # before the next run's copy is made
-    std = np.where(std > 0, std, 1.0)  # zero-variance dimensions pass through
-
-    w = np.zeros((len(runs), dim + 1))
-    avg = np.zeros_like(w)
-    radius = 1.0 / math.sqrt(lam)
-    near = radius * (1.0 - _SLACK)  # below this no run can need projecting
-    near_sq = near * near
-    bound = 0.0  # >= every run's ||w||
-    buffers = np.empty((2, _BLOCK * len(runs) * (dim + 1)))
-    t = 0
-    for stop in sorted(set(ends.tolist()) | set(averaging_from.tolist())):
-        # steps t+1 .. stop share their active and averaging runs
-        active = int(np.count_nonzero(ends >= stop))
-        first_avg = int(np.count_nonzero(averaging_from >= stop))
-        averaging = first_avg < active
-        row, col = w[:active, None, :], w[:active, :, None]
-        w_avg, avg_part = w[first_avg:active], avg[first_avg:active]
-        margin = np.empty((active, 1, 1))
-        violated = np.empty((active, 1, 1), dtype=bool)
-        sq = np.empty((active, 1, 1))
-        idx = np.empty((active, _BLOCK), dtype=np.intp)
-        while t < stop:
-            length = min(_BLOCK, stop - t)
-            for stream, out in zip(streams[:active], idx[:, :length]):
-                stream.take(out)
-            picked = idx[:, :length].T
-            size = length * active * (dim + 1)
-            flat = buffers[0, :size].reshape(length, active, dim + 1)
-            np.take(xa, picked, axis=0, out=flat, mode="clip")
-            flat -= mean[:active]
-            flat /= std[:active]
-            flat *= signs[picked][:, :, None]
-            etas = 1.0 / (lam * np.arange(t + 1, t + length + 1))
-            z = flat[:, :, None, :]
-            eta_z = np.multiply(
-                z, etas[:, None, None, None],
-                out=buffers[1, :size].reshape(z.shape),
-            )
-            # per step, eta times the largest ||z|| over the runs
-            grows = etas * np.sqrt(np.einsum("lak,lak->la", flat, flat).max(axis=1))
-            decays = 1.0 - etas * lam
-            for zc, eta_zc, decay, grow in zip(z, eta_z, decays.tolist(), grows.tolist()):
-                np.matmul(zc, col, out=margin)
-                np.less(margin, 1.0, out=violated)
-                row *= decay
-                np.add(row, eta_zc, out=row, where=violated)
-                bound = bound * decay + grow
-                if bound > near:
-                    np.matmul(row, col, out=sq)
-                    largest = float(np.maximum.reduce(sq, axis=None))
-                    if largest > near_sq:
-                        norm = np.sqrt(sq)
-                        over = norm > radius
-                        if over.any():
-                            row *= np.where(over, radius / norm, 1.0)
-                    bound = min(math.sqrt(largest), radius) * (1.0 + _SLACK)
-                if averaging:
-                    avg_part += w_avg
-            t += length
-
-    averaged = ends - averaging_from
-    models = {}
-    for r, run in enumerate(order):
-        final = avg[r] / averaged[r] if averaged[r] else w[r]
-        models[run] = SvmModel(
-            weights=final[:dim].copy(), bias=float(final[dim]), lam=lam,
-            scale_mean=mean[r, :dim].copy(), scale_std=std[r, :dim].copy(),
-        )
-    return [models[run] for run in range(len(runs))]
+    fits = [_fit(vectors, rows, seed, lam, epochs) for rows, seed in runs]
+    if violations is not None:
+        violations.extend(updates for _, updates in fits)
+    return [model for model, _ in fits]
 
 
 def train_svm(
@@ -296,10 +251,10 @@ def cross_validate(
     """Train on k-1 folds, evaluate on the held-out fold, for every fold.
 
     Folds are stratified so near-balanced data cannot produce a
-    single-class training split. Fold f trains with seed + f; the reference
-    model on the full dataset (seed) trains in the same lockstep pass and
-    comes back as `report.model`. Mean precision averages only the folds
-    where precision is defined.
+    single-class training split, and every fold is checked before any
+    training. Fold f trains with seed + f; then the reference model on the
+    full dataset (seed) trains and comes back as `report.model`. Mean
+    precision averages only the folds where precision is defined.
     """
     folds = kfold_split(len(vectors), k, seed=seed, stratified=True,
                         labels=vectors.metaphor.tolist())
@@ -311,7 +266,8 @@ def cross_validate(
             raise FoldError(f"fold {f}: training split lost a class")
         runs.append((train, seed + f))
     runs.append((everything, seed))
-    *fold_models, model = _pegasos(vectors, runs, lam, epochs)
+    violations: list[int] = []
+    *fold_models, model = _pegasos(vectors, runs, lam, epochs, violations)
     per_fold = [evaluate_fold(m, vectors[fold]) for m, fold in zip(fold_models, folds)]
     mean_accuracy = sum(m.accuracy for m in per_fold) / len(per_fold)
     defined = [m.precision for m in per_fold if m.precision is not None]
@@ -320,6 +276,7 @@ def cross_validate(
         per_fold=per_fold, mean_accuracy=mean_accuracy, mean_precision=mean_precision,
         model=model, fits=len(runs),
         pegasos_steps=epochs * sum(len(train) for train, _ in runs),
+        margin_violations=sum(violations),
     )
 
 

@@ -169,6 +169,7 @@ def cmd_cv(args) -> dict:
         "mean_precision": report.mean_precision,
         "fits": report.fits,
         "pegasos_steps": report.pegasos_steps,
+        "margin_violations": report.margin_violations,
         "report": report_path,
         "model": model_path,
     }

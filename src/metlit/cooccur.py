@@ -55,8 +55,17 @@ def build_cooccurrence(
     pairs = np.repeat(np.minimum(i, j) << 32 | np.maximum(i, j), times)
     weights = np.repeat(weights, times)
     del i, j, times
-    keys, slot = np.unique(pairs, return_inverse=True)
+    # np.unique(pairs, return_inverse=True), with one permutation and fewer copies
+    order = np.argsort(pairs)
+    pairs = pairs[order]
+    first = np.empty(len(pairs), dtype=bool)  # where each key's run starts
+    first[:1] = True
+    np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
+    keys = pairs[first]
     del pairs
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(first) - 1
+    del order, first
     x = np.bincount(slot, weights=weights)
     off = keys >> 32 != keys & 0xFFFFFFFF
     keys = np.concatenate([keys, keys[off] << 32 | keys[off] >> 32])  # (j, i)

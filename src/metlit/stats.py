@@ -102,9 +102,9 @@ def two_sided_p(t: float, df: float) -> float:
 @dataclass
 class TTestResult:
     dimension: int | str | None  # 0-based index, "norm", or None for a bare test
-    t_statistic: float
-    degrees_of_freedom: float
-    p_value: float
+    t_statistic: float | None  # t, df and p are None for a flat dimension
+    degrees_of_freedom: float | None
+    p_value: float | None
     significant: bool
 
 
@@ -143,8 +143,10 @@ def group_ttest(
     """One Welch test per embedding dimension plus one on Euclidean norms.
 
     Contrasts the literal and metaphor groups; both must have at least two
-    members. The summary counts dimensions significant at alpha, which
-    must lie in (0, 1).
+    members. A dimension constant within both groups has no test: its t, df
+    and p are None and it is never significant. The summary counts the
+    dimensions significant at alpha, which must lie in (0, 1), and the flat
+    ones. Norms constant within both groups are an error.
     """
     if not 0 < alpha < 1:
         raise MetlitError(f"alpha must lie in (0, 1), got {alpha}")
@@ -163,8 +165,9 @@ def group_ttest(
         try:
             res = welch_t(lit[:, c], met[:, c], alpha=alpha)
         except DegenerateSampleError as exc:
-            name = column if c == dim else f"dimension {column}"
-            raise DegenerateSampleError(f"{name}: {exc}") from None
+            if column == "norm":
+                raise DegenerateSampleError(f"norm: {exc}") from None
+            res = TTestResult(None, None, None, None, significant=False)
         res.dimension = column
         results.append(res)
     summary = {
@@ -173,17 +176,17 @@ def group_ttest(
         "dimensions": dim,
         "alpha": alpha,
         "significant_dimensions": sum(1 for r in results[:-1] if r.significant),
+        "flat_dimensions": sum(1 for r in results[:-1] if r.p_value is None),
         "norm_significant": results[-1].significant,
     }
     return results, summary
 
 
 def save_ttest_report(results: list[TTestResult], path: str) -> None:
-    """Write a TSV report: dimension, t, df, p, significant."""
+    """Write a TSV report: dimension, t, df, p, significant; NA for no test."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("dimension\tt\tdf\tp\tsignificant\n")
         for r in results:
-            fh.write(
-                f"{r.dimension}\t{r.t_statistic:.6f}\t{r.degrees_of_freedom:.6f}"
-                f"\t{r.p_value:.6g}\t{'true' if r.significant else 'false'}\n"
-            )
+            test = "NA\tNA\tNA" if r.p_value is None else (
+                f"{r.t_statistic:.6f}\t{r.degrees_of_freedom:.6f}\t{r.p_value:.6g}")
+            fh.write(f"{r.dimension}\t{test}\t{'true' if r.significant else 'false'}\n")

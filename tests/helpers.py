@@ -153,7 +153,12 @@ def write_lines(path, lines):
 
 
 def reference_train_svm(train, lam=1e-4, epochs=100, seed=0):
-    """Per-sample Pegasos loop: the oracle for the lockstep kernel.
+    """Per-sample Pegasos loop: the oracle for the classifier's kernel."""
+    return reference_pegasos(train, lam, epochs, seed)[0]
+
+
+def reference_pegasos(train, lam, epochs, seed):
+    """The per-sample Pegasos fit, and the number of steps that updated w.
 
     One sample per step with eta_t = 1/(lam*t), features standardized on
     the training statistics, the bias as an augmented constant feature,
@@ -173,7 +178,7 @@ def reference_train_svm(train, lam=1e-4, epochs=100, seed=0):
     radius = 1.0 / math.sqrt(lam)
     averaging_from = (epochs * n) // 2
     avg = np.zeros(dim + 1)
-    averaged = 0
+    averaged = violations = 0
     t = 0
     for _ in range(epochs):
         for idx in rng.permutation(n):
@@ -183,6 +188,7 @@ def reference_train_svm(train, lam=1e-4, epochs=100, seed=0):
             w *= 1.0 - eta * lam
             if violated:
                 w += eta * signs[idx] * z_aug[idx]
+                violations += 1
             norm = float(np.linalg.norm(w))
             if norm > radius:
                 w *= radius / norm
@@ -191,9 +197,10 @@ def reference_train_svm(train, lam=1e-4, epochs=100, seed=0):
                 averaged += 1
     if averaged:
         w = avg / averaged
-    return SvmModel(
+    model = SvmModel(
         weights=w[:dim], bias=float(w[dim]), lam=lam, scale_mean=mean, scale_std=std
     )
+    return model, violations
 
 
 def reference_predict(model, values):

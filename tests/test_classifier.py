@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metlit import LITERAL, METAPHOR, MetlitError
 from metlit import classifier
@@ -23,6 +25,7 @@ from helpers import (
     labeled_vectors,
     make_blobs,
     reference_evaluate_fold,
+    reference_pegasos,
     reference_predict,
     reference_train_svm,
 )
@@ -365,6 +368,51 @@ class TestLockstepMatchesReference:
             model = train_svm(data[rows], lam=1e-2, epochs=17, seed=n)
             ref = reference_train_svm(data[rows], lam=1e-2, epochs=17, seed=n)
             assert_matches_reference(model, ref)
+
+
+@st.composite
+def svm_problems(draw, per_class=1):
+    """Data, lambda, epochs and seed for one fit: 2 to 300 rows (several
+    blocks), some columns constant, labels separable or shuffled. Row count,
+    lambda and epochs come from a drawn rng, since hypothesis favours the
+    ends of a range."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(2 * per_class, 301))
+    dim = draw(st.integers(1, 8))
+    flat = sorted(draw(st.sets(st.integers(0, dim - 1), max_size=dim - 1)))
+    metaphor = rng.permutation(np.arange(n) < rng.integers(per_class, n - per_class + 1))
+    values = rng.normal(0.0, 1.0, (n, dim))
+    if draw(st.booleans()):  # separable
+        values[metaphor] += 3.0
+    values[:, flat] = draw(st.floats(-1e3, 1e3))
+    lam = 10.0 ** rng.uniform(-4.0, 2.0)
+    return labeled_vectors(values, metaphor), lam, int(rng.integers(0, 7)), int(rng.integers(99))
+
+
+class TestKernelMatchesReference:
+    """Drawn fits against the per-sample loop: every block, projection and
+    averaging boundary, at small and large lambda."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(svm_problems())
+    def test_train_svm_matches_reference(self, problem):
+        data, lam, epochs, seed = problem
+        model = train_svm(data, lam=lam, epochs=epochs, seed=seed)
+        assert_matches_reference(
+            model, reference_train_svm(data, lam=lam, epochs=epochs, seed=seed))
+
+    @settings(deadline=None, max_examples=50)
+    @given(svm_problems(per_class=2), st.integers(2, 4))
+    def test_cross_validate_matches_reference(self, problem, k):
+        data, lam, epochs, seed = problem
+        report = cross_validate(data, k=k, lam=lam, epochs=epochs, seed=seed)
+        folds, runs = fold_runs(data, k, seed)
+        fits = [reference_pegasos(data[rows], lam, epochs, s) for rows, s in runs]
+        for f, fold in enumerate(folds):
+            assert report.per_fold[f] == evaluate_fold(fits[f][0], data[fold])
+        assert_matches_reference(report.model, fits[-1][0])
+        assert report.margin_violations == sum(count for _, count in fits)
+        assert report.pegasos_steps == epochs * sum(len(rows) for rows, _ in runs)
 
 
 class TestSettings:

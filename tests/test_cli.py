@@ -6,15 +6,21 @@ import numpy as np
 import pytest
 
 from metlit import MetlitError, cli
-from metlit.classifier import FoldError
+from metlit.classifier import FoldError, kfold_split
 from metlit.cooccur import RECORD, load_table
 from metlit.corpus import CorpusError, load_vocabulary
 from metlit.embeddings import load_embeddings
 from metlit.stats import DegenerateSampleError, SampleSizeError
 
-from metlit.sentvec import save_sentence_vectors
+from metlit.sentvec import load_sentence_vectors, save_sentence_vectors
 
-from helpers import make_blobs, verb_object_corpus, write_corpus, write_lines
+from helpers import (
+    make_blobs,
+    reference_pegasos,
+    verb_object_corpus,
+    write_corpus,
+    write_lines,
+)
 
 
 @pytest.fixture
@@ -187,6 +193,27 @@ class TestStageChaining:
         assert code == 0 and len(summary["epoch_losses"]) == 3
 
 
+class TestCvSummary:
+    def test_margin_violations_match_the_per_sample_loop(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        os.mkdir(out)
+        path = os.path.join(out, cli.SENTVEC_FILE)
+        save_sentence_vectors(make_blobs(np.random.default_rng(21), n_per_class=15,
+                                         dim=3, separation=1.0), path)
+        code, summary, _ = run_cli(capsys, ["cv", "--out", out, "--folds", "3", "--seed", "4",
+                                            "--svm-lambda", "0.01", "--svm-epochs", "7"])
+        assert code == 0
+        data = load_sentence_vectors(path)
+        folds = kfold_split(len(data), 3, seed=4, stratified=True,
+                            labels=data.metaphor.tolist())
+        everything = np.arange(len(data))
+        runs = [(np.setdiff1d(everything, fold), 4 + f) for f, fold in enumerate(folds)]
+        counts = [reference_pegasos(data[rows], 0.01, 7, seed)[1]
+                  for rows, seed in runs + [(everything, 4)]]
+        assert summary["margin_violations"] == sum(counts)
+        assert 0 < sum(counts) < summary["pegasos_steps"] == 7 * (2 * 30 + 30)
+
+
 class TestCvErrors:
     def write_vectors(self, tmp_path, rows):
         out = tmp_path / "out"
@@ -335,24 +362,36 @@ class TestErrorContract:
         assert code == 1 and summary is None
         assert err == f"error: alpha must lie in (0, 1), got {float(alpha)}\n"
 
-    @pytest.mark.parametrize("rows, column", [
-        ([f"{label} 1/1 {a:.3f} 0.0 {b:.3f}"
-          for label in ("literal", "metaphor")
-          for a, b in np.random.default_rng(5).normal(0, 1, (10, 2))], "dimension 1"),
+    def test_flat_norm_is_a_one_line_error(self, tmp_path, capsys):
         # every vector has unit norm, while both dimensions vary
-        (["literal 1/1 1.0 0.0", "literal 1/1 0.6 0.8", "literal 1/1 0.0 1.0",
-          "metaphor 1/1 0.8 0.6", "metaphor 1/1 0.0 1.0", "metaphor 1/1 1.0 0.0"], "norm"),
-    ], ids=["dimension", "norm"])
-    def test_flat_dimension_is_a_one_line_error_naming_it(
-        self, tmp_path, capsys, rows, column
-    ):
+        rows = ["literal 1/1 1.0 0.0", "literal 1/1 0.6 0.8", "literal 1/1 0.0 1.0",
+                "metaphor 1/1 0.8 0.6", "metaphor 1/1 0.0 1.0", "metaphor 1/1 1.0 0.0"]
         out = tmp_path / "out"
         out.mkdir()
         write_lines(out / cli.SENTVEC_FILE, rows)
         code, summary, err = run_cli(capsys, ["ttest", "--out", str(out)])
         assert code == 1 and summary is None
-        assert err == f"error: {column}: both samples have zero variance\n"
+        assert err == "error: norm: both samples have zero variance\n"
         assert not os.path.exists(out / cli.TTEST_FILE)
+
+    def test_flat_dimension_is_reported_as_na(self, tmp_path, capsys):
+        values = np.random.default_rng(5).normal(0, 1, (20, 2))
+        reports = []
+        for flat in (" 0.0", ""):  # a flat middle dimension, then none
+            out = tmp_path / f"out{len(flat)}"
+            out.mkdir()
+            write_lines(out / cli.SENTVEC_FILE, [
+                f"{'literal' if r < 10 else 'metaphor'} 1/1 {a:.3f}{flat} {b:.3f}"
+                for r, (a, b) in enumerate(values)])
+            code, summary, _ = run_cli(capsys, ["ttest", "--out", str(out)])
+            assert code == 0
+            assert summary["flat_dimensions"] == len(flat) // 4
+            reports.append((out / cli.TTEST_FILE).read_text(encoding="utf-8").splitlines())
+        with_flat, without = reports
+        assert with_flat[2] == "1\tNA\tNA\tNA\tfalse"
+        # the other rows are the tests of the same columns without the flat one
+        assert with_flat[:2] == without[:2]
+        assert with_flat[3] == "2" + without[2][1:] and with_flat[4:] == without[3:]
 
 
 class TestTrainingErrors:

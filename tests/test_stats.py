@@ -207,6 +207,16 @@ class TestGroupTTest:
         assert summary["significant_dimensions"] == sum(r.significant for r in per_dim)
         assert summary["n_literal"] == 30 and summary["n_metaphor"] == 30
 
+    def test_flat_dimension_has_no_test(self):
+        vectors = blob_vectors(np.random.default_rng(10), 15, 3, offset=1.0)
+        vectors.values[:, 1] = 2.5
+        results, summary = group_ttest(vectors)
+        flat = results[1]
+        assert (flat.t_statistic, flat.degrees_of_freedom, flat.p_value) == (None, None, None)
+        assert flat.dimension == 1 and not flat.significant
+        assert summary["flat_dimensions"] == 1
+        assert all(r.p_value is not None for r in results if r is not flat)
+
     def test_one_class_missing_is_an_error(self):
         rng = np.random.default_rng(7)
         vectors = labeled_vectors([rng.normal(0, 1, 3) for _ in range(10)], [False] * 10)
