@@ -1,9 +1,13 @@
 """Command-line front door for the embedding/classification pipeline.
 
-Subcommands chain through a shared output directory: each stage writes its
-artifact there under a fixed name and later stages read it back. `pipeline`
-runs the whole chain in one shot. Machine-readable JSON summaries go to
-stdout, human diagnostics to stderr.
+Each stage is one function: it takes its inputs as objects, writes its
+artifact into the `--out` directory under a fixed name and returns
+`(result, summary)`. A single command loads the stage's inputs from the
+artifacts in `--out` and calls the stage. `pipeline` reads the corpus once
+and passes each result on to the next stage in memory; it still writes
+every artifact, byte-identical to the chain of single commands. Every
+option is declared once, in `OPTIONS`. Machine-readable JSON summaries go
+to stdout, human diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -13,8 +17,10 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import MetlitError, cbow, classifier, cooccur, corpus, glove, sentvec, stats
-from .embeddings import load_embeddings, save_embeddings
+from .embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
 
 VOCAB_FILE = "vocab.txt"
 COOCCUR_FILE = "cooccurrence.bin"
@@ -24,6 +30,49 @@ TTEST_FILE = "ttest_report.tsv"
 CV_FILE = "cv_report.tsv"
 MODEL_FILE = "svm_model.txt"
 
+# Every option once, as its argparse keywords. A --window or --epochs left
+# unset takes its model's value from MODEL_DEFAULTS.
+OPTIONS = {
+    "corpus": dict(required=True),
+    "labeled": dict(required=True),
+    "model": dict(choices=("cbow", "glove"), default="cbow"),
+    "min-count": dict(type=int, default=5),
+    "window": dict(type=int, default=None,
+                   help="CBOW radius (default 5) or GloVe span (default 10)"),
+    "cooccur-weighting": dict(choices=cooccur.WEIGHTINGS, default="inverse_distance"),
+    "dim": dict(type=int, default=100),
+    "epochs": dict(type=int, default=None, help="default 5 for cbow, 15 for glove"),
+    "lr": dict(type=float, default=0.05),
+    "negatives": dict(type=int, default=5),
+    "xmax": dict(type=float, default=100.0),
+    "alpha-exp": dict(type=float, default=0.75),
+    "aggregate": dict(choices=sentvec.MODES, default="mean"),
+    "alpha": dict(type=float, default=0.05),
+    "folds": dict(type=int, default=10),
+    "seed": dict(type=int, default=0),
+    "svm-lambda": dict(type=float, default=1e-4),
+    "svm-epochs": dict(type=int, default=100),
+    "out": dict(required=True, help="artifact directory"),
+}
+
+MODEL_DEFAULTS = {"cbow": {"window": 5, "epochs": 5}, "glove": {"window": 10, "epochs": 15}}
+
+# subcommand -> help, the options it takes, the model whose defaults it uses (else --model)
+COMMANDS = {
+    "vocab": ("build the vocabulary from a raw corpus", "corpus min-count out", None),
+    "cooccur": ("count co-occurrences over the corpus",
+                "corpus window cooccur-weighting out", "glove"),
+    "train-cbow": ("train CBOW word vectors",
+                   "corpus dim window epochs lr negatives seed out", "cbow"),
+    "train-glove": ("train GloVe word vectors",
+                    "dim epochs lr xmax alpha-exp seed out", "glove"),
+    "embed": ("aggregate labeled phrases into sentence vectors", "labeled aggregate out", None),
+    "ttest": ("Welch t-tests contrasting the two groups", "alpha out", None),
+    "cv": ("k-fold cross-validated SVM evaluation",
+           "folds seed svm-lambda svm-epochs out", None),
+    "pipeline": ("run the whole chain in one shot", " ".join(OPTIONS), None),
+}
+
 
 def _require_file(path: str, what: str) -> str:
     if not os.path.isfile(path):
@@ -31,12 +80,9 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
-def _artifact(out_dir: str, name: str, what: str) -> str:
-    return _require_file(os.path.join(out_dir, name), what)
-
-
-def _emit(summary: dict) -> None:
-    print(json.dumps(summary, ensure_ascii=False))
+def _load(args, name: str, what: str, loader):
+    """The artifact `name` of --out, read by `loader`; `what` names it if missing."""
+    return loader(_require_file(os.path.join(args.out, name), what))
 
 
 def _read_sentences(path: str) -> list[list[str]]:
@@ -46,13 +92,16 @@ def _read_sentences(path: str) -> list[list[str]]:
     return sentences
 
 
-def cmd_vocab(args) -> dict:
-    sentences = _read_sentences(args.corpus)
+def _encode(vocab: corpus.Vocabulary, sentences: list[list[str]]) -> list[list[int]]:
+    return [vocab.encode(s) for s in sentences]
+
+
+def vocab_stage(args, sentences: list[list[str]]) -> tuple[corpus.Vocabulary, dict]:
     vocab = corpus.build_vocabulary(sentences, min_count=args.min_count)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, VOCAB_FILE)
     corpus.save_vocabulary(vocab, path)
-    return {
+    return vocab, {
         "command": "vocab",
         "vocab_size": len(vocab),
         "total_tokens": sum(vocab.freq.values()),
@@ -61,16 +110,12 @@ def cmd_vocab(args) -> dict:
     }
 
 
-def cmd_cooccur(args) -> dict:
-    vocab = corpus.load_vocabulary(_artifact(args.out, VOCAB_FILE, "vocabulary"))
-    sentences = _read_sentences(args.corpus)
-    encoded = [vocab.encode(s) for s in sentences]
-    table = cooccur.build_cooccurrence(
-        encoded, window=args.window, weighting=args.cooccur_weighting
-    )
+def cooccur_stage(args, encoded: list[list[int]]) -> tuple[np.ndarray, dict]:
+    table = cooccur.build_cooccurrence(encoded, window=args.window,
+                                       weighting=args.cooccur_weighting)
     path = os.path.join(args.out, COOCCUR_FILE)
     cooccur.save_table(table, path)
-    return {
+    return table, {
         "command": "cooccur",
         "entries": len(table),
         "window": args.window,
@@ -80,19 +125,11 @@ def cmd_cooccur(args) -> dict:
     }
 
 
-def cmd_train_cbow(args) -> dict:
-    vocab = corpus.load_vocabulary(_artifact(args.out, VOCAB_FILE, "vocabulary"))
-    sentences = _read_sentences(args.corpus)
-    encoded = [vocab.encode(s) for s in sentences]
-    config = cbow.CbowConfig(
-        dim=args.dim, window=args.window, epochs=args.epochs, lr=args.lr,
-        negatives=args.negatives, seed=args.seed,
-    )
-    embeddings, losses = cbow.train_cbow(encoded, vocab, config)
+def _save_trained(args, command: str, embeddings: EmbeddingMatrix, losses: list[float]):
     path = os.path.join(args.out, EMBEDDINGS_FILE)
     save_embeddings(embeddings, path)
-    return {
-        "command": "train-cbow",
+    return embeddings, {
+        "command": command,
         "dim": args.dim,
         "epochs": args.epochs,
         "epoch_losses": losses,
@@ -100,35 +137,29 @@ def cmd_train_cbow(args) -> dict:
     }
 
 
-def cmd_train_glove(args) -> dict:
-    vocab = corpus.load_vocabulary(_artifact(args.out, VOCAB_FILE, "vocabulary"))
-    table = cooccur.load_table(
-        _artifact(args.out, COOCCUR_FILE, "co-occurrence table")
+def cbow_stage(args, encoded: list[list[int]], vocab: corpus.Vocabulary):
+    config = cbow.CbowConfig(
+        dim=args.dim, window=args.window, epochs=args.epochs, lr=args.lr,
+        negatives=args.negatives, seed=args.seed,
     )
+    return _save_trained(args, "train-cbow", *cbow.train_cbow(encoded, vocab, config))
+
+
+def glove_stage(args, table: np.ndarray, vocab: corpus.Vocabulary):
     config = glove.GloveConfig(
         dim=args.dim, lr=args.lr, epochs=args.epochs,
         params=glove.WeightParams(a=args.alpha_exp, x_max=args.xmax),
         seed=args.seed,
     )
-    embeddings, losses = glove.train_glove(table, vocab, config)
-    path = os.path.join(args.out, EMBEDDINGS_FILE)
-    save_embeddings(embeddings, path)
-    return {
-        "command": "train-glove",
-        "dim": args.dim,
-        "epochs": args.epochs,
-        "epoch_losses": losses,
-        "output": path,
-    }
+    return _save_trained(args, "train-glove", *glove.train_glove(table, vocab, config))
 
 
-def cmd_embed(args) -> dict:
-    embeddings = load_embeddings(_artifact(args.out, EMBEDDINGS_FILE, "embeddings"))
+def embed_stage(args, embeddings: EmbeddingMatrix) -> tuple[sentvec.SentenceVectors, dict]:
     phrases = corpus.load_labeled_phrases(args.labeled)
     vectors, report = sentvec.embed_dataset(phrases, embeddings, mode=args.aggregate)
     path = os.path.join(args.out, SENTVEC_FILE)
     sentvec.save_sentence_vectors(vectors, path)
-    return {
+    return vectors, {
         "command": "embed",
         "phrases": len(phrases),
         "class_counts": report.class_counts,
@@ -139,21 +170,15 @@ def cmd_embed(args) -> dict:
     }
 
 
-def cmd_ttest(args) -> dict:
-    vectors = sentvec.load_sentence_vectors(
-        _artifact(args.out, SENTVEC_FILE, "sentence vectors")
-    )
+def ttest_stage(args, vectors: sentvec.SentenceVectors) -> tuple[list, dict]:
     results, summary = stats.group_ttest(vectors, alpha=args.alpha)
     path = os.path.join(args.out, TTEST_FILE)
     stats.save_ttest_report(results, path)
     summary.update({"command": "ttest", "output": path})
-    return summary
+    return results, summary
 
 
-def cmd_cv(args) -> dict:
-    vectors = sentvec.load_sentence_vectors(
-        _artifact(args.out, SENTVEC_FILE, "sentence vectors")
-    )
+def cv_stage(args, vectors: sentvec.SentenceVectors) -> tuple[classifier.EvalReport, dict]:
     report = classifier.cross_validate(
         vectors, k=args.folds, lam=args.svm_lambda, epochs=args.svm_epochs,
         seed=args.seed,
@@ -162,7 +187,7 @@ def cmd_cv(args) -> dict:
     classifier.save_report(report, report_path)
     model_path = os.path.join(args.out, MODEL_FILE)
     classifier.save_model(report.model, model_path)
-    return {
+    return report, {
         "command": "cv",
         "folds": args.folds,
         "mean_accuracy": report.mean_accuracy,
@@ -175,24 +200,62 @@ def cmd_cv(args) -> dict:
     }
 
 
+def cmd_vocab(args) -> dict:
+    return vocab_stage(args, _read_sentences(args.corpus))[1]
+
+
+def cmd_cooccur(args) -> dict:
+    vocab = _load(args, VOCAB_FILE, "vocabulary", corpus.load_vocabulary)
+    return cooccur_stage(args, _encode(vocab, _read_sentences(args.corpus)))[1]
+
+
+def cmd_train_cbow(args) -> dict:
+    vocab = _load(args, VOCAB_FILE, "vocabulary", corpus.load_vocabulary)
+    return cbow_stage(args, _encode(vocab, _read_sentences(args.corpus)), vocab)[1]
+
+
+def cmd_train_glove(args) -> dict:
+    vocab = _load(args, VOCAB_FILE, "vocabulary", corpus.load_vocabulary)
+    table = _load(args, COOCCUR_FILE, "co-occurrence table", cooccur.load_table)
+    return glove_stage(args, table, vocab)[1]
+
+
+def cmd_embed(args) -> dict:
+    return embed_stage(args, _load(args, EMBEDDINGS_FILE, "embeddings", load_embeddings))[1]
+
+
+def cmd_ttest(args) -> dict:
+    vectors = _load(args, SENTVEC_FILE, "sentence vectors", sentvec.load_sentence_vectors)
+    return ttest_stage(args, vectors)[1]
+
+
+def cmd_cv(args) -> dict:
+    vectors = _load(args, SENTVEC_FILE, "sentence vectors", sentvec.load_sentence_vectors)
+    return cv_stage(args, vectors)[1]
+
+
 def cmd_pipeline(args) -> dict:
+    """Every stage in turn, each result handed on and dropped once used."""
     _require_file(args.corpus, "corpus file")
     _require_file(args.labeled, "labeled phrase file")
     summaries = {"command": "pipeline", "model": args.model}
-    summaries["vocab"] = cmd_vocab(args)
+    sentences = _read_sentences(args.corpus)
+    vocab, summaries["vocab"] = vocab_stage(args, sentences)
+    encoded = _encode(vocab, sentences)
+    del sentences
     if args.model == "glove":
-        summaries["cooccur"] = cmd_cooccur(args)
-        summaries["train"] = cmd_train_glove(args)
+        table, summaries["cooccur"] = cooccur_stage(args, encoded)
+        del encoded
+        embeddings, summaries["train"] = glove_stage(args, table, vocab)
+        del table
     else:
-        summaries["train"] = cmd_train_cbow(args)
-    summaries["embed"] = cmd_embed(args)
-    summaries["ttest"] = cmd_ttest(args)
-    summaries["cv"] = cmd_cv(args)
+        embeddings, summaries["train"] = cbow_stage(args, encoded, vocab)
+        del encoded
+    vectors, summaries["embed"] = embed_stage(args, embeddings)
+    del embeddings
+    summaries["ttest"] = ttest_stage(args, vectors)[1]
+    summaries["cv"] = cv_stage(args, vectors)[1]
     return summaries
-
-
-def _add_common_out(parser):
-    parser.add_argument("--out", required=True, help="artifact directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,102 +264,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train word embeddings and classify literal vs metaphorical phrases",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("vocab", help="build the vocabulary from a raw corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--min-count", type=int, default=5)
-    _add_common_out(p)
-    p.set_defaults(func=cmd_vocab)
-
-    p = sub.add_parser("cooccur", help="count co-occurrences over the corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--window", type=int, default=10)
-    p.add_argument(
-        "--cooccur-weighting", choices=cooccur.WEIGHTINGS, default="inverse_distance"
-    )
-    _add_common_out(p)
-    p.set_defaults(func=cmd_cooccur)
-
-    p = sub.add_parser("train-cbow", help="train CBOW word vectors")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common_out(p)
-    p.set_defaults(func=cmd_train_cbow)
-
-    p = sub.add_parser("train-glove", help="train GloVe word vectors")
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--epochs", type=int, default=15)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--xmax", type=float, default=100.0)
-    p.add_argument("--alpha-exp", type=float, default=0.75)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common_out(p)
-    p.set_defaults(func=cmd_train_glove)
-
-    p = sub.add_parser("embed", help="aggregate labeled phrases into sentence vectors")
-    p.add_argument("--labeled", required=True)
-    p.add_argument("--aggregate", choices=sentvec.MODES, default="mean")
-    _add_common_out(p)
-    p.set_defaults(func=cmd_embed)
-
-    p = sub.add_parser("ttest", help="Welch t-tests contrasting the two groups")
-    p.add_argument("--alpha", type=float, default=0.05)
-    _add_common_out(p)
-    p.set_defaults(func=cmd_ttest)
-
-    p = sub.add_parser("cv", help="k-fold cross-validated SVM evaluation")
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--svm-lambda", type=float, default=1e-4)
-    p.add_argument("--svm-epochs", type=int, default=100)
-    _add_common_out(p)
-    p.set_defaults(func=cmd_cv)
-
-    p = sub.add_parser("pipeline", help="run the whole chain in one shot")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--labeled", required=True)
-    p.add_argument("--model", choices=("cbow", "glove"), default="cbow")
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--window", type=int, default=None,
-                   help="CBOW radius (default 5) or GloVe span (default 10)")
-    p.add_argument("--epochs", type=int, default=None,
-                   help="default 5 for cbow, 15 for glove")
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--xmax", type=float, default=100.0)
-    p.add_argument("--alpha-exp", type=float, default=0.75)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-count", type=int, default=5)
-    p.add_argument("--aggregate", choices=sentvec.MODES, default="mean")
-    p.add_argument(
-        "--cooccur-weighting", choices=cooccur.WEIGHTINGS, default="inverse_distance"
-    )
-    p.add_argument("--svm-lambda", type=float, default=1e-4)
-    p.add_argument("--svm-epochs", type=int, default=100)
-    _add_common_out(p)
-    p.set_defaults(func=cmd_pipeline)
+    for name, (help_text, options, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in options.split():
+            p.add_argument(f"--{option}", **OPTIONS[option])
+        # looked up now, not at import, so a replaced cmd_* is the one run
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
-def _apply_pipeline_defaults(args) -> None:
-    if args.subcommand == "pipeline":
-        if args.window is None:
-            args.window = 5 if args.model == "cbow" else 10
-        if args.epochs is None:
-            args.epochs = 5 if args.model == "cbow" else 15
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse argv, filling an unset --window or --epochs from the model's defaults."""
+    args = build_parser().parse_args(argv)
+    model = COMMANDS[args.subcommand][2] or getattr(args, "model", None)
+    for option, value in MODEL_DEFAULTS.get(model, {}).items():
+        if getattr(args, option, 0) is None:
+            setattr(args, option, value)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _apply_pipeline_defaults(args)
+    args = parse_args(argv)
     try:
         if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
             raise MetlitError("seed must be >= 0")
@@ -304,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     except (MetlitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(summary)
+    print(json.dumps(summary, ensure_ascii=False))
     return 0
 
 

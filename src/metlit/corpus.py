@@ -81,7 +81,7 @@ def read_corpus_lines(path: str) -> Iterator[list[str]]:
 class Vocabulary:
     """Bidirectional word<->id map with corpus frequencies.
 
-    Ids are dense 0..size-1, assigned by descending frequency with
+    Ids are dense 0..len-1, assigned by descending frequency with
     lexicographic tie-break, so construction is deterministic.
     """
 
@@ -92,21 +92,11 @@ class Vocabulary:
         if len(self._ids) != len(self.words):
             raise CorpusError("duplicate word in vocabulary")
 
-    @property
-    def size(self) -> int:
-        return len(self.words)
-
     def __len__(self) -> int:
         return len(self.words)
 
     def __contains__(self, word: str) -> bool:
         return word in self._ids
-
-    def lookup(self, word: str) -> int:
-        return self._ids[word]
-
-    def word_of(self, wid: int) -> str:
-        return self.words[wid]
 
     def encode(self, tokens: Iterable[str]) -> list[int]:
         """Map tokens to ids, silently dropping out-of-vocabulary tokens."""
@@ -135,6 +125,8 @@ def count_tokens(sentences: Iterable[Iterable[str]]) -> Counter:
 
 
 def vocabulary_from_counts(counts: Counter, min_count: int = 1) -> Vocabulary:
+    if min_count < 1:
+        raise MetlitError("min_count must be >= 1")
     retained = [(w, c) for w, c in counts.items() if c >= min_count]
     if not retained:
         raise CorpusError(

@@ -83,6 +83,18 @@ class TestVocabCommand:
         assert "nope.txt" in err
         assert not out.exists()  # nothing written on failure
 
+    @pytest.mark.parametrize("command", ["vocab", "pipeline"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_min_count_below_one_is_a_one_line_error(self, workspace, capsys, command, value):
+        labeled = ["--labeled", workspace["labeled"]] if command == "pipeline" else []
+        code, summary, err = run_cli(capsys, [
+            command, "--corpus", workspace["corpus"], *labeled, "--min-count", value,
+            "--out", workspace["out"],
+        ])
+        assert code == 1 and summary is None
+        assert err == "error: min_count must be >= 1\n"
+        assert not os.path.exists(workspace["out"])
+
     def test_empty_corpus_is_an_error(self, tmp_path, capsys):
         corpus_path = tmp_path / "empty.txt"
         corpus_path.write_text("\n\n", encoding="utf-8")
@@ -528,17 +540,14 @@ class TestPipeline:
         assert os.path.isfile(os.path.join(workspace["out"], cli.COOCCUR_FILE))
 
     def test_pipeline_defaults_differ_by_model(self):
-        parser = cli.build_parser()
-        args = parser.parse_args(
+        args = cli.parse_args(
             ["pipeline", "--corpus", "c", "--labeled", "l", "--out", "o"]
         )
-        cli._apply_pipeline_defaults(args)
         assert args.window == 5 and args.epochs == 5
-        args = parser.parse_args(
+        args = cli.parse_args(
             ["pipeline", "--corpus", "c", "--labeled", "l", "--model", "glove",
              "--out", "o"]
         )
-        cli._apply_pipeline_defaults(args)
         assert args.window == 10 and args.epochs == 15
 
     def test_malformed_labeled_file_fails_with_line_number(
@@ -554,3 +563,98 @@ class TestPipeline:
         )
         assert code == 1
         assert "line 2" in err
+
+
+def _strip_dir(summary: dict, out: str) -> dict:
+    """The summary with the artifact directory cut from every path in it."""
+    return json.loads(json.dumps(summary).replace(json.dumps(out)[1:-1], "<out>"))
+
+
+class TestPipelineEqualsChain:
+    """`pipeline` hands each result on in memory, while the chain of single
+    commands reads it back from --out: both write the same bytes and report
+    the same summaries."""
+
+    def chain(self, workspace, model):
+        """Each stage's single command and its explicit settings, in order."""
+        corpus, labeled = workspace["corpus"], workspace["labeled"]
+        train = ["--dim", "6", "--epochs", "2", "--seed", "3"]
+        stages = [("vocab", "vocab", ["--corpus", corpus, "--min-count", "2"])]
+        if model == "glove":
+            stages += [
+                ("cooccur", "cooccur",
+                 ["--corpus", corpus, "--window", "4", "--cooccur-weighting", "flat"]),
+                ("train", "train-glove",
+                 train + ["--lr", "0.08", "--xmax", "20", "--alpha-exp", "0.6"]),
+            ]
+        else:
+            stages.append(("train", "train-cbow", train + [
+                "--corpus", corpus, "--window", "3", "--lr", "0.04", "--negatives", "3"]))
+        return stages + [
+            ("embed", "embed", ["--labeled", labeled, "--aggregate", "sum"]),
+            ("ttest", "ttest", ["--alpha", "0.1"]),
+            ("cv", "cv", ["--folds", "3", "--seed", "3", "--svm-lambda", "0.001",
+                          "--svm-epochs", "15"]),
+        ]
+
+    @pytest.mark.parametrize("model", ["cbow", "glove"])
+    def test_artifacts_and_summaries_match(self, workspace, tmp_path, capsys, model):
+        stages = self.chain(workspace, model)
+        settings = {}  # the pipeline's options: every stage's, merged
+        for _, _, argv in stages:
+            settings.update(zip(argv[::2], argv[1::2]))
+        whole, single = str(tmp_path / "pipeline"), str(tmp_path / "chain")
+        code, summary, _ = run_cli(capsys, [
+            "pipeline", "--model", model, *sum(settings.items(), ()), "--out", whole,
+        ])
+        assert code == 0
+        assert list(summary) == ["command", "model"] + [key for key, _, _ in stages]
+        for key, command, argv in stages:
+            code, alone, _ = run_cli(capsys, [command, *argv, "--out", single])
+            assert code == 0
+            assert _strip_dir(summary[key], whole) == _strip_dir(alone, single)
+        names = sorted(os.listdir(whole))
+        assert names == sorted(os.listdir(single))
+        assert (cli.COOCCUR_FILE in names) == (model == "glove")
+        for name in names:
+            with open(os.path.join(whole, name), "rb") as a, \
+                    open(os.path.join(single, name), "rb") as b:
+                assert a.read() == b.read(), name
+
+
+class TestParserDefaults:
+    """Every subcommand's parsed and resolved defaults, as recorded before
+    the options were gathered into one table."""
+
+    FROZEN = [
+        ("vocab --corpus c", {"corpus": "c", "min_count": 5}),
+        ("cooccur --corpus c",
+         {"corpus": "c", "window": 10, "cooccur_weighting": "inverse_distance"}),
+        ("train-cbow --corpus c",
+         {"corpus": "c", "dim": 100, "window": 5, "epochs": 5, "lr": 0.05,
+          "negatives": 5, "seed": 0}),
+        ("train-glove",
+         {"dim": 100, "epochs": 15, "lr": 0.05, "xmax": 100.0, "alpha_exp": 0.75,
+          "seed": 0}),
+        ("embed --labeled l", {"labeled": "l", "aggregate": "mean"}),
+        ("ttest", {"alpha": 0.05}),
+        ("cv", {"folds": 10, "seed": 0, "svm_lambda": 0.0001, "svm_epochs": 100}),
+    ] + [
+        (f"pipeline --corpus c --labeled l --model {model}",
+         {"corpus": "c", "labeled": "l", "model": model, "dim": 100,
+          "window": window, "epochs": epochs, "lr": 0.05, "negatives": 5,
+          "xmax": 100.0, "alpha_exp": 0.75, "alpha": 0.05, "folds": 10, "seed": 0,
+          "min_count": 5, "aggregate": "mean", "cooccur_weighting": "inverse_distance",
+          "svm_lambda": 0.0001, "svm_epochs": 100})
+        for model, window, epochs in (("cbow", 5, 5), ("glove", 10, 15))
+    ]
+
+    @pytest.mark.parametrize("argv, expected", FROZEN)
+    def test_defaults_are_frozen(self, monkeypatch, argv, expected):
+        argv = argv.split() + ["--out", "o"]
+        seen = {}
+        monkeypatch.setattr(cli, "cmd_" + argv[0].replace("-", "_"),
+                            lambda args: seen.update(vars(args)) or {})
+        assert cli.main(argv) == 0
+        del seen["func"]
+        assert seen == {"subcommand": argv[0], **expected, "out": "o"}

@@ -1,6 +1,6 @@
 import pytest
 
-from metlit import LITERAL, METAPHOR
+from metlit import LITERAL, METAPHOR, MetlitError
 from metlit.corpus import (
     CorpusError,
     LabeledPhrase,
@@ -59,9 +59,9 @@ class TestDecodeUtf8:
 class TestVocabulary:
     def test_counts_and_ids_min_count_1(self):
         vocab = vocabulary_from_counts(count_tokens([["a", "b", "a"]]), min_count=1)
-        assert vocab.size == 2
-        assert vocab.lookup("a") == 0 and vocab.freq["a"] == 2
-        assert vocab.lookup("b") == 1 and vocab.freq["b"] == 1
+        assert len(vocab) == 2
+        assert vocab._ids["a"] == 0 and vocab.freq["a"] == 2
+        assert vocab._ids["b"] == 1 and vocab.freq["b"] == 1
 
     def test_min_count_threshold_drops_rare_words(self):
         vocab = vocabulary_from_counts(count_tokens([["a", "b", "a"]]), min_count=2)
@@ -71,12 +71,17 @@ class TestVocabulary:
         with pytest.raises(CorpusError):
             vocabulary_from_counts(count_tokens([["x", "y"]]), min_count=3)
 
-    def test_ids_dense_and_lookup_inverts_word_of(self):
+    @pytest.mark.parametrize("min_count", [0, -3])
+    def test_min_count_below_one_is_an_error(self, min_count):
+        with pytest.raises(MetlitError, match=r"^min_count must be >= 1$"):
+            vocabulary_from_counts(count_tokens([["x", "y"]]), min_count=min_count)
+
+    def test_ids_dense_and_inverse_of_words(self):
         sentences = [["c", "a", "b", "a", "c", "c"]]
         vocab = build_vocabulary(sentences, min_count=1)
-        assert sorted(vocab.lookup(w) for w in vocab.words) == list(range(vocab.size))
-        for i in range(vocab.size):
-            assert vocab.lookup(vocab.word_of(i)) == i
+        assert sorted(vocab._ids[w] for w in vocab.words) == list(range(len(vocab)))
+        for i in range(len(vocab)):
+            assert vocab._ids[vocab.words[i]] == i
 
     def test_ordering_by_count_then_word(self):
         vocab = build_vocabulary([["b", "a", "b", "a", "c"]], min_count=1)
