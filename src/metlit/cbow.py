@@ -2,9 +2,9 @@
 
 Predicts a center word from the mean of its context vectors. Training
 minimizes the negative-sampling surrogate of J = -log P(center | context)
-over minibatches of windows. The per-window functions below (exact
-softmax and negative sampling) are the references the batched step and
-the gradient checks are measured against.
+over minibatches of windows. The per-window losses and gradients below
+(exact softmax and negative sampling) are the references the gradient
+checks and the per-window steps in tests/helpers.py are built on.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import MetlitError
 from .corpus import Vocabulary, flatten
-from .embeddings import EmbeddingMatrix
+from .embeddings import EmbeddingMatrix, batch_plan
 
 LR_FLOOR_FRACTION = 1e-4  # linear decay ends at lr0 * this
 
@@ -31,14 +31,6 @@ class ContextWindow:
 class CbowModel:
     input_vectors: np.ndarray   # (V, D) context side
     output_vectors: np.ndarray  # (V, D) center side
-
-    @property
-    def dim(self) -> int:
-        return self.input_vectors.shape[1]
-
-    @property
-    def vocab_size(self) -> int:
-        return self.input_vectors.shape[0]
 
     def copy(self) -> "CbowModel":
         return CbowModel(self.input_vectors.copy(), self.output_vectors.copy())
@@ -60,15 +52,6 @@ def context_mean(model: CbowModel, window: ContextWindow) -> np.ndarray:
     if not window.context:
         raise MetlitError("empty context window")
     return model.input_vectors[window.context].mean(axis=0)
-
-
-def exact_probabilities(model: CbowModel, window: ContextWindow) -> np.ndarray:
-    """Full softmax over the vocabulary for the window's context mean."""
-    h = context_mean(model, window)
-    logits = model.output_vectors @ h
-    logits -= logits.max()
-    exp = np.exp(logits)
-    return exp / exp.sum()
 
 
 def loss_exact(model: CbowModel, window: ContextWindow) -> float:
@@ -101,17 +84,6 @@ def exact_gradients(
     return loss, grad_output, grad_h
 
 
-def sgd_step_exact(model: CbowModel, window: ContextWindow, lr: float) -> float:
-    """Apply one exact-softmax gradient step in place; return pre-step loss."""
-    if lr < 0:
-        raise MetlitError("learning rate must be >= 0")
-    loss, grad_output, grad_h = exact_gradients(model, window)
-    ctx = np.asarray(window.context)
-    model.output_vectors -= lr * grad_output
-    np.add.at(model.input_vectors, ctx, -lr * grad_h / len(ctx))
-    return loss
-
-
 class UnigramSampler:
     """Draws noise words from unigram frequency raised to the 0.75 power."""
 
@@ -130,19 +102,6 @@ class UnigramSampler:
 
     def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
         return np.searchsorted(self._cumulative, rng.random(k), side="right")
-
-
-def sample_negatives(
-    sampler: UnigramSampler, rng: np.random.Generator, center: int, k: int
-) -> list[int]:
-    """Draw k negatives; a draw equal to the center is resampled once, then dropped."""
-    negatives = sampler.draw(rng, k)
-    collisions = negatives == center
-    if collisions.any():
-        redraws = sampler.draw(rng, int(collisions.sum()))
-        negatives = negatives.copy()
-        negatives[collisions] = redraws
-    return [int(n) for n in negatives if n != center]
 
 
 def negative_loss(
@@ -180,25 +139,6 @@ def negative_gradients(
     return loss, rows, grad_rows, grad_h
 
 
-def sgd_step_negative(
-    model: CbowModel,
-    window: ContextWindow,
-    lr: float,
-    k: int,
-    sampler: UnigramSampler,
-    rng: np.random.Generator,
-) -> float:
-    """Apply one negative-sampling step in place; return pre-step loss."""
-    if k < 1:
-        raise MetlitError("negatives count must be >= 1")
-    negatives = sample_negatives(sampler, rng, window.center, k)
-    loss, rows, grad_rows, grad_h = negative_gradients(model, window, negatives)
-    ctx = np.asarray(window.context)
-    np.add.at(model.output_vectors, rows, -lr * grad_rows)
-    np.add.at(model.input_vectors, ctx, -lr * grad_h / len(ctx))
-    return loss
-
-
 @dataclass
 class CbowConfig:
     dim: int = 100
@@ -208,9 +148,22 @@ class CbowConfig:
     negatives: int = 5
     seed: int = 0
 
+    def check(self) -> None:
+        """Raise on a setting train_cbow cannot train with."""
+        if self.lr <= 0:
+            raise MetlitError("learning rate must be > 0")
+        if self.epochs < 0:
+            raise MetlitError("epochs must be >= 0")
+        if self.negatives < 1:
+            raise MetlitError("negatives count must be >= 1")
+        if self.window < 1:
+            raise MetlitError("window radius must be >= 1")
+        if self.dim < 1:
+            raise MetlitError("dim must be >= 1")
+
 
 BATCH = 32           # windows per SGD step
-CHUNK_WINDOWS = 4096  # windows built and given negatives at a time
+CHUNK_WINDOWS = 1024  # windows built, given negatives and planned at a time
 LOOKAHEAD = 256      # windows scanned at once for center collisions
 
 
@@ -243,11 +196,11 @@ def build_windows(
 
 
 class NegativeStream:
-    """Negatives for consecutive windows, drawn as sample_negatives draws them.
+    """Negatives for consecutive windows, drawn as one window at a time would.
 
     Each window takes k draws, then one redraw per draw equal to its center,
-    from one rng. Draws come in blocks; the unused tail of a block carries
-    over to the next call.
+    from one rng; a redraw equal to the center again is dropped. Draws come
+    in blocks; the unused tail of a block carries over to the next call.
     """
 
     def __init__(self, sampler: UnigramSampler, rng: np.random.Generator, k: int):
@@ -290,43 +243,67 @@ class NegativeStream:
         return negatives, negatives != centers[:, None]
 
 
-def _batch_step(params, context, counts, rows, kept, lr, pads):
-    """One summed negative-sampling step over a batch; returns the loss sum.
+def _plan_chunk(context, counts, rows, lr, n_rows):
+    """The parameter-free part of every BATCH step over a chunk of windows.
+
+    Returns (touched, starts, cells, weight): batch k of n windows updates
+    the rows touched[starts[k]:starts[k + 1]], and entry (r, c) of
+    [context | rows] adds weight[r, c] to cell cells[r, c] of its (touched,
+    2n) matrix m, in column b for window b's context and n + b for its
+    output rows. The step fills in the output weights.
+    """
+    batch = BATCH
+    touched, starts, slot = batch_plan(np.hstack([context, rows]), n_rows, batch)
+    window = np.arange(len(counts))
+    n = np.minimum(batch, len(counts) - window // batch * batch)[:, None]
+    b = (window % batch)[:, None]
+    cells = slot * 2 * n + np.where(np.arange(slot.shape[1]) < context.shape[1], b, b + n)
+    weight = np.empty(slot.shape)
+    weight[:, :context.shape[1]] = (-lr / counts)[:, None]
+    return touched, starts, cells, weight
+
+
+def _batch_step(params, context, counts, rows, kept, lr, touched, cells, weight, pads):
+    """One summed negative-sampling step over a batch; returns its pre-step scores.
 
     `params` stacks the input rows, a zero row, the output rows and a zero
     row; `rows` index its output half (center, then negatives). Every
     window's gradient is taken at the pre-step parameters, as
     negative_gradients takes it, and rows shared between windows
     accumulate every contribution. Padding and dropped negatives point at
-    the zero rows `pads`, which are cleared again afterwards.
+    the zero rows `pads`, which are cleared again afterwards. The batch's
+    share of _plan_chunk gives `touched`, `cells` and `weight`.
     """
     n = len(counts)
     h = params.take(context.T, axis=0).sum(axis=0) / counts[:, None]
     out = params.take(rows, axis=0)
     scores = np.matmul(out, h[:, :, None])[..., 0]
-    loss = np.logaddexp(0.0, -scores[:, 0]).sum()
-    loss += np.logaddexp(0.0, scores[:, 1:]).sum(where=kept)
     coeff = 1.0 / (1.0 + np.exp(-scores))
     coeff[:, 0] -= 1.0
     coeff[:, 1:] *= kept
     grad_h = np.matmul(coeff[:, None, :], out)[:, 0]
     # Scatter-add both updates as one product, which is faster than
-    # np.add.at on rows: touched row r gains sum_b m[r, b] * [grad_h; h][b],
-    # where m holds -lr/count per context occurrence of window b (column
-    # b) and -lr*coeff per output row of window b (column n + b).
-    touched, slot = np.unique(np.hstack([context, rows]), return_inverse=True)
-    window = np.arange(n)[:, None]
-    column = np.hstack([
-        np.broadcast_to(window, context.shape), np.broadcast_to(window + n, rows.shape)
-    ])
-    weight = np.hstack([
-        np.broadcast_to((-lr / counts)[:, None], context.shape), -lr[:, None] * coeff
-    ])
-    m = np.zeros((len(touched), 2 * n))
-    np.add.at(m, (slot.reshape(n, -1), column), weight)
-    params[touched] += m @ np.vstack([grad_h, h])
+    # np.add.at on rows: touched row r gains sum_b m[r, b] * [grad_h; h][b].
+    # bincount adds in the order np.add.at does, so m is the same bits.
+    np.multiply(-lr[:, None], coeff, out=weight[:, context.shape[1]:])
+    m = np.bincount(cells.ravel(), weight.ravel(), len(touched) * 2 * n)
+    params[touched] += m.reshape(-1, 2 * n) @ np.vstack([grad_h, h])
     params[pads] = 0.0
-    return float(loss)
+    return scores
+
+
+def _batch_losses(scores, kept):
+    """Each BATCH's loss sum over a chunk's pre-step scores, summed as the
+    batch's own -log sig(s_center) and -log sig(-s_negative) sums are."""
+    batch, k = BATCH, kept.shape[1]
+    pos, neg = np.logaddexp(0.0, -scores[:, 0]), np.logaddexp(0.0, scores[:, 1:])
+    full = len(pos) - len(pos) % batch
+    keep = kept[:full].reshape(-1, batch * k)
+    sums = (pos[:full].reshape(-1, batch).sum(axis=1)
+            + neg[:full].reshape(-1, batch * k).sum(axis=1, where=keep))
+    if full < len(pos):  # the last, shorter batch
+        sums = np.append(sums, pos[full:].sum() + neg[full:].sum(where=kept[full:]))
+    return sums
 
 
 def train_cbow(
@@ -339,16 +316,9 @@ def train_cbow(
     The final embeddings are the input (context-side) vectors. Sentence
     order is reshuffled each epoch from the seed, and training is
     bit-reproducible for a given seed. Windows are stepped BATCH at a time;
-    with BATCH = 1 this is the per-window loop of sgd_step_negative.
+    with BATCH = 1 this is the per-window negative-sampling loop.
     """
-    if config.lr <= 0:
-        raise MetlitError("learning rate must be > 0")
-    if config.epochs < 0:
-        raise MetlitError("epochs must be >= 0")
-    if config.negatives < 1:
-        raise MetlitError("negatives count must be >= 1")
-    if config.window < 1:
-        raise MetlitError("window radius must be >= 1")
+    config.check()
     sentences = [s for s in sentences if s]
     if not sentences:
         raise MetlitError("empty corpus")
@@ -387,11 +357,18 @@ def train_cbow(
                 lr = _window_schedule(
                     config.lr, epoch * windows_per_epoch + where, total
                 )
-                for b in range(0, len(where), BATCH):
+                touched, starts, cells, weight = _plan_chunk(
+                    context, counts, rows, lr, len(params)
+                )
+                scores = np.empty(rows.shape)
+                for k, b in enumerate(range(0, len(where), BATCH)):
                     s = slice(b, b + BATCH)
-                    loss_sum += _batch_step(
-                        params, context[s], counts[s], rows[s], kept[s], lr[s], pads
+                    scores[s] = _batch_step(
+                        params, context[s], counts[s], rows[s], kept[s], lr[s],
+                        touched[starts[k]:starts[k + 1]], cells[s], weight[s], pads,
                     )
+                for batch_loss in _batch_losses(scores, kept).tolist():
+                    loss_sum += batch_loss
         if not np.isfinite(params).all():
             raise MetlitError(f"non-finite parameters after epoch {epoch}")
         epoch_losses.append(loss_sum / len(positions) if len(positions) else 0.0)

@@ -141,16 +141,25 @@ def _fit(vectors: SentenceVectors, rows: np.ndarray, seed: int, lam: float,
     return SvmModel(w[:dim], float(w[dim]), lam, mean, std), updates
 
 
+def check_svm(lam: float, epochs: int) -> None:
+    if not lam > 0:
+        raise MetlitError("svm lambda must be > 0")
+    if epochs < 0:
+        raise MetlitError("svm epochs must be >= 0")
+
+
+def check_folds(k: int) -> None:
+    if k < 2:
+        raise MetlitError("k must be >= 2")
+
+
 def _pegasos(vectors: SentenceVectors, runs: list[tuple[np.ndarray, int]], lam: float,
              epochs: int, violations: list[int] | None = None) -> list[SvmModel]:
     """Fit one model per (training rows, seed) run, one `_fit` after another.
 
     If `violations` is a list, each run appends its count of updating steps.
     """
-    if not lam > 0:
-        raise MetlitError("svm lambda must be > 0")
-    if epochs < 0:
-        raise MetlitError("svm epochs must be >= 0")
+    check_svm(lam, epochs)
     fits = [_fit(vectors, rows, seed, lam, epochs) for rows, seed in runs]
     if violations is not None:
         violations.extend(updates for _, updates in fits)
@@ -203,8 +212,7 @@ def kfold_split(
     rotating which folds receive the leftover extras so per-fold class
     counts stay within one of the class's even share.
     """
-    if k < 2:
-        raise MetlitError("k must be >= 2")
+    check_folds(k)
     if k > n:
         raise MetlitError(f"k={k} exceeds dataset size n={n}")
     rng = np.random.default_rng(seed)

@@ -137,20 +137,28 @@ def _save_trained(args, command: str, embeddings: EmbeddingMatrix, losses: list[
     }
 
 
-def cbow_stage(args, encoded: list[list[int]], vocab: corpus.Vocabulary):
-    config = cbow.CbowConfig(
+def _cbow_config(args) -> cbow.CbowConfig:
+    return cbow.CbowConfig(
         dim=args.dim, window=args.window, epochs=args.epochs, lr=args.lr,
         negatives=args.negatives, seed=args.seed,
     )
-    return _save_trained(args, "train-cbow", *cbow.train_cbow(encoded, vocab, config))
 
 
-def glove_stage(args, table: np.ndarray, vocab: corpus.Vocabulary):
-    config = glove.GloveConfig(
+def _glove_config(args) -> glove.GloveConfig:
+    return glove.GloveConfig(
         dim=args.dim, lr=args.lr, epochs=args.epochs,
         params=glove.WeightParams(a=args.alpha_exp, x_max=args.xmax),
         seed=args.seed,
     )
+
+
+def cbow_stage(args, encoded: list[list[int]], vocab: corpus.Vocabulary):
+    config = _cbow_config(args)
+    return _save_trained(args, "train-cbow", *cbow.train_cbow(encoded, vocab, config))
+
+
+def glove_stage(args, table: np.ndarray, vocab: corpus.Vocabulary):
+    config = _glove_config(args)
     return _save_trained(args, "train-glove", *glove.train_glove(table, vocab, config))
 
 
@@ -235,7 +243,17 @@ def cmd_cv(args) -> dict:
 
 
 def cmd_pipeline(args) -> dict:
-    """Every stage in turn, each result handed on and dropped once used."""
+    """Every stage in turn, each result handed on and dropped once used;
+    every stage's settings are checked before any input is read."""
+    corpus.check_min_count(args.min_count)
+    if args.model == "glove":
+        cooccur.check_settings(args.window, args.cooccur_weighting)
+        _glove_config(args).check()
+    else:
+        _cbow_config(args).check()
+    stats.check_alpha(args.alpha)
+    classifier.check_folds(args.folds)
+    classifier.check_svm(args.svm_lambda, args.svm_epochs)
     _require_file(args.corpus, "corpus file")
     _require_file(args.labeled, "labeled phrase file")
     summaries = {"command": "pipeline", "model": args.model}

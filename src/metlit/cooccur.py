@@ -21,6 +21,13 @@ WEIGHTINGS = ("flat", "inverse_distance")
 RECORD = np.dtype([("i", "<u4"), ("j", "<u4"), ("x", "<f8")])
 
 
+def check_settings(window: int, weighting: str) -> None:
+    if weighting not in WEIGHTINGS:
+        raise MetlitError(f"weighting must be one of {WEIGHTINGS}")
+    if window < 1:
+        raise MetlitError("window must be >= 1")
+
+
 def build_cooccurrence(
     sentences: Sequence[Sequence[int]],
     window: int = 10,
@@ -32,10 +39,7 @@ def build_cooccurrence(
     (flat) or 1/d (inverse_distance) to both X_ij and X_ji, twice to X_ii
     when i == j. Windows never cross sentence boundaries.
     """
-    if weighting not in WEIGHTINGS:
-        raise MetlitError(f"weighting must be one of {WEIGHTINGS}")
-    if window < 1:
-        raise MetlitError("window must be >= 1")
+    check_settings(window, weighting)
     tokens, sentence_ids = flatten(sentences)
     n = len(tokens)
     owner = np.append(sentence_ids, -1)  # -1: every partner past the end

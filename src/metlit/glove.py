@@ -14,9 +14,10 @@ import numpy as np
 
 from . import MetlitError
 from .corpus import Vocabulary
-from .embeddings import EmbeddingMatrix
+from .embeddings import EmbeddingMatrix, batch_plan
 
-BATCH = 32  # records per AdaGrad step
+BATCH = 32            # records per AdaGrad step
+CHUNK_RECORDS = 1024  # records planned at a time
 
 
 @dataclass
@@ -89,29 +90,6 @@ def pair_gradients(
     return loss, common * model.w_tilde[j], common * model.w[i], common, common
 
 
-def adagrad_step(
-    model: GloveModel, i: int, j: int, x: float, lr0: float,
-    params: WeightParams = WeightParams(),
-) -> float:
-    """One AdaGrad update on entry (i, j); returns the pre-step loss.
-
-    Updates use the accumulators as they stand, then the squared gradients
-    are added, matching the usual convention for this objective.
-    """
-    if lr0 <= 0:
-        raise MetlitError("lr0 must be positive")
-    loss, d_wi, d_wtj, d_bi, d_btj = pair_gradients(model, i, j, x, params)
-    model.w[i] -= lr0 * d_wi / np.sqrt(model.acc_w[i])
-    model.w_tilde[j] -= lr0 * d_wtj / np.sqrt(model.acc_w_tilde[j])
-    model.b[i] -= lr0 * d_bi / math.sqrt(model.acc_b[i])
-    model.b_tilde[j] -= lr0 * d_btj / math.sqrt(model.acc_b_tilde[j])
-    model.acc_w[i] += d_wi * d_wi
-    model.acc_w_tilde[j] += d_wtj * d_wtj
-    model.acc_b[i] += d_bi * d_bi
-    model.acc_b_tilde[j] += d_btj * d_btj
-    return loss
-
-
 def total_loss(
     model: GloveModel, table: np.ndarray,
     params: WeightParams = WeightParams(),
@@ -132,23 +110,33 @@ class GloveConfig:
         if self.params is None:
             self.params = WeightParams()
 
+    def check(self) -> None:
+        """Raise on a setting train_glove cannot train with."""
+        if self.lr <= 0:
+            raise MetlitError("learning rate must be > 0")
+        if self.epochs < 0:
+            raise MetlitError("epochs must be >= 0")
+        if self.dim < 1:
+            raise MetlitError("dim must be >= 1")
 
-def _batch_step(params, acc, rows, weight, log_x, lr):
-    """One AdaGrad step over n records, rows i then V + j of `params`
-    ([w | b] then [w~ | b~]); returns the sum of their pre-step losses."""
-    n, d = len(weight), params.shape[1] - 1
-    q = params.take(rows, axis=0)
-    residual = np.einsum("nd,nd->n", q[:n, :d], q[n:, :d]) + q[:n, d] + q[n:, d] - log_x
+
+def _batch_step(params, acc, pairs, weight, log_x, lr, touched, cells):
+    """One AdaGrad step over n records, rows pairs[r] = (i, V + j) of
+    `params` ([w | b] then [w~ | b~]); returns the sum of their pre-step
+    losses. The batch updates the rows `touched`, and cells[r, c] are the
+    d + 1 cells of row pairs[r, c] in the flat (touched, d + 1) sums."""
+    d = params.shape[1] - 1
+    q = params.take(pairs, axis=0)
+    main, context = q[:, 0], q[:, 1]
+    residual = (np.einsum("nd,nd->n", main[:, :d], context[:, :d])
+                + main[:, d] + context[:, d] - log_x)
     loss = float(weight @ (residual * residual))
-    common = 2.0 * weight * residual
     # row i's gradient is common * [w~_j | 1], row V + j's is common * [w_i | 1]
-    grad = np.concatenate([q[n:], q[:n]])
-    grad[:, d] = 1.0
-    grad *= np.concatenate([common, common])[:, None]
+    grad = q[:, ::-1].copy()
+    grad[:, :, d] = 1.0
+    grad *= (2.0 * weight * residual)[:, None, None]
     # a row repeated in the batch adds its gradients and squared gradients
-    touched, slot = np.unique(rows, return_inverse=True)
-    cells = (slot[:, None] * (d + 1) + np.arange(d + 1)).ravel()
-    g, s = (np.bincount(cells, v.ravel(), touched.size * (d + 1)).reshape(-1, d + 1)
+    g, s = (np.bincount(cells.ravel(), v.ravel(), touched.size * (d + 1)).reshape(-1, d + 1)
             for v in (grad, grad * grad))
     params[touched] -= lr * g / np.sqrt(acc[touched])
     acc[touched] += s
@@ -165,14 +153,12 @@ def train_glove(
     `table` is a cooccur.RECORD array whose word ids index `vocab`. Each
     epoch visits the records in seeded shuffled order, BATCH at a time, and
     takes each record's loss and gradient at its batch's pre-step
-    parameters: a batch of one is the per-record loop of adagrad_step. The
+    parameters: a batch of one is the per-record AdaGrad loop. The batches
+    of CHUNK_RECORDS records are planned at once by batch_plan. The
     loss per epoch is the sum of those losses. Divergence is surfaced:
     non-finite parameters or a non-finite loss raise, never clipped.
     """
-    if config.lr <= 0:
-        raise MetlitError("learning rate must be > 0")
-    if config.epochs < 0:
-        raise MetlitError("epochs must be >= 0")
+    config.check()
     if not len(table):
         raise MetlitError("empty co-occurrence table")
     top = max(table["i"].max(), table["j"].max())
@@ -187,19 +173,25 @@ def train_glove(
                         np.column_stack([model.w_tilde, model.b_tilde])])
     acc = np.ones_like(params)
     weight, log_x = weights(table["x"], config.params), np.log(table["x"])
-    rows = np.stack([table["i"], table["j"]]).astype(np.intp) + [[0], [v]]
+    rows = np.column_stack([table["i"], table["j"]]).astype(np.intp) + [0, v]
+    chunk = BATCH * max(1, CHUNK_RECORDS // BATCH)
     shuffle_rng = np.random.default_rng(config.seed + 1)
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(table))
-        pairs, f, ln_x = rows[:, order], weight[order], log_x[order]
         epoch_loss = 0.0
         with np.errstate(all="ignore"):
-            for b in range(0, len(order), BATCH):
-                s = slice(b, b + BATCH)
-                epoch_loss += _batch_step(
-                    params, acc, pairs[:, s].ravel(), f[s], ln_x[s], config.lr
-                )
+            for a in range(0, len(order), chunk):
+                part = order[a:a + chunk]
+                pairs, f, ln_x = rows[part], weight[part], log_x[part]
+                touched, starts, slot = batch_plan(pairs, 2 * v, BATCH)
+                cells = slot[:, :, None] * (config.dim + 1) + np.arange(config.dim + 1)
+                for k, b in enumerate(range(0, len(part), BATCH)):
+                    s = slice(b, b + BATCH)
+                    epoch_loss += _batch_step(
+                        params, acc, pairs[s], f[s], ln_x[s], config.lr,
+                        touched[starts[k]:starts[k + 1]], cells[s],
+                    )
         if not np.isfinite(params).all():
             raise MetlitError(f"non-finite parameters after epoch {epoch}")
         if not math.isfinite(epoch_loss):

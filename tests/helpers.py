@@ -9,12 +9,13 @@ from metlit.cbow import (
     LR_FLOOR_FRACTION,
     ContextWindow,
     UnigramSampler,
+    exact_gradients,
     init_model,
-    sgd_step_negative,
+    negative_gradients,
 )
 from metlit.classifier import FoldMetrics, SvmModel
 from metlit.embeddings import EmbeddingMatrix
-from metlit.glove import adagrad_step
+from metlit.glove import WeightParams, pair_gradients
 from metlit.glove import init_model as init_glove
 from metlit.sentvec import SentenceVectors
 
@@ -234,6 +235,40 @@ def reference_evaluate_fold(model, test):
     return FoldMetrics(accuracy=accuracy, precision=precision, tp=tp, fp=fp, tn=tn, fn=fn)
 
 
+def sgd_step_exact(model, window, lr):
+    """Apply one exact-softmax gradient step in place; return pre-step loss."""
+    if lr < 0:
+        raise MetlitError("learning rate must be >= 0")
+    loss, grad_output, grad_h = exact_gradients(model, window)
+    ctx = np.asarray(window.context)
+    model.output_vectors -= lr * grad_output
+    np.add.at(model.input_vectors, ctx, -lr * grad_h / len(ctx))
+    return loss
+
+
+def sample_negatives(sampler, rng, center, k):
+    """Draw k negatives; a draw equal to the center is resampled once, then dropped."""
+    negatives = sampler.draw(rng, k)
+    collisions = negatives == center
+    if collisions.any():
+        redraws = sampler.draw(rng, int(collisions.sum()))
+        negatives = negatives.copy()
+        negatives[collisions] = redraws
+    return [int(n) for n in negatives if n != center]
+
+
+def sgd_step_negative(model, window, lr, k, sampler, rng):
+    """Apply one negative-sampling step in place; return pre-step loss."""
+    if k < 1:
+        raise MetlitError("negatives count must be >= 1")
+    negatives = sample_negatives(sampler, rng, window.center, k)
+    loss, rows, grad_rows, grad_h = negative_gradients(model, window, negatives)
+    ctx = np.asarray(window.context)
+    np.add.at(model.output_vectors, rows, -lr * grad_rows)
+    np.add.at(model.input_vectors, ctx, -lr * grad_h / len(ctx))
+    return loss
+
+
 def iterate_windows(ids, m):
     """Yield one window per position; edge windows are truncated, not padded."""
     if m < 1:
@@ -295,6 +330,26 @@ def reference_cooccurrence(sentences, window, weighting):
                 entries[(i, j)] = entries.get((i, j), 0.0) + weight
                 entries[(j, i)] = entries.get((j, i), 0.0) + weight
     return entries
+
+
+def adagrad_step(model, i, j, x, lr0, params=WeightParams()):
+    """One AdaGrad update on entry (i, j); returns the pre-step loss.
+
+    Updates use the accumulators as they stand, then the squared gradients
+    are added, matching the usual convention for this objective.
+    """
+    if lr0 <= 0:
+        raise MetlitError("lr0 must be positive")
+    loss, d_wi, d_wtj, d_bi, d_btj = pair_gradients(model, i, j, x, params)
+    model.w[i] -= lr0 * d_wi / np.sqrt(model.acc_w[i])
+    model.w_tilde[j] -= lr0 * d_wtj / np.sqrt(model.acc_w_tilde[j])
+    model.b[i] -= lr0 * d_bi / math.sqrt(model.acc_b[i])
+    model.b_tilde[j] -= lr0 * d_btj / math.sqrt(model.acc_b_tilde[j])
+    model.acc_w[i] += d_wi * d_wi
+    model.acc_w_tilde[j] += d_wtj * d_wtj
+    model.acc_b[i] += d_bi * d_bi
+    model.acc_b_tilde[j] += d_btj * d_btj
+    return loss
 
 
 def reference_train_glove(table, vocab, config):

@@ -446,12 +446,12 @@ def test_reproducibility(check, tmp_path, capsys):
         cli.VOCAB_FILE, cli.EMBEDDINGS_FILE, cli.SENTVEC_FILE,
         cli.TTEST_FILE, cli.CV_FILE, cli.MODEL_FILE,
     ]
-    mismatched = [
-        name
-        for name in names
-        if open(os.path.join(outs[0], name), "rb").read()
-        != open(os.path.join(outs[1], name), "rb").read()
-    ]
+
+    def read(out, name):
+        with open(os.path.join(out, name), "rb") as fh:
+            return fh.read()
+
+    mismatched = [name for name in names if read(outs[0], name) != read(outs[1], name)]
     ok = not mismatched
     check(
         "identical-seed pipelines byte-identical",

@@ -13,14 +13,10 @@ from metlit.cbow import (
     build_windows,
     context_mean,
     exact_gradients,
-    exact_probabilities,
     init_model,
     loss_exact,
     negative_gradients,
     negative_loss,
-    sample_negatives,
-    sgd_step_exact,
-    sgd_step_negative,
     train_cbow,
 )
 from metlit.corpus import build_vocabulary, flatten
@@ -31,6 +27,9 @@ from helpers import (
     mean_cosine,
     numeric_grad,
     reference_train_cbow,
+    sample_negatives,
+    sgd_step_exact,
+    sgd_step_negative,
     two_topic_corpus,
 )
 
@@ -88,7 +87,9 @@ class TestExactLoss:
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(0)
         model = random_model(rng, 7, 4)
-        probs = exact_probabilities(model, ContextWindow(3, [1, 2, 5]))
+        # the softmax probability of each center is exp(-loss_exact)
+        probs = np.array([math.exp(-loss_exact(model, ContextWindow(c, [1, 2, 5])))
+                          for c in range(7)])
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert (probs > 0).all()
 
@@ -299,8 +300,9 @@ class TestTrainCbow:
         assert intra > inter
 
 
-def batch_step(model, windows, negatives, lrs):
-    """Run the batched kernel on explicit windows and negatives, in place.
+def batch_step(monkeypatch, model, windows, negatives, lrs):
+    """Run the batched kernel on explicit windows and negatives, in place,
+    as one batch planned by _plan_chunk.
 
     `negatives` lists each window's kept negatives; the kernel sees them
     padded to a common width with the rest marked not kept.
@@ -318,13 +320,16 @@ def batch_step(model, windows, negatives, lrs):
     counts = np.array([len(w.context) for w in windows])
     centers = np.array([w.center for w in windows])
     rows = np.hstack([centers[:, None], negs]) + v + 1
-    loss = cbow._batch_step(
-        params, context, counts, rows, negs != v, np.asarray(lrs, dtype=float),
+    lrs, kept = np.asarray(lrs, dtype=float), negs != v
+    monkeypatch.setattr(cbow, "BATCH", len(windows))
+    touched, _, cells, weight = cbow._plan_chunk(context, counts, rows, lrs, len(params))
+    scores = cbow._batch_step(
+        params, context, counts, rows, kept, lrs, touched, cells, weight,
         np.array([v, 2 * v + 1]),
     )
     model.input_vectors[:] = params[:v]
     model.output_vectors[:] = params[v + 1:-1]
-    return loss
+    return float(cbow._batch_losses(scores, kept)[0])
 
 
 class PlannedDraws:
@@ -362,7 +367,7 @@ class TestBatchedKernel:
         assert np.abs(emb.vectors - ref.vectors).max() <= 1e-12
         assert np.allclose(losses, ref_losses, rtol=0, atol=1e-12)
 
-    def test_disjoint_windows_equal_two_sequential_steps(self):
+    def test_disjoint_windows_equal_two_sequential_steps(self, monkeypatch):
         rng = np.random.default_rng(12)
         model = random_model(rng, 10, 4)
         sampler = UnigramSampler(np.ones(10))
@@ -372,12 +377,12 @@ class TestBatchedKernel:
         draws = PlannedDraws(planned[0] + planned[1], 10)
         loss = sgd_step_negative(expected, first, 0.3, 2, sampler, draws)
         loss += sgd_step_negative(expected, second, 0.2, 2, sampler, draws)
-        got = batch_step(model, [first, second], planned, [0.3, 0.2])
+        got = batch_step(monkeypatch, model, [first, second], planned, [0.3, 0.2])
         assert got == pytest.approx(loss, rel=1e-12)
         assert np.abs(model.input_vectors - expected.input_vectors).max() <= 1e-12
         assert np.abs(model.output_vectors - expected.output_vectors).max() <= 1e-12
 
-    def test_shared_rows_accumulate_every_contribution(self):
+    def test_shared_rows_accumulate_every_contribution(self, monkeypatch):
         rng = np.random.default_rng(13)
         model = random_model(rng, 8, 3)
         # word 2 is context of both windows; word 4 is a negative twice in
@@ -393,9 +398,51 @@ class TestBatchedKernel:
                 expected_out[row] -= lr * grad
             for c in win.context:
                 expected_in[c] -= lr * grad_h / len(win.context)
-        batch_step(model, windows, negatives, lrs)
+        batch_step(monkeypatch, model, windows, negatives, lrs)
         assert np.abs(model.input_vectors - expected_in).max() <= 1e-12
         assert np.abs(model.output_vectors - expected_out).max() <= 1e-12
+
+    def test_planned_bincount_equals_add_at_bitwise(self, monkeypatch):
+        # the scatter matrix of each batch, built from the chunk's plan by
+        # np.bincount, against np.unique and np.add.at on the batch alone;
+        # few ids and padding make duplicate cells common, and the last of
+        # the 23 windows is a batch of 3
+        rng = np.random.default_rng(16)
+        v, n_windows, batch = 6, 23, 5
+        monkeypatch.setattr(cbow, "BATCH", batch)
+        context = rng.integers(0, v + 1, (n_windows, 4))
+        counts = rng.integers(1, 5, n_windows)
+        rows = rng.integers(v + 1, 2 * v + 2, (n_windows, 3))
+        lr = rng.uniform(0.01, 1.0, n_windows)
+        touched, starts, cells, weight = cbow._plan_chunk(context, counts, rows, lr, 2 * v + 2)
+        weight[:, 4:] = rng.normal(0, 1, rows.shape) * 10.0 ** rng.integers(-9, 9, rows.shape)
+        for k, b in enumerate(range(0, n_windows, batch)):
+            s = slice(b, b + batch)
+            n = len(counts[s])
+            ids, slot = np.unique(np.hstack([context[s], rows[s]]), return_inverse=True)
+            column = np.hstack([np.repeat(np.arange(n)[:, None], 4, axis=1),
+                                np.repeat(np.arange(n, 2 * n)[:, None], 3, axis=1)])
+            expected = np.zeros((len(ids), 2 * n))
+            np.add.at(expected, (slot.reshape(n, -1), column), weight[s])
+            got = np.bincount(cells[s].ravel(), weight[s].ravel(), len(ids) * 2 * n)
+            assert np.array_equal(touched[starts[k]:starts[k + 1]], ids)
+            assert np.array_equal(weight[s, :4], np.repeat((-lr[s] / counts[s])[:, None], 4, 1))
+            assert got.reshape(-1, 2 * n).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("batch, n_windows", [(5, 23), (32, 100), (32, 96)])
+    def test_chunk_losses_equal_per_batch_sums_bitwise(self, monkeypatch, batch, n_windows):
+        # the loss sums each step used to take on its own batch, a shorter
+        # last batch and dropped negatives included
+        rng = np.random.default_rng(17)
+        monkeypatch.setattr(cbow, "BATCH", batch)
+        scores = rng.normal(0, 3, (n_windows, 4))
+        kept = rng.random((n_windows, 3)) < 0.7
+        expected = [
+            np.logaddexp(0.0, -scores[b:b + batch, 0]).sum()
+            + np.logaddexp(0.0, scores[b:b + batch, 1:]).sum(where=kept[b:b + batch])
+            for b in range(0, n_windows, batch)
+        ]
+        assert cbow._batch_losses(scores, kept).tolist() == expected
 
     def test_windows_equal_iterate_windows_across_chunks(self):
         sentences = [[4], [0, 1, 2, 3, 4, 5, 6], [7, 8], [9], [1, 2, 3]]

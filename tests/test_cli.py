@@ -539,6 +539,51 @@ class TestPipeline:
         assert summary["train"]["command"] == "train-glove"
         assert os.path.isfile(os.path.join(workspace["out"], cli.COOCCUR_FILE))
 
+    @pytest.mark.parametrize("model, flag, value, message", [
+        ("cbow", "--min-count", "0", "min_count must be >= 1"),
+        ("cbow", "--dim", "0", "dim must be >= 1"),
+        ("cbow", "--window", "0", "window radius must be >= 1"),
+        ("cbow", "--epochs", "-1", "epochs must be >= 0"),
+        ("cbow", "--lr", "0", "learning rate must be > 0"),
+        ("cbow", "--negatives", "0", "negatives count must be >= 1"),
+        ("glove", "--window", "0", "window must be >= 1"),
+        ("glove", "--dim", "0", "dim must be >= 1"),
+        ("glove", "--epochs", "-1", "epochs must be >= 0"),
+        ("glove", "--lr", "-1", "learning rate must be > 0"),
+        ("glove", "--xmax", "0", "x_max must be positive"),
+        ("glove", "--alpha-exp", "2", "weight exponent must be in (0, 1]"),
+        ("cbow", "--alpha", "5", "alpha must lie in (0, 1), got 5.0"),
+        ("glove", "--alpha", "0", "alpha must lie in (0, 1), got 0.0"),
+        ("cbow", "--folds", "1", "k must be >= 2"),
+        ("cbow", "--svm-lambda", "0", "svm lambda must be > 0"),
+        ("glove", "--svm-epochs", "-1", "svm epochs must be >= 0"),
+        ("cbow", "--seed", "-1", "seed must be >= 0"),
+    ])
+    def test_invalid_setting_fails_before_the_corpus_is_read(
+        self, workspace, capsys, monkeypatch, model, flag, value, message
+    ):
+        def unread(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(cli.corpus, "read_corpus_lines", unread)
+        code, summary, err = run_cli(capsys, [
+            "pipeline", "--corpus", workspace["corpus"], "--labeled", workspace["labeled"],
+            "--model", model, "--min-count", "1", "--dim", "4", "--epochs", "1",
+            "--folds", "2", flag, value, "--out", workspace["out"],
+        ])
+        assert code == 1 and summary is None
+        assert err == f"error: {message}\n"
+        assert not os.path.exists(workspace["out"])
+
+    def test_glove_pipeline_ignores_cbow_settings(self, workspace, capsys):
+        code, _, _ = run_cli(capsys, [
+            "pipeline", "--corpus", workspace["corpus"], "--labeled", workspace["labeled"],
+            "--model", "glove", "--min-count", "1", "--dim", "4", "--epochs", "1",
+            "--folds", "2", "--svm-epochs", "5", "--negatives", "0",
+            "--out", workspace["out"],
+        ])
+        assert code == 0
+
     def test_pipeline_defaults_differ_by_model(self):
         args = cli.parse_args(
             ["pipeline", "--corpus", "c", "--labeled", "l", "--out", "o"]

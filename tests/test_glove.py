@@ -6,11 +6,11 @@ import pytest
 from metlit import glove
 from metlit.cooccur import RECORD, build_cooccurrence
 from metlit.corpus import build_vocabulary
+from metlit.embeddings import batch_plan
 from metlit.glove import (
     GloveConfig,
     GloveModel,
     WeightParams,
-    adagrad_step,
     init_model,
     pair_gradients,
     pair_loss,
@@ -21,6 +21,7 @@ from metlit.glove import (
 )
 
 from helpers import (
+    adagrad_step,
     max_relerr,
     mean_cosine,
     numeric_grad,
@@ -335,9 +336,13 @@ class TestBatchedKernel:
         for r, gs in grads.items():
             expected_p[r] -= lr * sum(gs) / np.sqrt(acc[r])
             expected_a[r] += sum(g * g for g in gs)
-        rows = np.array([i for i, _, _ in records] + [v + j for _, j, _ in records])
+        pairs = np.array([(i, v + j) for i, j, _ in records])
         xs = np.array([x for _, _, x in records])
-        loss = glove._batch_step(params, acc, rows, weights(xs), np.log(xs), lr)
+        touched, _, slot = batch_plan(pairs, 2 * v, len(records))
+        cells = slot[:, :, None] * (d + 1) + np.arange(d + 1)
+        loss = glove._batch_step(
+            params, acc, pairs, weights(xs), np.log(xs), lr, touched, cells
+        )
         assert loss == pytest.approx(expected_loss, rel=1e-12)
         assert np.allclose(params, expected_p, rtol=0, atol=1e-14)
         assert np.allclose(acc, expected_a, rtol=0, atol=1e-14)
