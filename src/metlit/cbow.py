@@ -85,23 +85,36 @@ def exact_gradients(
 
 
 class UnigramSampler:
-    """Draws noise words from unigram frequency raised to the 0.75 power."""
+    """Draws noise words from unigram frequency raised to the 0.75 power.
 
-    def __init__(self, freqs: np.ndarray, power: float = 0.75):
-        weights = np.asarray(freqs, dtype=np.float64) ** power
+    A uniform u draws word searchsorted(cumulative, u, side="right"). A guide
+    table gives that word for u in each of GUIDE equal buckets of [0, 1)
+    that holds no cumulative edge; only draws in the other buckets search.
+    """
+
+    GUIDE = 1 << 16  # a power of two, so u * GUIDE and g / GUIDE are exact
+
+    def __init__(self, freqs: np.ndarray):
+        weights = np.asarray(freqs, dtype=np.float64) ** 0.75
         total = weights.sum()
         if total <= 0:
             raise MetlitError("sampler needs at least one positive frequency")
         self._cumulative = np.cumsum(weights / total)
         self._cumulative[-1] = 1.0
+        first = np.searchsorted(self._cumulative, np.arange(self.GUIDE + 1) / self.GUIDE)
+        self._guide, self._search = first[:-1], first[:-1] != first[1:]
 
     @classmethod
-    def from_vocabulary(cls, vocab: Vocabulary, power: float = 0.75) -> "UnigramSampler":
-        freqs = np.array([vocab.freq[w] for w in vocab.words], dtype=np.float64)
-        return cls(freqs, power=power)
+    def from_vocabulary(cls, vocab: Vocabulary) -> "UnigramSampler":
+        return cls(np.array([vocab.freq[w] for w in vocab.words], dtype=np.float64))
 
     def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        return np.searchsorted(self._cumulative, rng.random(k), side="right")
+        u = rng.random(k)
+        bucket = (u * self.GUIDE).astype(np.intp)
+        words = self._guide[bucket]
+        search = np.flatnonzero(self._search[bucket])
+        words[search] = np.searchsorted(self._cumulative, u[search], side="right")
+        return words
 
 
 def negative_loss(
@@ -164,7 +177,6 @@ class CbowConfig:
 
 BATCH = 32           # windows per SGD step
 CHUNK_WINDOWS = 1024  # windows built, given negatives and planned at a time
-LOOKAHEAD = 256      # windows scanned at once for center collisions
 
 
 def _window_schedule(lr0: float, processed: np.ndarray, total: int) -> np.ndarray:
@@ -182,65 +194,18 @@ def build_windows(
     Returns (ids, counts): row r holds the counts[r] context ids of window
     r, left context then right, cut at the sentence edges as
     iterate_windows cuts them, followed by `pad` up to width 2m.
+    `sentence_ids` must be non-decreasing, as flatten gives them.
     """
-    offsets = np.concatenate([np.arange(-m, 0), np.arange(1, m + 1)])
-    idx = positions[:, None] + offsets
-    inside = (idx >= 0) & (idx < len(tokens))
-    np.clip(idx, 0, len(tokens) - 1, out=idx)
-    inside &= sentence_ids[idx] == sentence_ids[positions][:, None]
-    ids = np.where(inside, tokens[idx], pad)
-    # a window's context is contiguous, so a stable sort of the holes to
-    # the end keeps left-then-right order
-    ids = np.take_along_axis(ids, np.argsort(~inside, axis=1, kind="stable"), axis=1)
-    return ids, inside.sum(axis=1)
-
-
-class NegativeStream:
-    """Negatives for consecutive windows, drawn as one window at a time would.
-
-    Each window takes k draws, then one redraw per draw equal to its center,
-    from one rng; a redraw equal to the center again is dropped. Draws come
-    in blocks; the unused tail of a block carries over to the next call.
-    """
-
-    def __init__(self, sampler: UnigramSampler, rng: np.random.Generator, k: int):
-        self.sampler = sampler
-        self.rng = rng
-        self.k = k
-        self._draws = np.empty(0, dtype=np.int64)
-
-    def take(self, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (negatives, kept), both (n, k); a dropped draw is not kept."""
-        k = self.k
-        n = len(centers)
-        negatives = np.empty((n, k), dtype=np.int64)
-        draws = self._draws
-        pos = off = 0
-        while pos < n:
-            span = min(n - pos, LOOKAHEAD)
-            if off + k * (span + 1) > len(draws):
-                fresh = self.sampler.draw(self.rng, k * (n - pos + 1))
-                draws = np.concatenate([draws[off:], fresh])
-                off = 0
-            block = draws[off:off + k * span].reshape(span, k)
-            hits = block == centers[pos:pos + span, None]
-            collided = hits.any(axis=1)
-            if not collided.any():
-                negatives[pos:pos + span] = block
-                pos += span
-                off += k * span
-                continue
-            # windows up to the first collision are final; the colliding
-            # draws take the next uniforms, which shifts all later windows
-            j = int(collided.argmax())
-            negatives[pos:pos + j + 1] = block[:j + 1]
-            off += k * (j + 1)
-            redraws = int(hits[j].sum())
-            negatives[pos + j, hits[j]] = draws[off:off + redraws]
-            off += redraws
-            pos += j + 1
-        self._draws = draws[off:]
-        return negatives, negatives != centers[:, None]
+    sentence = sentence_ids[positions]
+    left = np.minimum(positions - np.searchsorted(sentence_ids, sentence), m)
+    right = np.minimum(np.searchsorted(sentence_ids, sentence, side="right") - 1 - positions, m)
+    counts = left + right
+    # column c is the c-th context token: it skips the center once c >= left
+    c = np.arange(2 * m)
+    idx = positions[:, None] - left[:, None] + c + (c >= left[:, None])
+    ids = tokens.take(idx, mode="clip")
+    ids[c >= counts[:, None]] = pad
+    return ids, counts
 
 
 def _plan_chunk(context, counts, rows, lr, n_rows):
@@ -315,13 +280,20 @@ def train_cbow(
 
     The final embeddings are the input (context-side) vectors. Sentence
     order is reshuffled each epoch from the seed, and training is
-    bit-reproducible for a given seed. Windows are stepped BATCH at a time;
-    with BATCH = 1 this is the per-window negative-sampling loop.
+    bit-reproducible for a given seed. Each window draws its k negatives
+    from the epoch's rng and, as word2vec does, skips a draw equal to its
+    center. Windows are stepped BATCH at a time; with BATCH = 1 this is the
+    per-window negative-sampling loop.
     """
     config.check()
     sentences = [s for s in sentences if s]
     if not sentences:
         raise MetlitError("empty corpus")
+    if config.negatives > len(vocab):
+        raise MetlitError(f"--negatives must be <= the vocabulary size {len(vocab)}, "
+                          f"got {config.negatives}")
+    # no context reaches past the longest sentence
+    m = min(config.window, max(map(len, sentences)) - 1)
     # input rows, a zero row, output rows (zero at the start), a zero row
     pad = len(vocab)
     params = np.zeros((2 * pad + 2, config.dim))
@@ -339,19 +311,17 @@ def train_cbow(
         # a one-token sentence's window has no context: it is skipped and
         # takes no draws, but its position still advances the lr schedule
         positions = np.flatnonzero(np.bincount(sentence_ids)[sentence_ids] > 1)
-        stream = NegativeStream(
-            sampler, np.random.default_rng(config.seed + 7919 * (epoch + 1)),
-            config.negatives,
-        )
+        rng = np.random.default_rng(config.seed + 7919 * (epoch + 1))
         loss_sum = 0.0
         with np.errstate(all="ignore"):
             for a in range(0, len(positions), chunk):
                 where = positions[a:a + chunk]
-                context, counts = build_windows(
-                    tokens, sentence_ids, where, config.window, pad
-                )
+                context, counts = build_windows(tokens, sentence_ids, where, m, pad)
                 centers = tokens[where]
-                negatives, kept = stream.take(centers)
+                # word2vec's rule: a draw equal to the center is skipped
+                negatives = sampler.draw(rng, len(where) * config.negatives)
+                negatives = negatives.reshape(len(where), -1)
+                kept = negatives != centers[:, None]
                 negatives[~kept] = pad
                 rows = np.concatenate([centers[:, None], negatives], axis=1) + pad + 1
                 lr = _window_schedule(

@@ -148,19 +148,47 @@ def check_svm(lam: float, epochs: int) -> None:
         raise MetlitError("svm epochs must be >= 0")
 
 
+def lambda_range(n: int, dim: int, epochs: int) -> tuple[float, float]:
+    """The lambdas for which `_fit` on n rows of dim values stays accurate.
+
+    Above, 1/(lam*t) leaves the normal floats for some t <= epochs*n. Below,
+    the radius t*sqrt(lam) of v's ball falls under sqrt(eps) times the
+    longest row (||z||^2 <= n*dim + 1) at an averaged step t, where the
+    shrink f - 1 rounds towards -1 and the averaged model decays to zero.
+    """
+    steps = epochs * n
+    if not steps:
+        return 0.0, math.inf
+    tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
+    low = eps * (n * dim + 1) / (steps // 2 + 1) ** 2
+    return max(low, tiny), 1.0 / (tiny * steps)
+
+
 def check_folds(k: int) -> None:
     if k < 2:
-        raise MetlitError("k must be >= 2")
+        raise MetlitError(f"--folds must be >= 2, got {k}")
 
 
 def _pegasos(vectors: SentenceVectors, runs: list[tuple[np.ndarray, int]], lam: float,
              epochs: int, violations: list[int] | None = None) -> list[SvmModel]:
     """Fit one model per (training rows, seed) run, one `_fit` after another.
 
-    If `violations` is a list, each run appends its count of updating steps.
+    The runs of cross_validate are the folds, then the full data. If
+    `violations` is a list, each run appends its count of updating steps.
     """
     check_svm(lam, epochs)
+    bounds = [lambda_range(len(rows), vectors.values.shape[1], epochs) for rows, _ in runs]
+    low, high = max(b[0] for b in bounds), min(b[1] for b in bounds)
+    if not low <= lam <= high:
+        raise MetlitError(
+            f"--svm-lambda must lie in [{low:.3g}, {high:.3g}] for {epochs} epochs "
+            f"over {len(vectors)} vectors, got {lam!r}"
+        )
     fits = [_fit(vectors, rows, seed, lam, epochs) for rows, seed in runs]
+    for i, (model, _) in enumerate(fits):
+        if not (np.isfinite(model.weights).all() and math.isfinite(model.bias)):
+            run = f"fold {i}" if i < len(fits) - 1 else "the full-data fit"
+            raise MetlitError(f"{run}: the SVM model is not finite")
     if violations is not None:
         violations.extend(updates for _, updates in fits)
     return [model for model, _ in fits]

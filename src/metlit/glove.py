@@ -27,9 +27,9 @@ class WeightParams:
 
     def __post_init__(self):
         if not 0 < self.a <= 1:
-            raise MetlitError("weight exponent must be in (0, 1]")
+            raise MetlitError(f"--alpha-exp must be in (0, 1], got {self.a}")
         if self.x_max <= 0:
-            raise MetlitError("x_max must be positive")
+            raise MetlitError(f"--xmax must be > 0, got {self.x_max}")
 
 
 def weights(x: np.ndarray, params: WeightParams = WeightParams()) -> np.ndarray:

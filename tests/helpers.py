@@ -247,14 +247,9 @@ def sgd_step_exact(model, window, lr):
 
 
 def sample_negatives(sampler, rng, center, k):
-    """Draw k negatives; a draw equal to the center is resampled once, then dropped."""
-    negatives = sampler.draw(rng, k)
-    collisions = negatives == center
-    if collisions.any():
-        redraws = sampler.draw(rng, int(collisions.sum()))
-        negatives = negatives.copy()
-        negatives[collisions] = redraws
-    return [int(n) for n in negatives if n != center]
+    """Draw k negatives; a draw equal to the center is skipped, as word2vec
+    skips it (`if (target == word) continue;`), so fewer than k may remain."""
+    return [int(n) for n in sampler.draw(rng, k) if n != center]
 
 
 def sgd_step_negative(model, window, lr, k, sampler, rng):

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from metlit import cbow
 from metlit.cbow import (
     CbowConfig,
     CbowModel,
     ContextWindow,
-    NegativeStream,
     UnigramSampler,
     build_windows,
     context_mean,
@@ -196,6 +197,24 @@ class TestNegativeSampling:
             np.add.at(dense, rows, grad_rows)
             assert max_relerr(dense, num_out) < 1e-4
 
+    @settings(deadline=None)
+    @given(
+        freqs=st.lists(st.integers(0, 10**6), min_size=1, max_size=3000)
+        .filter(lambda f: sum(f) > 0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_guide_table_draws_equal_searchsorted(self, freqs, seed):
+        # uniforms on and beside the bucket edges and the cumulative edges,
+        # where the guide table could be off by one word
+        sampler = UnigramSampler(np.array(freqs, dtype=float))
+        cumulative = sampler._cumulative
+        rng = np.random.default_rng(seed)
+        edges = np.concatenate([cumulative, rng.integers(0, sampler.GUIDE, 50) / sampler.GUIDE])
+        u = np.concatenate([edges, np.nextafter(edges, 0.0), rng.random(500)])
+        u = u[u < 1.0]
+        got = sampler.draw(PlannedUniforms(u), len(u))
+        assert np.array_equal(got, np.searchsorted(cumulative, u, side="right"))
+
     def test_sampler_follows_three_quarter_power_law(self):
         freqs = np.array([81.0, 16.0, 1.0])
         sampler = UnigramSampler(freqs)
@@ -205,9 +224,9 @@ class TestNegativeSampling:
         expected = freqs**0.75 / (freqs**0.75).sum()
         assert np.abs(observed - expected).max() < 0.01
 
-    def test_center_collision_resampled_once_then_dropped(self):
+    def test_center_collision_dropped(self):
         # single-word sampler: every draw is word 0, so center 0 can never
-        # survive — resample also returns 0 and the draw is dropped
+        # survive and the draw is dropped, not redrawn
         sampler = UnigramSampler(np.array([1.0]))
         rng = np.random.default_rng(9)
         assert sample_negatives(sampler, rng, center=0, k=1) == []
@@ -332,6 +351,17 @@ def batch_step(monkeypatch, model, windows, negatives, lrs):
     return float(cbow._batch_losses(scores, kept)[0])
 
 
+class PlannedUniforms:
+    """Stands in for an rng whose random(n) returns the given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+
+    def random(self, n):
+        assert n == len(self.uniforms)
+        return self.uniforms
+
+
 class PlannedDraws:
     """Stands in for an rng: random(n) returns uniforms that a uniform
     sampler over `vocab_size` words maps to the planned word ids."""
@@ -355,12 +385,11 @@ class TestBatchedKernel:
         vocab = build_vocabulary(sentences)
         return [vocab.encode(s) for s in sentences], vocab
 
-    @pytest.mark.parametrize("chunk, lookahead", [(4096, 256), (7, 3)])
-    def test_batch_of_one_equals_reference_loop(self, monkeypatch, chunk, lookahead):
+    @pytest.mark.parametrize("chunk", [4096, 7])
+    def test_batch_of_one_equals_reference_loop(self, monkeypatch, chunk):
         encoded, vocab = self._corpus()
         monkeypatch.setattr(cbow, "BATCH", 1)
         monkeypatch.setattr(cbow, "CHUNK_WINDOWS", chunk)
-        monkeypatch.setattr(cbow, "LOOKAHEAD", lookahead)
         config = CbowConfig(dim=8, epochs=2, seed=5, window=3, lr=0.1)
         emb, losses = train_cbow(encoded, vocab, config)
         ref, ref_losses = reference_train_cbow(encoded, vocab, config)
@@ -444,33 +473,55 @@ class TestBatchedKernel:
         ]
         assert cbow._batch_losses(scores, kept).tolist() == expected
 
-    def test_windows_equal_iterate_windows_across_chunks(self):
-        sentences = [[4], [0, 1, 2, 3, 4, 5, 6], [7, 8], [9], [1, 2, 3]]
-        tokens, sentence_ids = flatten(sentences)
-        expected = [w for s in sentences for w in iterate_windows(s, 2)]
-        pad = 99
-        for size in (1, 3, 4, len(tokens)):
-            got = []
-            for a in range(0, len(tokens), size):
-                where = np.arange(a, min(a + size, len(tokens)))
-                context, counts = build_windows(tokens, sentence_ids, where, 2, pad)
-                assert (context[np.arange(4) >= counts[:, None]] == pad).all()
-                got += [
-                    ContextWindow(int(tokens[p]), context[r, :counts[r]].tolist())
-                    for r, p in enumerate(where)
-                ]
-            assert got == expected
-
-    def test_negative_stream_equals_sample_negatives(self):
-        # a small, skewed vocabulary makes center collisions frequent
+    @pytest.mark.parametrize("chunk", [1, 7, 32])
+    def test_chunk_draws_equal_per_window_draws(self, monkeypatch, chunk):
+        # a small, skewed vocabulary makes center collisions frequent; the
+        # chunk's one call must match k draws per window from the same rng,
+        # with a draw equal to the window's center dropped
         sampler = UnigramSampler(np.array([50.0, 20.0, 5.0, 1.0]))
-        centers = np.random.default_rng(14).integers(0, 4, 300)
-        rng = np.random.default_rng(15)
-        expected = [sample_negatives(sampler, rng, int(c), 5) for c in centers]
-        stream = NegativeStream(sampler, np.random.default_rng(15), 5)
+        sentences = [list(s) for s in np.random.default_rng(14).integers(0, 4, (60, 5))]
+        vocab = build_vocabulary([[str(w) for w in s] for s in sentences])
+        encoded = [vocab.encode([str(w) for w in s]) for s in sentences]
+        monkeypatch.setattr(UnigramSampler, "from_vocabulary", lambda v: sampler)
+        monkeypatch.setattr(cbow, "BATCH", 1)
+        monkeypatch.setattr(cbow, "CHUNK_WINDOWS", chunk)
+        drawn = []
+        real_batch_step = cbow._batch_step
+
+        def recording_step(params, context, counts, rows, kept, *rest):
+            drawn.append((rows[0, 1:] - len(vocab) - 1)[kept[0]].tolist())
+            return real_batch_step(params, context, counts, rows, kept, *rest)
+
+        monkeypatch.setattr(cbow, "_batch_step", recording_step)
+        config = CbowConfig(dim=4, epochs=1, seed=3, window=2, negatives=4)
+        train_cbow(encoded, vocab, config)
+        rng = np.random.default_rng(config.seed + 7919)
+        order = np.random.default_rng(config.seed + 1).permutation(len(encoded))
+        expected = [sample_negatives(sampler, rng, encoded[i][c], 4)
+                    for i in order for c in range(5)]
+        assert drawn == expected
+        assert any(len(n) < 4 for n in expected)  # some draws were dropped
+
+    @settings(deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 9), min_size=1, max_size=8),
+        m=st.integers(1, 12),
+        size=st.integers(1, 20),
+    )
+    @example(lengths=[1, 7, 2, 1, 3], m=2, size=3)
+    def test_windows_equal_iterate_windows(self, lengths, m, size):
+        # one-token sentences, and radii below, at and above the longest
+        # sentence, cut into chunks of `size` positions
+        sentences = [list(range(7 * s, 7 * s + n)) for s, n in enumerate(lengths)]
+        tokens, sentence_ids = flatten(sentences)
+        expected = [w for s in sentences for w in iterate_windows(s, m)]
+        pad = -1
         got = []
-        for a, b in ((0, 1), (1, 40), (40, 300)):
-            negatives, kept = stream.take(centers[a:b])
-            got += [n[k].tolist() for n, k in zip(negatives, kept)]
+        for a in range(0, len(tokens), size):
+            where = np.arange(a, min(a + size, len(tokens)))
+            context, counts = build_windows(tokens, sentence_ids, where, m, pad)
+            assert context.shape == (len(where), 2 * m)
+            assert (context[np.arange(2 * m) >= counts[:, None]] == pad).all()
+            got += [ContextWindow(int(tokens[p]), context[r, :counts[r]].tolist())
+                    for r, p in enumerate(where)]
         assert got == expected
-        assert any(len(n) < 5 for n in expected)  # some draws were dropped

@@ -1,14 +1,19 @@
+import io
 import json
+import math
 import os
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from metlit import MetlitError, cli
-from metlit.classifier import FoldError, kfold_split
+from metlit import MetlitError, cbow, classifier, cli
+from metlit.classifier import FoldError, kfold_split, lambda_range, load_model, train_svm
 from metlit.cooccur import RECORD, load_table
-from metlit.corpus import CorpusError, load_vocabulary
+from metlit.corpus import CorpusError, load_vocabulary, read_corpus_lines
 from metlit.embeddings import load_embeddings
 from metlit.stats import DegenerateSampleError, SampleSizeError
 
@@ -270,6 +275,68 @@ class TestCvErrors:
         assert not os.path.exists(os.path.join(out, cli.MODEL_FILE))
 
 
+class TestSvmLambdaRange:
+    @pytest.fixture(scope="class")
+    def out(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("lambda")
+        data = make_blobs(np.random.default_rng(21), n_per_class=30, dim=12, separation=1.0)
+        save_sentence_vectors(data, str(out / cli.SENTVEC_FILE))
+        return str(out)
+
+    @settings(deadline=None, max_examples=60)
+    @given(exponent=st.floats(-320.0, math.log10(1e308)))
+    def test_finite_model_or_one_error_line(self, out, exponent):
+        # log-uniform over the positive floats: an overflow, a division by
+        # zero or a NaN must not pass silently as a model
+        lam = 10.0 ** exponent
+        for name in (cli.CV_FILE, cli.MODEL_FILE):
+            if os.path.exists(os.path.join(out, name)):
+                os.remove(os.path.join(out, name))
+        err = io.StringIO()
+        with warnings.catch_warnings(), redirect_stderr(err), redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            code = cli.main(["cv", "--svm-lambda", repr(lam), "--svm-epochs", "5",
+                             "--folds", "3", "--out", out])
+        err = err.getvalue()
+        if code == 1:
+            assert err.startswith("error: --svm-lambda must lie in [") and err.count("\n") == 1
+            assert not os.path.exists(os.path.join(out, cli.MODEL_FILE))
+            return
+        assert code == 0
+        model = load_model(os.path.join(out, cli.MODEL_FILE))
+        assert np.isfinite(model.weights).all() and math.isfinite(model.bias)
+        assert model.weights.any()
+
+    @pytest.mark.parametrize("lam", [1e-320, 1e-300, 1e308])
+    def test_lambdas_that_failed_silently_are_rejected(self, out, capsys, lam):
+        code, summary, err = run_cli(capsys, ["cv", "--svm-lambda", repr(lam), "--out", out])
+        assert code == 1 and summary is None
+        assert err.startswith("error: --svm-lambda must lie in [")
+        assert err.endswith(f" for 100 epochs over 60 vectors, got {lam!r}\n")
+
+    def test_range_ends_match_the_per_sample_loop(self, out):
+        data = load_sentence_vectors(os.path.join(out, cli.SENTVEC_FILE))
+        for lam in lambda_range(len(data), data.values.shape[1], 3):
+            model = train_svm(data, lam=lam, epochs=3)
+            ref = reference_pegasos(data, lam, 3, 0)[0]
+            for got, want in ((model.weights, ref.weights), (model.bias, ref.bias)):
+                assert np.abs(got - want).max() <= 1e-7 * np.abs(ref.weights).max()
+
+    def test_non_finite_model_names_the_fold(self, out, capsys, monkeypatch):
+        real_fit = classifier._fit
+
+        def fit(vectors, rows, seed, lam, epochs):
+            model, updates = real_fit(vectors, rows, seed, lam, epochs)
+            if seed == 1:
+                model.bias = math.inf
+            return model, updates
+
+        monkeypatch.setattr(classifier, "_fit", fit)
+        code, _, err = run_cli(capsys, ["cv", "--seed", "0", "--out", out])
+        assert code == 1
+        assert err == "error: fold 1: the SVM model is not finite\n"
+
+
 class TestFrozenReports:
     """`ttest` and `cv` reports of a small seeded file, frozen as text."""
 
@@ -471,6 +538,66 @@ class TestTrainingErrors:
         assert err == f"error: {message}\n"
         assert not os.path.exists(os.path.join(trained_out["out"], cli.EMBEDDINGS_FILE))
 
+    @pytest.mark.parametrize("argv, message", [
+        (["cv", "--folds", "1"], "--folds must be >= 2, got 1"),
+        (["cv", "--svm-lambda", "1e-300"], "--svm-lambda must lie in ["),
+        (["train-glove", "--xmax", "0"], "--xmax must be > 0, got 0.0"),
+        (["train-glove", "--alpha-exp", "-1"], "--alpha-exp must be in (0, 1], got -1.0"),
+        (["train-cbow", "--corpus", None, "--negatives", "1000000"],
+         "--negatives must be <= the vocabulary size "),
+    ])
+    def test_error_names_the_flag(self, trained_out, capsys, argv, message):
+        argv = [trained_out["corpus"] if a is None else a for a in argv]
+        out = trained_out["out"]
+        data = make_blobs(np.random.default_rng(5), n_per_class=6, dim=2)
+        save_sentence_vectors(data, os.path.join(out, cli.SENTVEC_FILE))
+        code, summary, err = run_cli(capsys, argv + ["--out", out])
+        assert code == 1 and summary is None
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def _train_cbow(self, trained_out, capsys, *flags):
+        out = trained_out["out"]
+        code, summary, err = run_cli(capsys, [
+            "train-cbow", "--corpus", trained_out["corpus"], "--dim", "4",
+            "--epochs", "1", *flags, "--out", out,
+        ])
+        if code:
+            return code, err
+        with open(os.path.join(out, cli.EMBEDDINGS_FILE), "rb") as fh:
+            return code, fh.read()
+
+    @pytest.mark.parametrize("window", [10**3, 10**6])
+    def test_window_past_the_longest_sentence_is_clamped(
+        self, trained_out, capsys, monkeypatch, window
+    ):
+        longest = max(len(s) for s in read_corpus_lines(trained_out["corpus"]))
+        radii = []
+        real = cbow.build_windows
+
+        def build_windows(tokens, sentence_ids, positions, m, pad):
+            radii.append(m)
+            return real(tokens, sentence_ids, positions, m, pad)
+
+        monkeypatch.setattr(cbow, "build_windows", build_windows)
+        code, clamped = self._train_cbow(trained_out, capsys, "--window", str(longest - 1))
+        assert code == 0
+        code, wide = self._train_cbow(trained_out, capsys, "--window", str(window))
+        assert code == 0 and wide == clamped
+        assert set(radii) == {longest - 1}
+
+    @pytest.mark.parametrize("negatives", [None, 10**6])  # None: one past the vocabulary
+    def test_negatives_past_the_vocabulary_are_a_one_line_error(
+        self, trained_out, capsys, negatives
+    ):
+        words = len(load_vocabulary(os.path.join(trained_out["out"], cli.VOCAB_FILE)))
+        negatives = negatives or words + 1
+        code, _ = self._train_cbow(trained_out, capsys, "--negatives", str(words))
+        assert code == 0
+        code, err = self._train_cbow(trained_out, capsys, "--negatives", str(negatives))
+        assert code == 1
+        assert err == (f"error: --negatives must be <= the vocabulary size {words}, "
+                       f"got {negatives}\n")
+
     def test_table_from_a_larger_vocabulary_is_a_one_line_error(
         self, trained_out, capsys
     ):
@@ -550,11 +677,11 @@ class TestPipeline:
         ("glove", "--dim", "0", "dim must be >= 1"),
         ("glove", "--epochs", "-1", "epochs must be >= 0"),
         ("glove", "--lr", "-1", "learning rate must be > 0"),
-        ("glove", "--xmax", "0", "x_max must be positive"),
-        ("glove", "--alpha-exp", "2", "weight exponent must be in (0, 1]"),
+        ("glove", "--xmax", "0", "--xmax must be > 0, got 0.0"),
+        ("glove", "--alpha-exp", "2", "--alpha-exp must be in (0, 1], got 2.0"),
         ("cbow", "--alpha", "5", "alpha must lie in (0, 1), got 5.0"),
         ("glove", "--alpha", "0", "alpha must lie in (0, 1), got 0.0"),
-        ("cbow", "--folds", "1", "k must be >= 2"),
+        ("cbow", "--folds", "1", "--folds must be >= 2, got 1"),
         ("cbow", "--svm-lambda", "0", "svm lambda must be > 0"),
         ("glove", "--svm-epochs", "-1", "svm epochs must be >= 0"),
         ("cbow", "--seed", "-1", "seed must be >= 0"),
