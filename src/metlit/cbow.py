@@ -38,8 +38,6 @@ class CbowModel:
 
 def init_model(vocab_size: int, dim: int, seed: int = 0) -> CbowModel:
     """Input vectors uniform in [-0.5/D, 0.5/D]; output vectors zero."""
-    if dim < 1:
-        raise MetlitError("dim must be >= 1")
     rng = np.random.default_rng(seed)
     bound = 0.5 / dim
     input_vectors = rng.uniform(-bound, bound, size=(vocab_size, dim))
@@ -161,19 +159,6 @@ class CbowConfig:
     negatives: int = 5
     seed: int = 0
 
-    def check(self) -> None:
-        """Raise on a setting train_cbow cannot train with."""
-        if self.lr <= 0:
-            raise MetlitError("learning rate must be > 0")
-        if self.epochs < 0:
-            raise MetlitError("epochs must be >= 0")
-        if self.negatives < 1:
-            raise MetlitError("negatives count must be >= 1")
-        if self.window < 1:
-            raise MetlitError("window radius must be >= 1")
-        if self.dim < 1:
-            raise MetlitError("dim must be >= 1")
-
 
 BATCH = 32           # windows per SGD step
 CHUNK_WINDOWS = 1024  # windows built, given negatives and planned at a time
@@ -285,7 +270,6 @@ def train_cbow(
     center. Windows are stepped BATCH at a time; with BATCH = 1 this is the
     per-window negative-sampling loop.
     """
-    config.check()
     sentences = [s for s in sentences if s]
     if not sentences:
         raise MetlitError("empty corpus")

@@ -141,13 +141,6 @@ def _fit(vectors: SentenceVectors, rows: np.ndarray, seed: int, lam: float,
     return SvmModel(w[:dim], float(w[dim]), lam, mean, std), updates
 
 
-def check_svm(lam: float, epochs: int) -> None:
-    if not lam > 0:
-        raise MetlitError("svm lambda must be > 0")
-    if epochs < 0:
-        raise MetlitError("svm epochs must be >= 0")
-
-
 def lambda_range(n: int, dim: int, epochs: int) -> tuple[float, float]:
     """The lambdas for which `_fit` on n rows of dim values stays accurate.
 
@@ -164,11 +157,6 @@ def lambda_range(n: int, dim: int, epochs: int) -> tuple[float, float]:
     return max(low, tiny), 1.0 / (tiny * steps)
 
 
-def check_folds(k: int) -> None:
-    if k < 2:
-        raise MetlitError(f"--folds must be >= 2, got {k}")
-
-
 def _pegasos(vectors: SentenceVectors, runs: list[tuple[np.ndarray, int]], lam: float,
              epochs: int, violations: list[int] | None = None) -> list[SvmModel]:
     """Fit one model per (training rows, seed) run, one `_fit` after another.
@@ -176,7 +164,6 @@ def _pegasos(vectors: SentenceVectors, runs: list[tuple[np.ndarray, int]], lam: 
     The runs of cross_validate are the folds, then the full data. If
     `violations` is a list, each run appends its count of updating steps.
     """
-    check_svm(lam, epochs)
     bounds = [lambda_range(len(rows), vectors.values.shape[1], epochs) for rows, _ in runs]
     low, high = max(b[0] for b in bounds), min(b[1] for b in bounds)
     if not low <= lam <= high:
@@ -240,7 +227,6 @@ def kfold_split(
     rotating which folds receive the leftover extras so per-fold class
     counts stay within one of the class's even share.
     """
-    check_folds(k)
     if k > n:
         raise MetlitError(f"k={k} exceeds dataset size n={n}")
     rng = np.random.default_rng(seed)

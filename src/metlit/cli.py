@@ -6,14 +6,17 @@ artifact into the `--out` directory under a fixed name and returns
 artifacts in `--out` and calls the stage. `pipeline` reads the corpus once
 and passes each result on to the next stage in memory; it still writes
 every artifact, byte-identical to the chain of single commands. Every
-option is declared once, in `OPTIONS`. Machine-readable JSON summaries go
-to stdout, human diagnostics to stderr.
+option is declared once, in `OPTIONS`, a numeric one with its range, and
+`main` checks the options a command uses before the command reads
+anything. Machine-readable JSON summaries go to stdout, human diagnostics
+to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -30,28 +33,35 @@ TTEST_FILE = "ttest_report.tsv"
 CV_FILE = "cv_report.tsv"
 MODEL_FILE = "svm_model.txt"
 
-# Every option once, as its argparse keywords. A --window or --epochs left
-# unset takes its model's value from MODEL_DEFAULTS.
+# A numeric option's range: the text its error line gives, and a test of
+# the value that is false for NaN.
+AT_LEAST_0 = (">= 0", lambda v: v >= 0)
+AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+POSITIVE = ("finite and > 0", lambda v: 0 < v < math.inf)
+
+# Every option once, as its argparse keywords and, if numeric, its range.
+# A --window or --epochs left unset takes its model's value from MODEL_DEFAULTS.
 OPTIONS = {
     "corpus": dict(required=True),
     "labeled": dict(required=True),
     "model": dict(choices=("cbow", "glove"), default="cbow"),
-    "min-count": dict(type=int, default=5),
-    "window": dict(type=int, default=None,
+    "min-count": dict(type=int, default=5, range=AT_LEAST_1),
+    "window": dict(type=int, default=None, range=AT_LEAST_1,
                    help="CBOW radius (default 5) or GloVe span (default 10)"),
     "cooccur-weighting": dict(choices=cooccur.WEIGHTINGS, default="inverse_distance"),
-    "dim": dict(type=int, default=100),
-    "epochs": dict(type=int, default=None, help="default 5 for cbow, 15 for glove"),
-    "lr": dict(type=float, default=0.05),
-    "negatives": dict(type=int, default=5),
-    "xmax": dict(type=float, default=100.0),
-    "alpha-exp": dict(type=float, default=0.75),
+    "dim": dict(type=int, default=100, range=AT_LEAST_1),
+    "epochs": dict(type=int, default=None, range=AT_LEAST_0,
+                   help="default 5 for cbow, 15 for glove"),
+    "lr": dict(type=float, default=0.05, range=POSITIVE),
+    "negatives": dict(type=int, default=5, range=AT_LEAST_1),
+    "xmax": dict(type=float, default=100.0, range=POSITIVE),
+    "alpha-exp": dict(type=float, default=0.75, range=("in (0, 1]", lambda v: 0 < v <= 1)),
     "aggregate": dict(choices=sentvec.MODES, default="mean"),
-    "alpha": dict(type=float, default=0.05),
-    "folds": dict(type=int, default=10),
-    "seed": dict(type=int, default=0),
-    "svm-lambda": dict(type=float, default=1e-4),
-    "svm-epochs": dict(type=int, default=100),
+    "alpha": dict(type=float, default=0.05, range=("in (0, 1)", lambda v: 0 < v < 1)),
+    "folds": dict(type=int, default=10, range=(">= 2", lambda v: v >= 2)),
+    "seed": dict(type=int, default=0, range=AT_LEAST_0),
+    "svm-lambda": dict(type=float, default=1e-4, range=POSITIVE),
+    "svm-epochs": dict(type=int, default=100, range=AT_LEAST_0),
     "out": dict(required=True, help="artifact directory"),
 }
 
@@ -137,28 +147,20 @@ def _save_trained(args, command: str, embeddings: EmbeddingMatrix, losses: list[
     }
 
 
-def _cbow_config(args) -> cbow.CbowConfig:
-    return cbow.CbowConfig(
+def cbow_stage(args, encoded: list[list[int]], vocab: corpus.Vocabulary):
+    config = cbow.CbowConfig(
         dim=args.dim, window=args.window, epochs=args.epochs, lr=args.lr,
         negatives=args.negatives, seed=args.seed,
     )
-
-
-def _glove_config(args) -> glove.GloveConfig:
-    return glove.GloveConfig(
-        dim=args.dim, lr=args.lr, epochs=args.epochs,
-        params=glove.WeightParams(a=args.alpha_exp, x_max=args.xmax),
-        seed=args.seed,
-    )
-
-
-def cbow_stage(args, encoded: list[list[int]], vocab: corpus.Vocabulary):
-    config = _cbow_config(args)
     return _save_trained(args, "train-cbow", *cbow.train_cbow(encoded, vocab, config))
 
 
 def glove_stage(args, table: np.ndarray, vocab: corpus.Vocabulary):
-    config = _glove_config(args)
+    config = glove.GloveConfig(
+        dim=args.dim, lr=args.lr, epochs=args.epochs,
+        params=glove.WeightParams(a=args.alpha_exp, x_max=args.xmax),
+        seed=args.seed,
+    )
     return _save_trained(args, "train-glove", *glove.train_glove(table, vocab, config))
 
 
@@ -243,17 +245,7 @@ def cmd_cv(args) -> dict:
 
 
 def cmd_pipeline(args) -> dict:
-    """Every stage in turn, each result handed on and dropped once used;
-    every stage's settings are checked before any input is read."""
-    corpus.check_min_count(args.min_count)
-    if args.model == "glove":
-        cooccur.check_settings(args.window, args.cooccur_weighting)
-        _glove_config(args).check()
-    else:
-        _cbow_config(args).check()
-    stats.check_alpha(args.alpha)
-    classifier.check_folds(args.folds)
-    classifier.check_svm(args.svm_lambda, args.svm_epochs)
+    """Every stage in turn, each result handed on and dropped once used."""
     _require_file(args.corpus, "corpus file")
     _require_file(args.labeled, "labeled phrase file")
     summaries = {"command": "pipeline", "model": args.model}
@@ -285,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_text, options, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for option in options.split():
-            p.add_argument(f"--{option}", **OPTIONS[option])
+            keywords = {k: v for k, v in OPTIONS[option].items() if k != "range"}
+            p.add_argument(f"--{option}", **keywords)
         # looked up now, not at import, so a replaced cmd_* is the one run
         p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
@@ -301,13 +294,27 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     return args
 
 
+def _options_used(args: argparse.Namespace) -> list[str]:
+    """The options the command uses; for `pipeline`, those of the stages
+    it runs: the commands whose model is --model or none."""
+    names = [args.subcommand]
+    if args.subcommand == "pipeline":
+        names = [name for name, (_, _, model) in COMMANDS.items()
+                 if name != "pipeline" and model in (None, args.model)]
+    return list(dict.fromkeys(o for name in names for o in COMMANDS[name][1].split()))
+
+
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
-            raise MetlitError("seed must be >= 0")
+        bounded = [option for option in _options_used(args) if "range" in OPTIONS[option]]
+        for option in bounded:  # checked before the command reads anything
+            text, holds = OPTIONS[option]["range"]
+            value = getattr(args, option.replace("-", "_"))
+            if not holds(value):
+                raise MetlitError(f"--{option} must be {text}, got {value!r}")
         summary = args.func(args)
-    except (MetlitError, OSError) as exc:
+    except (MetlitError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(summary, ensure_ascii=False))

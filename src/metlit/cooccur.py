@@ -21,13 +21,6 @@ WEIGHTINGS = ("flat", "inverse_distance")
 RECORD = np.dtype([("i", "<u4"), ("j", "<u4"), ("x", "<f8")])
 
 
-def check_settings(window: int, weighting: str) -> None:
-    if weighting not in WEIGHTINGS:
-        raise MetlitError(f"weighting must be one of {WEIGHTINGS}")
-    if window < 1:
-        raise MetlitError("window must be >= 1")
-
-
 def build_cooccurrence(
     sentences: Sequence[Sequence[int]],
     window: int = 10,
@@ -39,7 +32,6 @@ def build_cooccurrence(
     (flat) or 1/d (inverse_distance) to both X_ij and X_ji, twice to X_ii
     when i == j. Windows never cross sentence boundaries.
     """
-    check_settings(window, weighting)
     tokens, sentence_ids = flatten(sentences)
     n = len(tokens)
     owner = np.append(sentence_ids, -1)  # -1: every partner past the end
@@ -59,17 +51,8 @@ def build_cooccurrence(
     pairs = np.repeat(np.minimum(i, j) << 32 | np.maximum(i, j), times)
     weights = np.repeat(weights, times)
     del i, j, times
-    # np.unique(pairs, return_inverse=True), with one permutation and fewer copies
-    order = np.argsort(pairs)
-    pairs = pairs[order]
-    first = np.empty(len(pairs), dtype=bool)  # where each key's run starts
-    first[:1] = True
-    np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
-    keys = pairs[first]
+    keys, slot = np.unique(pairs, return_inverse=True)
     del pairs
-    slot = np.empty_like(order)
-    slot[order] = np.cumsum(first) - 1
-    del order, first
     x = np.bincount(slot, weights=weights)
     off = keys >> 32 != keys & 0xFFFFFFFF
     keys = np.concatenate([keys, keys[off] << 32 | keys[off] >> 32])  # (j, i)

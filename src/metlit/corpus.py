@@ -124,13 +124,7 @@ def count_tokens(sentences: Iterable[Iterable[str]]) -> Counter:
     return counts
 
 
-def check_min_count(min_count: int) -> None:
-    if min_count < 1:
-        raise MetlitError("min_count must be >= 1")
-
-
 def vocabulary_from_counts(counts: Counter, min_count: int = 1) -> Vocabulary:
-    check_min_count(min_count)
     retained = [(w, c) for w, c in counts.items() if c >= min_count]
     if not retained:
         raise CorpusError(

@@ -8,7 +8,7 @@ frequent pairs: (x / x_max)^a below the cutoff, 1 above it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,12 +24,6 @@ CHUNK_RECORDS = 1024  # records planned at a time
 class WeightParams:
     a: float = 0.75
     x_max: float = 100.0
-
-    def __post_init__(self):
-        if not 0 < self.a <= 1:
-            raise MetlitError(f"--alpha-exp must be in (0, 1], got {self.a}")
-        if self.x_max <= 0:
-            raise MetlitError(f"--xmax must be > 0, got {self.x_max}")
 
 
 def weights(x: np.ndarray, params: WeightParams = WeightParams()) -> np.ndarray:
@@ -60,8 +54,6 @@ class GloveModel:
 
 def init_model(vocab_size: int, dim: int, seed: int = 0) -> GloveModel:
     """All four parameter groups uniform in [-0.5/D, 0.5/D]; accumulators 1."""
-    if dim < 1:
-        raise MetlitError("dim must be >= 1")
     rng = np.random.default_rng(seed)
     shapes = [(vocab_size, dim), (vocab_size, dim), vocab_size, vocab_size]
     drawn = [rng.uniform(-0.5 / dim, 0.5 / dim, size=shape) for shape in shapes]
@@ -103,21 +95,8 @@ class GloveConfig:
     dim: int = 100
     lr: float = 0.05
     epochs: int = 15
-    params: WeightParams = None  # defaults applied in __post_init__
+    params: WeightParams = field(default_factory=WeightParams)
     seed: int = 0
-
-    def __post_init__(self):
-        if self.params is None:
-            self.params = WeightParams()
-
-    def check(self) -> None:
-        """Raise on a setting train_glove cannot train with."""
-        if self.lr <= 0:
-            raise MetlitError("learning rate must be > 0")
-        if self.epochs < 0:
-            raise MetlitError("epochs must be >= 0")
-        if self.dim < 1:
-            raise MetlitError("dim must be >= 1")
 
 
 def _batch_step(params, acc, pairs, weight, log_x, lr, touched, cells):
@@ -158,7 +137,6 @@ def train_glove(
     loss per epoch is the sum of those losses. Divergence is surfaced:
     non-finite parameters or a non-finite loss raise, never clipped.
     """
-    config.check()
     if not len(table):
         raise MetlitError("empty co-occurrence table")
     top = max(table["i"].max(), table["j"].max())

@@ -49,8 +49,6 @@ def embed_dataset(
     zero vectors would bias the mean toward the origin. A phrase with no
     covered token gets no row and is reported as excluded.
     """
-    if mode not in MODES:
-        raise MetlitError(f"mode must be one of {MODES}")
     if not phrases:
         raise MetlitError("empty phrase list")
     ids = [embeddings.ids(phrase.tokens) for phrase in phrases]

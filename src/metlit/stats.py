@@ -137,11 +137,6 @@ def welch_t(sample_a, sample_b, alpha: float = 0.05) -> TTestResult:
     )
 
 
-def check_alpha(alpha: float) -> None:
-    if not 0 < alpha < 1:
-        raise MetlitError(f"alpha must lie in (0, 1), got {alpha}")
-
-
 def group_ttest(
     vectors: SentenceVectors, alpha: float = 0.05
 ) -> tuple[list[TTestResult], dict]:
@@ -153,7 +148,6 @@ def group_ttest(
     dimensions significant at alpha, which must lie in (0, 1), and the flat
     ones. Norms constant within both groups are an error.
     """
-    check_alpha(alpha)
     lit = vectors.values[~vectors.metaphor]
     met = vectors.values[vectors.metaphor]
     if len(lit) < 2 or len(met) < 2:

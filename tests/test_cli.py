@@ -97,7 +97,7 @@ class TestVocabCommand:
             "--out", workspace["out"],
         ])
         assert code == 1 and summary is None
-        assert err == "error: min_count must be >= 1\n"
+        assert err == f"error: --min-count must be >= 1, got {value}\n"
         assert not os.path.exists(workspace["out"])
 
     def test_empty_corpus_is_an_error(self, tmp_path, capsys):
@@ -121,11 +121,91 @@ class TestArgumentErrors:
             cli.main([])
         assert exc.value.code != 0
 
-    def test_bad_choice_exits_nonzero(self):
+    @pytest.mark.parametrize("argv", [
+        ["pipeline", "--corpus", "x", "--labeled", "y", "--model", "elmo"],
+        ["cooccur", "--corpus", "x", "--cooccur-weighting", "gaussian"],
+        ["embed", "--labeled", "x", "--aggregate", "max"],
+    ])
+    def test_bad_choice_exits_nonzero(self, argv):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["pipeline", "--corpus", "x", "--labeled", "y",
-                      "--model", "elmo", "--out", "z"])
+            cli.main(argv + ["--out", "z"])
         assert exc.value.code != 0
+
+
+# Every numeric option's range as the error line states it, and values
+# just outside it, stated apart from cli.OPTIONS. Values are passed as
+# --flag=value, which argparse takes for any value starting with "-".
+RANGES = {
+    "min-count": (">= 1", ["0", "-3"]),
+    "window": (">= 1", ["0", "-1"]),
+    "dim": (">= 1", ["0", "-1"]),
+    "negatives": (">= 1", ["0", "-1"]),
+    "epochs": (">= 0", ["-1"]),
+    "svm-epochs": (">= 0", ["-1"]),
+    "seed": (">= 0", ["-1"]),
+    "folds": (">= 2", ["1", "-2"]),
+    "alpha-exp": ("in (0, 1]", ["0", "1.0000000000000002", "nan", "inf", "-inf"]),
+    "alpha": ("in (0, 1)", ["0", "1", "nan", "inf", "-inf"]),
+    **{flag: ("finite and > 0", ["0", "-5e-324", "nan", "inf", "-inf"])
+       for flag in ("lr", "xmax", "svm-lambda")},
+}
+# the lowest and a high accepted value of each
+EDGES = {
+    **{flag: ("1", "1000000000000") for flag in ("min-count", "window", "dim", "negatives")},
+    **{flag: ("0", "1000000000000") for flag in ("epochs", "svm-epochs", "seed")},
+    "folds": ("2", "1000000000000"),
+    "alpha-exp": ("5e-324", "1"),
+    "alpha": ("5e-324", "0.9999999999999999"),
+    **{flag: ("5e-324", "1.7976931348623157e308") for flag in ("lr", "xmax", "svm-lambda")},
+}
+GLOVE_ONLY = ("xmax", "alpha-exp")  # a cbow pipeline ignores them, as glove ignores --negatives
+
+
+class TestSettingRanges:
+    CASES = [(command, flag, value)
+             for command, (_, options, _) in cli.COMMANDS.items()
+             for flag in options.split() if flag in RANGES
+             for value in RANGES[flag][1]]
+
+    def test_every_bounded_option_is_listed(self):
+        assert {flag for flag, keywords in cli.OPTIONS.items() if "range" in keywords} \
+            == set(RANGES) == set(EDGES)
+
+    @pytest.mark.parametrize("command, flag, value", CASES)
+    def test_value_outside_the_range_fails_before_any_input_is_read(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        # no artifact in --out and no input file: any read would fail otherwise
+        options = cli.COMMANDS[command][1].split()
+        argv = [command, f"--{flag}={value}", "--out", str(tmp_path / "out")]
+        for name in ("corpus", "labeled"):
+            if name in options:
+                argv += [f"--{name}", str(tmp_path / f"missing-{name}")]
+        if command == "pipeline" and flag in GLOVE_ONLY:
+            argv += ["--model", "glove"]
+        code, summary, err = run_cli(capsys, argv)
+        assert code == 1 and summary is None
+        parsed = cli.OPTIONS[flag]["type"](value)
+        assert err == f"error: --{flag} must be {RANGES[flag][0]}, got {parsed!r}\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("model", ["cbow", "glove"])
+    def test_values_at_the_edge_are_accepted(self, monkeypatch, capsys, model, side):
+        monkeypatch.setattr(cli, "cmd_pipeline", lambda args: {"ran": True})
+        code, summary, err = run_cli(capsys, [
+            "pipeline", "--corpus", "c", "--labeled", "l", "--model", model, "--out", "o",
+            *(f"--{flag}={values[side]}" for flag, values in EDGES.items()),
+        ])
+        assert (code, summary, err) == (0, {"ran": True}, "")
+
+    def test_cbow_pipeline_ignores_glove_settings(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "cmd_pipeline", lambda args: {"ran": True})
+        code, summary, _ = run_cli(capsys, [
+            "pipeline", "--corpus", "c", "--labeled", "l", "--model", "cbow", "--out", "o",
+            "--xmax=nan", "--alpha-exp=0",
+        ])
+        assert (code, summary) == (0, {"ran": True})
 
 
 class TestStageChaining:
@@ -257,10 +337,10 @@ class TestCvErrors:
         assert "line 2" in err and "non-finite" in err
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--svm-lambda", "0", "svm lambda must be > 0"),
-        ("--svm-lambda", "-1", "svm lambda must be > 0"),
-        ("--svm-epochs", "-1", "svm epochs must be >= 0"),
-        ("--seed", "-1", "seed must be >= 0"),
+        ("--svm-lambda", "0", "--svm-lambda must be finite and > 0, got 0.0"),
+        ("--svm-lambda", "-1", "--svm-lambda must be finite and > 0, got -1.0"),
+        ("--svm-epochs", "-1", "--svm-epochs must be >= 0, got -1"),
+        ("--seed", "-1", "--seed must be >= 0, got -1"),
     ])
     def test_invalid_setting_is_a_one_line_error(
         self, tmp_path, capsys, flag, value, message
@@ -439,7 +519,7 @@ class TestErrorContract:
     def test_alpha_outside_unit_interval_is_a_one_line_error(self, done, capsys, alpha):
         code, summary, err = run_cli(capsys, ["ttest", "--alpha", alpha, "--out", done["out"]])
         assert code == 1 and summary is None
-        assert err == f"error: alpha must lie in (0, 1), got {float(alpha)}\n"
+        assert err == f"error: --alpha must be in (0, 1), got {float(alpha)}\n"
 
     def test_flat_norm_is_a_one_line_error(self, tmp_path, capsys):
         # every vector has unit norm, while both dimensions vary
@@ -486,9 +566,9 @@ class TestTrainingErrors:
         return workspace
 
     @pytest.mark.parametrize("flag, message", [
-        ("--negatives", "negatives count must be >= 1"),
-        ("--window", "window radius must be >= 1"),
-        ("--dim", "dim must be >= 1"),
+        ("--negatives", "--negatives must be >= 1, got 0"),
+        ("--window", "--window must be >= 1, got 0"),
+        ("--dim", "--dim must be >= 1, got 0"),
     ])
     def test_invalid_cbow_setting_is_a_one_line_error(
         self, trained_out, capsys, flag, message
@@ -523,9 +603,9 @@ class TestTrainingErrors:
         ["train-glove"],
     ])
     @pytest.mark.parametrize("flag, value, message", [
-        ("--lr", "-1", "learning rate must be > 0"),
-        ("--lr", "0", "learning rate must be > 0"),
-        ("--epochs", "-1", "epochs must be >= 0"),
+        ("--lr", "-1", "--lr must be finite and > 0, got -1.0"),
+        ("--lr", "0", "--lr must be finite and > 0, got 0.0"),
+        ("--epochs", "-1", "--epochs must be >= 0, got -1"),
     ])
     def test_negative_lr_or_epochs_is_a_one_line_error(
         self, trained_out, capsys, argv, flag, value, message
@@ -541,7 +621,7 @@ class TestTrainingErrors:
     @pytest.mark.parametrize("argv, message", [
         (["cv", "--folds", "1"], "--folds must be >= 2, got 1"),
         (["cv", "--svm-lambda", "1e-300"], "--svm-lambda must lie in ["),
-        (["train-glove", "--xmax", "0"], "--xmax must be > 0, got 0.0"),
+        (["train-glove", "--xmax", "0"], "--xmax must be finite and > 0, got 0.0"),
         (["train-glove", "--alpha-exp", "-1"], "--alpha-exp must be in (0, 1], got -1.0"),
         (["train-cbow", "--corpus", None, "--negatives", "1000000"],
          "--negatives must be <= the vocabulary size "),
@@ -667,24 +747,24 @@ class TestPipeline:
         assert os.path.isfile(os.path.join(workspace["out"], cli.COOCCUR_FILE))
 
     @pytest.mark.parametrize("model, flag, value, message", [
-        ("cbow", "--min-count", "0", "min_count must be >= 1"),
-        ("cbow", "--dim", "0", "dim must be >= 1"),
-        ("cbow", "--window", "0", "window radius must be >= 1"),
-        ("cbow", "--epochs", "-1", "epochs must be >= 0"),
-        ("cbow", "--lr", "0", "learning rate must be > 0"),
-        ("cbow", "--negatives", "0", "negatives count must be >= 1"),
-        ("glove", "--window", "0", "window must be >= 1"),
-        ("glove", "--dim", "0", "dim must be >= 1"),
-        ("glove", "--epochs", "-1", "epochs must be >= 0"),
-        ("glove", "--lr", "-1", "learning rate must be > 0"),
-        ("glove", "--xmax", "0", "--xmax must be > 0, got 0.0"),
+        ("cbow", "--min-count", "0", "--min-count must be >= 1, got 0"),
+        ("cbow", "--dim", "0", "--dim must be >= 1, got 0"),
+        ("cbow", "--window", "0", "--window must be >= 1, got 0"),
+        ("cbow", "--epochs", "-1", "--epochs must be >= 0, got -1"),
+        ("cbow", "--lr", "0", "--lr must be finite and > 0, got 0.0"),
+        ("cbow", "--negatives", "0", "--negatives must be >= 1, got 0"),
+        ("glove", "--window", "0", "--window must be >= 1, got 0"),
+        ("glove", "--dim", "0", "--dim must be >= 1, got 0"),
+        ("glove", "--epochs", "-1", "--epochs must be >= 0, got -1"),
+        ("glove", "--lr", "-1", "--lr must be finite and > 0, got -1.0"),
+        ("glove", "--xmax", "0", "--xmax must be finite and > 0, got 0.0"),
         ("glove", "--alpha-exp", "2", "--alpha-exp must be in (0, 1], got 2.0"),
-        ("cbow", "--alpha", "5", "alpha must lie in (0, 1), got 5.0"),
-        ("glove", "--alpha", "0", "alpha must lie in (0, 1), got 0.0"),
+        ("cbow", "--alpha", "5", "--alpha must be in (0, 1), got 5.0"),
+        ("glove", "--alpha", "0", "--alpha must be in (0, 1), got 0.0"),
         ("cbow", "--folds", "1", "--folds must be >= 2, got 1"),
-        ("cbow", "--svm-lambda", "0", "svm lambda must be > 0"),
-        ("glove", "--svm-epochs", "-1", "svm epochs must be >= 0"),
-        ("cbow", "--seed", "-1", "seed must be >= 0"),
+        ("cbow", "--svm-lambda", "0", "--svm-lambda must be finite and > 0, got 0.0"),
+        ("glove", "--svm-epochs", "-1", "--svm-epochs must be >= 0, got -1"),
+        ("cbow", "--seed", "-1", "--seed must be >= 0, got -1"),
     ])
     def test_invalid_setting_fails_before_the_corpus_is_read(
         self, workspace, capsys, monkeypatch, model, flag, value, message
@@ -710,6 +790,18 @@ class TestPipeline:
             "--out", workspace["out"],
         ])
         assert code == 0
+
+    @pytest.mark.parametrize("model", ["cbow", "glove"])
+    def test_unallocatable_model_is_a_one_line_error(self, workspace, capsys, model):
+        # numpy refuses an array of exbibytes at once, touching no memory
+        code, summary, err = run_cli(capsys, [
+            "pipeline", "--corpus", workspace["corpus"], "--labeled", workspace["labeled"],
+            "--model", model, "--min-count", "1", "--dim", str(10**15),
+            "--out", workspace["out"],
+        ])
+        assert code == 1 and summary is None
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+        assert f", {10**15})" in err
 
     def test_pipeline_defaults_differ_by_model(self):
         args = cli.parse_args(

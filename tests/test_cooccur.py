@@ -105,14 +105,6 @@ class TestBuildCooccurrence:
         table = build_cooccurrence(random_sentences(rng), window=5)
         assert all(x > 0 for x in entries(table).values())
 
-    def test_unknown_weighting_rejected(self):
-        with pytest.raises(ValueError):
-            build_cooccurrence([[0, 1]], window=2, weighting="gaussian")
-
-    def test_nonpositive_window_rejected(self):
-        with pytest.raises(ValueError):
-            build_cooccurrence([[0, 1]], window=0)
-
     @settings(deadline=None)
     @given(
         sentences=st.lists(

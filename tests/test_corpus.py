@@ -1,6 +1,6 @@
 import pytest
 
-from metlit import LITERAL, METAPHOR, MetlitError
+from metlit import LITERAL, METAPHOR
 from metlit.corpus import (
     CorpusError,
     LabeledPhrase,
@@ -70,11 +70,6 @@ class TestVocabulary:
     def test_all_below_threshold_is_an_error(self):
         with pytest.raises(CorpusError):
             vocabulary_from_counts(count_tokens([["x", "y"]]), min_count=3)
-
-    @pytest.mark.parametrize("min_count", [0, -3])
-    def test_min_count_below_one_is_an_error(self, min_count):
-        with pytest.raises(MetlitError, match=r"^min_count must be >= 1$"):
-            vocabulary_from_counts(count_tokens([["x", "y"]]), min_count=min_count)
 
     def test_ids_dense_and_inverse_of_words(self):
         sentences = [["c", "a", "b", "a", "c", "c"]]

@@ -62,10 +62,6 @@ class TestAggregate:
         assert aggregate(phrase(["a"], label=METAPHOR), emb).metaphor
         assert not aggregate(phrase(["a"], label=LITERAL), emb).metaphor
 
-    def test_unknown_mode_rejected(self, emb):
-        with pytest.raises(ValueError):
-            aggregate(phrase(["a"]), emb, mode="max")
-
     @pytest.mark.parametrize("dim", [2, 50])
     def test_rows_match_a_per_phrase_stack(self, dim):
         # each row is the token rows summed in order, then divided for the mean
