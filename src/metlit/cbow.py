@@ -213,7 +213,7 @@ def _plan_chunk(context, counts, rows, lr, n_rows):
     return touched, starts, cells, weight
 
 
-def _batch_step(params, context, counts, rows, kept, lr, touched, cells, weight, pads):
+def _batch_step(params, context, counts, rows, kept, lr, touched, cells, weight, pads, stack):
     """One summed negative-sampling step over a batch; returns its pre-step scores.
 
     `params` stacks the input rows, a zero row, the output rows and a zero
@@ -222,22 +222,24 @@ def _batch_step(params, context, counts, rows, kept, lr, touched, cells, weight,
     negative_gradients takes it, and rows shared between windows
     accumulate every contribution. Padding and dropped negatives point at
     the zero rows `pads`, which are cleared again afterwards. The batch's
-    share of _plan_chunk gives `touched`, `cells` and `weight`.
+    share of _plan_chunk gives `touched`, `cells` and `weight`; grad_h and h
+    are written into the first 2n rows of `stack`, a (2 BATCH, D) buffer.
     """
     n = len(counts)
-    h = params.take(context.T, axis=0).sum(axis=0) / counts[:, None]
+    grad_h, h = stack[:n], stack[n:2 * n]
+    np.divide(params.take(context.T, axis=0).sum(axis=0), counts[:, None], out=h)
     out = params.take(rows, axis=0)
     scores = np.matmul(out, h[:, :, None])[..., 0]
     coeff = 1.0 / (1.0 + np.exp(-scores))
     coeff[:, 0] -= 1.0
     coeff[:, 1:] *= kept
-    grad_h = np.matmul(coeff[:, None, :], out)[:, 0]
+    np.matmul(coeff[:, None, :], out, out=grad_h[:, None, :])
     # Scatter-add both updates as one product, which is faster than
     # np.add.at on rows: touched row r gains sum_b m[r, b] * [grad_h; h][b].
     # bincount adds in the order np.add.at does, so m is the same bits.
     np.multiply(-lr[:, None], coeff, out=weight[:, context.shape[1]:])
     m = np.bincount(cells.ravel(), weight.ravel(), len(touched) * 2 * n)
-    params[touched] += m.reshape(-1, 2 * n) @ np.vstack([grad_h, h])
+    params[touched] += m.reshape(-1, 2 * n) @ stack[:2 * n]
     params[pads] = 0.0
     return scores
 
@@ -280,8 +282,12 @@ def train_cbow(
     m = min(config.window, max(map(len, sentences)) - 1)
     # input rows, a zero row, output rows (zero at the start), a zero row
     pad = len(vocab)
-    params = np.zeros((2 * pad + 2, config.dim))
-    params[:pad] = init_model(pad, config.dim, seed=config.seed).input_vectors
+    try:  # numpy gives ValueError for a size past its index range
+        params = np.zeros((2 * pad + 2, config.dim))
+        params[:pad] = init_model(pad, config.dim, seed=config.seed).input_vectors
+        stack = np.empty((2 * BATCH, config.dim))
+    except (MemoryError, ValueError):
+        raise MetlitError(f"--dim {config.dim}: cannot allocate the V×D parameter matrices")
     pads = np.array([pad, 2 * pad + 1])
     sampler = UnigramSampler.from_vocabulary(vocab)
     order_rng = np.random.default_rng(config.seed + 1)
@@ -319,7 +325,7 @@ def train_cbow(
                     s = slice(b, b + BATCH)
                     scores[s] = _batch_step(
                         params, context[s], counts[s], rows[s], kept[s], lr[s],
-                        touched[starts[k]:starts[k + 1]], cells[s], weight[s], pads,
+                        touched[starts[k]:starts[k + 1]], cells[s], weight[s], pads, stack,
                     )
                 for batch_loss in _batch_losses(scores, kept).tolist():
                     loss_sum += batch_loss

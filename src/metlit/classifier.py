@@ -12,6 +12,7 @@ runs it once per fold and once more for the full-data model.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,10 +62,13 @@ class EvalReport:
     fits: int = 0                  # folds plus the full-data fit
     pegasos_steps: int = 0         # summed over every fit
     margin_violations: int = 0     # steps that updated the weights, over every fit
+    workers: int = 1               # processes the fits ran in, 1 when in-process
 
 
 # Rows of an epoch whose margins one product gives at once.
 BLOCK = 128
+# Fewer Pegasos steps than this are fitted in-process (break-even in CHANGES.md).
+PARALLEL_STEPS = 500_000
 
 
 def _fit(vectors: SentenceVectors, rows: np.ndarray, seed: int, lam: float,
@@ -157,11 +161,38 @@ def lambda_range(n: int, dim: int, epochs: int) -> tuple[float, float]:
     return max(low, tiny), 1.0 / (tiny * steps)
 
 
-def _pegasos(vectors: SentenceVectors, runs: list[tuple[np.ndarray, int]], lam: float,
-             epochs: int, violations: list[int] | None = None) -> list[SvmModel]:
-    """Fit one model per (training rows, seed) run, one `_fit` after another.
+_JOB: list = []  # in a worker, the (vectors, runs, lam, epochs) it inherited
 
-    The runs of cross_validate are the folds, then the full data. If
+
+def _fit_run(i: int) -> tuple[SvmModel, int]:
+    vectors, runs, lam, epochs = _JOB[0]
+    return _fit(vectors, *runs[i], lam, epochs)
+
+
+def _fit_forked(vectors, runs, lam, epochs, workers) -> list[tuple[SvmModel, int]]:
+    """Every run's `_fit`, in run order, from `workers` forked processes: they
+    inherit the rows and numpy, and end in os._exit, never in the caller's
+    `finally` blocks. The last run, the full-data fit, goes first."""
+    import multiprocessing  # 35 ms with concurrent.futures, so imported on use
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _JOB.append,
+                               ((vectors, runs, lam, epochs),))
+    try:  # a worker's exception is raised here
+        return list(pool.map(_fit_run, range(len(runs))[::-1]))[::-1]
+    except BrokenProcessPool as exc:  # a worker was killed, say for memory
+        raise MetlitError(f"an SVM fit's worker process died: {exc}") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _pegasos(vectors: SentenceVectors, runs: list[tuple[np.ndarray, int]], lam: float,
+             epochs: int, violations: list[int] | None = None,
+             workers: int = 1) -> list[SvmModel]:
+    """Fit one model per (training rows, seed) run, each by one `_fit`.
+
+    The runs of cross_validate are the folds, then the full data. They run
+    in `workers` processes, and the models are the same for any count. If
     `violations` is a list, each run appends its count of updating steps.
     """
     bounds = [lambda_range(len(rows), vectors.values.shape[1], epochs) for rows, _ in runs]
@@ -171,7 +202,8 @@ def _pegasos(vectors: SentenceVectors, runs: list[tuple[np.ndarray, int]], lam: 
             f"--svm-lambda must lie in [{low:.3g}, {high:.3g}] for {epochs} epochs "
             f"over {len(vectors)} vectors, got {lam!r}"
         )
-    fits = [_fit(vectors, rows, seed, lam, epochs) for rows, seed in runs]
+    fits = (_fit_forked(vectors, runs, lam, epochs, workers) if workers > 1
+            else [_fit(vectors, rows, seed, lam, epochs) for rows, seed in runs])
     for i, (model, _) in enumerate(fits):
         if not (np.isfinite(model.weights).all() and math.isfinite(model.bias)):
             run = f"fold {i}" if i < len(fits) - 1 else "the full-data fit"
@@ -214,42 +246,26 @@ def decision(model: SvmModel, x: np.ndarray) -> np.ndarray:
     return model.standardize(x) @ model.weights + model.bias
 
 
-def kfold_split(
-    n: int,
-    k: int,
-    seed: int = 0,
-    stratified: bool = False,
-    labels: list | None = None,
-) -> list[np.ndarray]:
-    """Partition 0..n-1 into k folds with sizes differing by at most one.
+def kfold_split(labels, k: int, seed: int = 0) -> list[np.ndarray]:
+    """Partition 0..len(labels)-1 into k folds, stratified by label.
 
-    Stratified mode deals each class's shuffled members across folds,
-    rotating which folds receive the leftover extras so per-fold class
-    counts stay within one of the class's even share.
+    Each class's shuffled members are dealt across the folds, rotating which
+    folds receive the leftover extras, so fold sizes differ by at most one
+    and per-fold class counts stay within one of the class's even share.
     """
-    if k > n:
-        raise MetlitError(f"k={k} exceeds dataset size n={n}")
+    labels = np.asarray(labels)
+    if k > len(labels):
+        raise MetlitError(f"k={k} exceeds dataset size n={len(labels)}")
     rng = np.random.default_rng(seed)
-    if not stratified:
-        order = rng.permutation(n)
-        return [fold for fold in np.array_split(order, k)]
-    if labels is None or len(labels) != n:
-        raise MetlitError("stratified split needs one label per item")
-    folds: list[list[int]] = [[] for _ in range(k)]
+    fold_of = np.empty(len(labels), dtype=np.intp)
     offset = 0
-    for cls in sorted(set(labels)):
-        members = np.array([i for i, lab in enumerate(labels) if lab == cls])
-        members = members[rng.permutation(len(members))]
+    for cls in np.unique(labels):
+        members = np.flatnonzero(labels == cls)
         base, extra = divmod(len(members), k)
-        sizes = [base] * k
-        for e in range(extra):
-            sizes[(offset + e) % k] += 1
+        sizes = base + ((np.arange(k) - offset) % k < extra)  # extras from fold `offset` on
+        fold_of[members[rng.permutation(len(members))]] = np.repeat(np.arange(k), sizes)
         offset = (offset + extra) % k
-        pos = 0
-        for f in range(k):
-            folds[f].extend(members[pos:pos + sizes[f]].tolist())
-            pos += sizes[f]
-    return [np.array(sorted(fold)) for fold in folds]
+    return [np.flatnonzero(fold_of == f) for f in range(k)]
 
 
 def evaluate_fold(model: SvmModel, test: SentenceVectors) -> FoldMetrics:
@@ -274,12 +290,12 @@ def cross_validate(
 
     Folds are stratified so near-balanced data cannot produce a
     single-class training split, and every fold is checked before any
-    training. Fold f trains with seed + f; then the reference model on the
-    full dataset (seed) trains and comes back as `report.model`. Mean
-    precision averages only the folds where precision is defined.
+    training. Fold f trains with seed + f, and the reference model on the
+    full dataset (seed) comes back as `report.model`; from PARALLEL_STEPS
+    steps the fits share the CPUs the process may use (`report.workers`).
+    Mean precision averages only the folds where precision is defined.
     """
-    folds = kfold_split(len(vectors), k, seed=seed, stratified=True,
-                        labels=vectors.metaphor.tolist())
+    folds = kfold_split(vectors.metaphor, k, seed=seed)
     everything = np.arange(len(vectors))
     runs = []
     for f, fold in enumerate(folds):
@@ -288,17 +304,19 @@ def cross_validate(
             raise FoldError(f"fold {f}: training split lost a class")
         runs.append((train, seed + f))
     runs.append((everything, seed))
+    steps = epochs * sum(len(train) for train, _ in runs)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = 1 if steps < PARALLEL_STEPS or not hasattr(os, "fork") else min(cpus, len(runs))
     violations: list[int] = []
-    *fold_models, model = _pegasos(vectors, runs, lam, epochs, violations)
+    *fold_models, model = _pegasos(vectors, runs, lam, epochs, violations, workers)
     per_fold = [evaluate_fold(m, vectors[fold]) for m, fold in zip(fold_models, folds)]
     mean_accuracy = sum(m.accuracy for m in per_fold) / len(per_fold)
     defined = [m.precision for m in per_fold if m.precision is not None]
     mean_precision = sum(defined) / len(defined) if defined else None
     return EvalReport(
         per_fold=per_fold, mean_accuracy=mean_accuracy, mean_precision=mean_precision,
-        model=model, fits=len(runs),
-        pegasos_steps=epochs * sum(len(train) for train, _ in runs),
-        margin_violations=sum(violations),
+        model=model, fits=len(runs), pegasos_steps=steps,
+        margin_violations=sum(violations), workers=workers,
     )
 
 

@@ -201,10 +201,12 @@ def cv_stage(args, vectors: sentvec.SentenceVectors) -> tuple[classifier.EvalRep
         "command": "cv",
         "folds": args.folds,
         "mean_accuracy": report.mean_accuracy,
+        "std_accuracy": float(np.std([m.accuracy for m in report.per_fold], ddof=1)),
         "mean_precision": report.mean_precision,
         "fits": report.fits,
         "pegasos_steps": report.pegasos_steps,
         "margin_violations": report.margin_violations,
+        "workers": report.workers,
         "report": report_path,
         "model": model_path,
     }

@@ -146,10 +146,13 @@ def train_glove(
     if not (table["x"] > 0).all():
         raise MetlitError("pair loss requires X_ij > 0 (log undefined)")
     v = len(vocab)
-    model = init_model(v, config.dim, seed=config.seed)
-    params = np.vstack([np.column_stack([model.w, model.b]),
-                        np.column_stack([model.w_tilde, model.b_tilde])])
-    acc = np.ones_like(params)
+    try:  # numpy gives ValueError for a size past its index range
+        model = init_model(v, config.dim, seed=config.seed)
+        params = np.vstack([np.column_stack([model.w, model.b]),
+                            np.column_stack([model.w_tilde, model.b_tilde])])
+        acc = np.ones_like(params)
+    except (MemoryError, ValueError):
+        raise MetlitError(f"--dim {config.dim}: cannot allocate the V×D parameter matrices")
     weight, log_x = weights(table["x"], config.params), np.log(table["x"])
     rows = np.column_stack([table["i"], table["j"]]).astype(np.intp) + [0, v]
     chunk = BATCH * max(1, CHUNK_RECORDS // BATCH)

@@ -343,14 +343,14 @@ def test_fold_partition(check):
     folds keep the 459/455 split within one per fold. Budget: 1 s.
     """
     started = time.perf_counter()
-    folds = kfold_split(914, 10, seed=0)
+    folds = kfold_split([LITERAL] * 914, 10, seed=0)  # one class: a plain deal
     sizes = sorted(len(f) for f in folds)
     sizes_ok = sizes == [91] * 6 + [92] * 4
     seen = np.concatenate(folds)
     partition_ok = len(seen) == 914 and sorted(seen.tolist()) == list(range(914))
 
     labels = [LITERAL] * 459 + [METAPHOR] * 455
-    sfolds = kfold_split(914, 10, seed=0, stratified=True, labels=labels)
+    sfolds = kfold_split(labels, 10, seed=0)
     strat_sizes_ok = sorted(len(f) for f in sfolds) == [91] * 6 + [92] * 4
     sseen = np.concatenate(sfolds)
     strat_partition_ok = sorted(sseen.tolist()) == list(range(914))

@@ -334,7 +334,7 @@ def batch_step(monkeypatch, model, windows, negatives, lrs):
     touched, _, cells, weight = cbow._plan_chunk(context, counts, rows, lrs, len(params))
     scores = cbow._batch_step(
         params, context, counts, rows, kept, lrs, touched, cells, weight,
-        np.array([v, 2 * v + 1]),
+        np.array([v, 2 * v + 1]), np.empty((2 * len(windows), d)),
     )
     model.input_vectors[:] = params[:v]
     model.output_vectors[:] = params[v + 1:-1]

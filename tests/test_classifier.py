@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,8 +59,7 @@ def blobs_914():
 
 def fold_runs(data, k, seed):
     """The stratified folds cross_validate draws, and its (rows, seed) runs."""
-    folds = kfold_split(len(data), k, seed=seed, stratified=True,
-                        labels=data.metaphor.tolist())
+    folds = kfold_split(data.metaphor, k, seed=seed)
     everything = np.arange(len(data))
     runs = [(np.setdiff1d(everything, fold), seed + f)
             for f, fold in enumerate(folds)] + [(everything, seed)]
@@ -192,35 +193,36 @@ class TestTrainSvm:
 
 class TestKfold:
     def test_914_into_10_fold_sizes(self):
-        folds = kfold_split(914, 10, seed=0)
+        # one class: a plain shuffled deal
+        folds = kfold_split([LITERAL] * 914, 10, seed=0)
         sizes = sorted(len(f) for f in folds)
         assert sizes == [91] * 6 + [92] * 4
 
     def test_partition_disjoint_and_covering(self):
-        for stratified in (False, True):
-            labels = [LITERAL if i % 2 else METAPHOR for i in range(37)]
-            folds = kfold_split(
-                37, 5, seed=1, stratified=stratified, labels=labels
-            )
+        for labels in ([LITERAL] * 37, [LITERAL if i % 2 else METAPHOR for i in range(37)]):
+            folds = kfold_split(labels, 5, seed=1)
             seen = np.concatenate(folds)
             assert len(seen) == 37
             assert sorted(seen.tolist()) == list(range(37))
 
     def test_ten_singleton_folds(self):
-        folds = kfold_split(10, 10, seed=0)
+        folds = kfold_split([LITERAL] * 5 + [METAPHOR] * 5, 10, seed=0)
         assert all(len(f) == 1 for f in folds)
 
     def test_k_exceeding_n_rejected(self):
         with pytest.raises(ValueError):
-            kfold_split(5, 6)
+            kfold_split([LITERAL] * 5, 6)
 
-    def test_stratified_requires_labels(self):
-        with pytest.raises(ValueError):
-            kfold_split(10, 2, stratified=True)
+    def test_mask_and_label_names_give_the_same_folds(self):
+        # cross_validate passes the metaphor mask: False sorts as literal does
+        mask = np.random.default_rng(2).random(50) < 0.4
+        names = [METAPHOR if m else LITERAL for m in mask]
+        for a, b in zip(kfold_split(mask, 7, seed=5), kfold_split(names, 7, seed=5)):
+            assert np.array_equal(a, b)
 
     def test_stratified_class_counts_within_one(self):
         labels = [LITERAL] * 459 + [METAPHOR] * 455
-        folds = kfold_split(914, 10, seed=3, stratified=True, labels=labels)
+        folds = kfold_split(labels, 10, seed=3)
         assert sorted(len(f) for f in folds) == [91] * 6 + [92] * 4
         for fold in folds:
             lit = sum(1 for i in fold if labels[i] == LITERAL)
@@ -229,13 +231,15 @@ class TestKfold:
             assert abs(met - 45.5) <= 1.0
 
     def test_same_seed_reproduces_folds(self):
-        f1 = kfold_split(100, 7, seed=9)
-        f2 = kfold_split(100, 7, seed=9)
+        labels = [LITERAL] * 60 + [METAPHOR] * 40
+        f1 = kfold_split(labels, 7, seed=9)
+        f2 = kfold_split(labels, 7, seed=9)
         assert all(np.array_equal(a, b) for a, b in zip(f1, f2))
 
     def test_different_seed_changes_folds(self):
-        f1 = kfold_split(100, 7, seed=1)
-        f2 = kfold_split(100, 7, seed=2)
+        labels = [LITERAL] * 60 + [METAPHOR] * 40
+        f1 = kfold_split(labels, 7, seed=1)
+        f2 = kfold_split(labels, 7, seed=2)
         assert any(not np.array_equal(a, b) for a, b in zip(f1, f2))
 
 
@@ -364,6 +368,44 @@ class TestLockstepMatchesReference:
             model = train_svm(data[rows], lam=1e-2, epochs=17, seed=n)
             ref = reference_train_svm(data[rows], lam=1e-2, epochs=17, seed=n)
             assert_matches_reference(model, ref)
+
+
+class TestParallelFits:
+    def test_one_and_two_workers_give_the_same_models(self, blobs_914):
+        _, runs = fold_runs(blobs_914, 10, seed=3)
+        fits = {}
+        for workers in (1, 2):
+            violations = []
+            models = classifier._pegasos(blobs_914, runs, 1e-3, 4, violations, workers)
+            fits[workers] = models, violations
+        (serial, serial_counts), (forked, forked_counts) = fits[1], fits[2]
+        assert forked_counts == serial_counts and len(forked) == len(serial) == 11
+        for a, b in zip(serial, forked):
+            assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
+            assert np.array_equal(a.scale_mean, b.scale_mean)
+            assert np.array_equal(a.scale_std, b.scale_std)
+
+    @pytest.mark.parametrize("threshold, cpus, workers", [
+        (0, 8, 3),      # above the threshold: one process per run at most
+        (24, 8, 3),     # at it
+        (25, 8, 1),     # below it, in-process
+        (0, 2, 2),      # two CPUs for three runs
+        (0, 1, 1),      # one CPU, in-process
+    ])
+    def test_threshold_picks_in_process_below_it(self, monkeypatch, threshold, cpus, workers):
+        data = make_blobs(np.random.default_rng(6), n_per_class=3, dim=2, separation=3.0)
+        serial = cross_validate(data, k=2, lam=1e-2, epochs=2, seed=1)
+        monkeypatch.setattr(classifier, "PARALLEL_STEPS", threshold)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        report = cross_validate(data, k=2, lam=1e-2, epochs=2, seed=1)
+        # two folds of 3 training rows and the full 6, over 2 epochs
+        assert report.pegasos_steps == 2 * (3 + 3 + 6) == 24
+        assert report.fits == 3 and report.workers == workers and serial.workers == 1
+        assert report.per_fold == serial.per_fold
+        assert report.margin_violations == serial.margin_violations
+        assert np.array_equal(report.model.weights, serial.model.weights)
+        assert report.model.bias == serial.model.bias
 
 
 @st.composite

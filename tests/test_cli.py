@@ -1,7 +1,10 @@
 import io
 import json
 import math
+import multiprocessing
 import os
+import signal
+import statistics
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -301,14 +304,89 @@ class TestCvSummary:
                                             "--svm-lambda", "0.01", "--svm-epochs", "7"])
         assert code == 0
         data = load_sentence_vectors(path)
-        folds = kfold_split(len(data), 3, seed=4, stratified=True,
-                            labels=data.metaphor.tolist())
+        folds = kfold_split(data.metaphor, 3, seed=4)
         everything = np.arange(len(data))
         runs = [(np.setdiff1d(everything, fold), 4 + f) for f, fold in enumerate(folds)]
         counts = [reference_pegasos(data[rows], 0.01, 7, seed)[1]
                   for rows, seed in runs + [(everything, 4)]]
         assert summary["margin_violations"] == sum(counts)
         assert 0 < sum(counts) < summary["pegasos_steps"] == 7 * (2 * 30 + 30)
+        assert summary["workers"] == 1  # below the step threshold
+
+    def test_std_accuracy_is_the_sample_deviation_of_the_folds(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        os.mkdir(out)
+        data = make_blobs(np.random.default_rng(8), n_per_class=20, dim=3, separation=0.8)
+        save_sentence_vectors(data, os.path.join(out, cli.SENTVEC_FILE))
+        code, summary, _ = run_cli(capsys, ["cv", "--out", out, "--folds", "4",
+                                            "--svm-epochs", "5"])
+        assert code == 0
+        report = classifier.cross_validate(data, k=4, epochs=5)
+        accuracies = [m.accuracy for m in report.per_fold]
+        assert len(set(accuracies)) > 1
+        assert summary["std_accuracy"] == pytest.approx(statistics.stdev(accuracies),
+                                                        rel=1e-12)
+
+
+class TestParallelCv:
+    """cv with its fits forked into two workers, whatever the CPU count."""
+
+    @pytest.fixture
+    def out(self, tmp_path):
+        out = str(tmp_path / "out")
+        os.mkdir(out)
+        data = make_blobs(np.random.default_rng(30), n_per_class=20, dim=3, separation=1.0)
+        save_sentence_vectors(data, os.path.join(out, cli.SENTVEC_FILE))
+        return out
+
+    def fork_every_fit(self, monkeypatch):
+        monkeypatch.setattr(classifier, "PARALLEL_STEPS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def cv(self, capsys, out):
+        code, summary, err = run_cli(capsys, ["cv", "--folds", "4", "--svm-epochs", "6",
+                                              "--out", out])
+        files = {}
+        for name in (cli.CV_FILE, cli.MODEL_FILE):
+            path = os.path.join(out, name)
+            if os.path.exists(path):
+                with open(path, "rb") as fh:
+                    files[name] = fh.read()
+                os.remove(path)
+        return code, summary, err, files
+
+    def test_forked_fits_write_the_same_bytes(self, out, capsys, monkeypatch):
+        code, serial, _, serial_files = self.cv(capsys, out)
+        assert code == 0 and serial["workers"] == 1
+        self.fork_every_fit(monkeypatch)
+        code, forked, _, forked_files = self.cv(capsys, out)
+        assert code == 0 and forked["workers"] == 2
+        assert forked_files == serial_files and len(serial_files) == 2
+        assert {**forked, "workers": 1} == serial
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failure, message", [
+        ("raise", "error: fold 2 failed in a worker\n"),
+        ("kill", "error: an SVM fit's worker process died: "),
+    ])
+    def test_failing_worker_is_one_error_line_and_leaves_no_child(
+        self, out, capsys, monkeypatch, failure, message
+    ):
+        parent, real_fit = os.getpid(), classifier._fit
+
+        def fit(vectors, rows, seed, lam, epochs):
+            if os.getpid() != parent and seed == 2:
+                if failure == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise MetlitError("fold 2 failed in a worker")
+            return real_fit(vectors, rows, seed, lam, epochs)
+
+        monkeypatch.setattr(classifier, "_fit", fit)
+        self.fork_every_fit(monkeypatch)
+        code, summary, err, files = self.cv(capsys, out)
+        assert code == 1 and summary is None and files == {}
+        assert err.startswith(message) and err.count("\n") == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestCvErrors:
@@ -792,16 +870,17 @@ class TestPipeline:
         assert code == 0
 
     @pytest.mark.parametrize("model", ["cbow", "glove"])
-    def test_unallocatable_model_is_a_one_line_error(self, workspace, capsys, model):
+    @pytest.mark.parametrize("dim", [10**15, 10**20])
+    def test_unallocatable_model_is_a_one_line_error(self, workspace, capsys, model, dim):
         # numpy refuses an array of exbibytes at once, touching no memory
+        # (MemoryError), and one past its index range by ValueError
         code, summary, err = run_cli(capsys, [
             "pipeline", "--corpus", workspace["corpus"], "--labeled", workspace["labeled"],
-            "--model", model, "--min-count", "1", "--dim", str(10**15),
+            "--model", model, "--min-count", "1", "--dim", str(dim),
             "--out", workspace["out"],
         ])
         assert code == 1 and summary is None
-        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
-        assert f", {10**15})" in err
+        assert err == f"error: --dim {dim}: cannot allocate the V×D parameter matrices\n"
 
     def test_pipeline_defaults_differ_by_model(self):
         args = cli.parse_args(
