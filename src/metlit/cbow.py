@@ -193,69 +193,52 @@ def build_windows(
     return ids, counts
 
 
-def _plan_chunk(context, counts, rows, lr, n_rows):
-    """The parameter-free part of every BATCH step over a chunk of windows.
-
-    Returns (touched, starts, cells, weight): batch k of n windows updates
-    the rows touched[starts[k]:starts[k + 1]], and entry (r, c) of
-    [context | rows] adds weight[r, c] to cell cells[r, c] of its (touched,
-    2n) matrix m, in column b for window b's context and n + b for its
-    output rows. The step fills in the output weights.
-    """
-    batch = BATCH
-    touched, starts, slot = batch_plan(np.hstack([context, rows]), n_rows, batch)
-    window = np.arange(len(counts))
-    n = np.minimum(batch, len(counts) - window // batch * batch)[:, None]
-    b = (window % batch)[:, None]
-    cells = slot * 2 * n + np.where(np.arange(slot.shape[1]) < context.shape[1], b, b + n)
-    weight = np.empty(slot.shape)
-    weight[:, :context.shape[1]] = (-lr / counts)[:, None]
-    return touched, starts, cells, weight
-
-
-def _batch_step(params, context, counts, rows, kept, lr, touched, cells, weight, pads, stack):
-    """One summed negative-sampling step over a batch; returns its pre-step scores.
+def _train_chunk(params, context, counts, rows, kept, lr, stack):
+    """Summed negative-sampling steps over a chunk of windows, BATCH at a
+    time; returns the sum of the windows' pre-step losses.
 
     `params` stacks the input rows, a zero row, the output rows and a zero
     row; `rows` index its output half (center, then negatives). Every
-    window's gradient is taken at the pre-step parameters, as
-    negative_gradients takes it, and rows shared between windows
-    accumulate every contribution. Padding and dropped negatives point at
-    the zero rows `pads`, which are cleared again afterwards. The batch's
-    share of _plan_chunk gives `touched`, `cells` and `weight`; grad_h and h
-    are written into the first 2n rows of `stack`, a (2 BATCH, D) buffer.
+    window's gradient is taken at its batch's pre-step parameters, as
+    negative_gradients takes it, and rows shared within a batch accumulate
+    every contribution. Padding and dropped negatives point at the zero
+    rows, which are cleared again after each step. grad_h and h are
+    written into the first 2n rows of `stack`, a (2 BATCH, D) buffer.
     """
-    n = len(counts)
-    grad_h, h = stack[:n], stack[n:2 * n]
-    np.divide(params.take(context.T, axis=0).sum(axis=0), counts[:, None], out=h)
-    out = params.take(rows, axis=0)
-    scores = np.matmul(out, h[:, :, None])[..., 0]
-    coeff = 1.0 / (1.0 + np.exp(-scores))
-    coeff[:, 0] -= 1.0
-    coeff[:, 1:] *= kept
-    np.matmul(coeff[:, None, :], out, out=grad_h[:, None, :])
-    # Scatter-add both updates as one product, which is faster than
-    # np.add.at on rows: touched row r gains sum_b m[r, b] * [grad_h; h][b].
-    # bincount adds in the order np.add.at does, so m is the same bits.
-    np.multiply(-lr[:, None], coeff, out=weight[:, context.shape[1]:])
-    m = np.bincount(cells.ravel(), weight.ravel(), len(touched) * 2 * n)
-    params[touched] += m.reshape(-1, 2 * n) @ stack[:2 * n]
-    params[pads] = 0.0
-    return scores
-
-
-def _batch_losses(scores, kept):
-    """Each BATCH's loss sum over a chunk's pre-step scores, summed as the
-    batch's own -log sig(s_center) and -log sig(-s_negative) sums are."""
-    batch, k = BATCH, kept.shape[1]
+    width = context.shape[1]
+    pads = [len(params) // 2 - 1, len(params) - 1]
+    # batch k of n windows updates the rows touched[starts[k]:starts[k + 1]],
+    # and entry (r, c) of [context | rows] adds weight[r, c] to cell
+    # cells[r, c] of its (touched, 2n) matrix m, in column b for window b's
+    # context and n + b for its output rows; the step fills in the output weights
+    touched, starts, slot = batch_plan(np.hstack([context, rows]), len(params), BATCH)
+    window = np.arange(len(counts))
+    size = np.minimum(BATCH, len(counts) - window // BATCH * BATCH)[:, None]
+    b = (window % BATCH)[:, None]
+    cells = slot * 2 * size + np.where(np.arange(slot.shape[1]) < width, b, b + size)
+    weight = np.empty(slot.shape)
+    weight[:, :width] = (-lr / counts)[:, None]
+    scores = np.empty(rows.shape)
+    for k, a in enumerate(range(0, len(counts), BATCH)):
+        s, ids = slice(a, a + BATCH), touched[starts[k]:starts[k + 1]]
+        n = len(counts[s])
+        grad_h, h = stack[:n], stack[n:2 * n]
+        np.divide(params.take(context[s].T, axis=0).sum(axis=0), counts[s, None], out=h)
+        out = params.take(rows[s], axis=0)
+        scores[s] = np.matmul(out, h[:, :, None])[..., 0]
+        coeff = 1.0 / (1.0 + np.exp(-scores[s]))
+        coeff[:, 0] -= 1.0
+        coeff[:, 1:] *= kept[s]
+        np.matmul(coeff[:, None, :], out, out=grad_h[:, None, :])
+        # Scatter-add both updates as one product, which is faster than
+        # np.add.at on rows: touched row r gains sum_b m[r, b] * [grad_h; h][b].
+        # bincount adds in the order np.add.at does, so m is the same bits.
+        np.multiply(-lr[s, None], coeff, out=weight[s, width:])
+        m = np.bincount(cells[s].ravel(), weight[s].ravel(), len(ids) * 2 * n)
+        params[ids] += m.reshape(-1, 2 * n) @ stack[:2 * n]
+        params[pads] = 0.0
     pos, neg = np.logaddexp(0.0, -scores[:, 0]), np.logaddexp(0.0, scores[:, 1:])
-    full = len(pos) - len(pos) % batch
-    keep = kept[:full].reshape(-1, batch * k)
-    sums = (pos[:full].reshape(-1, batch).sum(axis=1)
-            + neg[:full].reshape(-1, batch * k).sum(axis=1, where=keep))
-    if full < len(pos):  # the last, shorter batch
-        sums = np.append(sums, pos[full:].sum() + neg[full:].sum(where=kept[full:]))
-    return sums
+    return float(pos.sum() + neg.sum(where=kept))
 
 
 def train_cbow(
@@ -288,7 +271,6 @@ def train_cbow(
         stack = np.empty((2 * BATCH, config.dim))
     except (MemoryError, ValueError):
         raise MetlitError(f"--dim {config.dim}: cannot allocate the V×D parameter matrices")
-    pads = np.array([pad, 2 * pad + 1])
     sampler = UnigramSampler.from_vocabulary(vocab)
     order_rng = np.random.default_rng(config.seed + 1)
     windows_per_epoch = sum(map(len, sentences))
@@ -317,18 +299,7 @@ def train_cbow(
                 lr = _window_schedule(
                     config.lr, epoch * windows_per_epoch + where, total
                 )
-                touched, starts, cells, weight = _plan_chunk(
-                    context, counts, rows, lr, len(params)
-                )
-                scores = np.empty(rows.shape)
-                for k, b in enumerate(range(0, len(where), BATCH)):
-                    s = slice(b, b + BATCH)
-                    scores[s] = _batch_step(
-                        params, context[s], counts[s], rows[s], kept[s], lr[s],
-                        touched[starts[k]:starts[k + 1]], cells[s], weight[s], pads, stack,
-                    )
-                for batch_loss in _batch_losses(scores, kept).tolist():
-                    loss_sum += batch_loss
+                loss_sum += _train_chunk(params, context, counts, rows, kept, lr, stack)
         if not np.isfinite(params).all():
             raise MetlitError(f"non-finite parameters after epoch {epoch}")
         epoch_losses.append(loss_sum / len(positions) if len(positions) else 0.0)

@@ -255,7 +255,8 @@ def kfold_split(labels, k: int, seed: int = 0) -> list[np.ndarray]:
     """
     labels = np.asarray(labels)
     if k > len(labels):
-        raise MetlitError(f"k={k} exceeds dataset size n={len(labels)}")
+        raise MetlitError(f"--folds must be <= the number of sentence vectors {len(labels)}, "
+                          f"got {k}")
     rng = np.random.default_rng(seed)
     fold_of = np.empty(len(labels), dtype=np.intp)
     offset = 0

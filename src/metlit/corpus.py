@@ -31,7 +31,7 @@ def tokenize(text: str) -> list[str]:
 
 
 def read_lines(path: str) -> Iterator[tuple[str, str]]:
-    """Yield `("<path>, line N", text)` per line, terminator kept, decoded as UTF-8."""
+    """Yield `("<path>, line N", text)` per UTF-8 line, terminator kept, leading BOM dropped."""
     offset = 0
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -42,6 +42,8 @@ def read_lines(path: str) -> Iterator[tuple[str, str]]:
                 raise CorpusError(
                     f"{where}: invalid UTF-8 at byte {offset + exc.start}"
                 ) from None
+            if lineno == 1:
+                text = text.removeprefix("\ufeff")
             yield where, text
             offset += len(raw)
 
@@ -187,9 +189,9 @@ class LabeledPhrase:
 def load_labeled_phrases(path: str) -> list[LabeledPhrase]:
     """Parse a UTF-8 TSV of `<label>\\t<verb>\\t<sentence>` lines.
 
-    Blank lines are skipped. A malformed line (unknown label, missing
-    column, verb missing from the tokenized sentence) raises rather than
-    being dropped, so label counts stay trustworthy.
+    Blank lines are skipped, but a file of no phrase is an error. A malformed
+    line (unknown label, missing column, verb missing from the tokenized
+    sentence) raises rather than being dropped, so label counts stay trustworthy.
     """
     phrases: list[LabeledPhrase] = []
     for where, line in read_lines(path):
@@ -208,4 +210,6 @@ def load_labeled_phrases(path: str) -> list[LabeledPhrase]:
             phrases.append(LabeledPhrase(tokenize(sentence), verb[0], label))
         except CorpusError as exc:
             raise CorpusError(f"{where}: {exc}") from None
+    if not phrases:
+        raise CorpusError(f"{path}: empty phrase file")
     return phrases

@@ -27,17 +27,15 @@ class WeightParams:
 
 
 def weights(x: np.ndarray, params: WeightParams = WeightParams()) -> np.ndarray:
-    """weight_f over an array of nonnegative counts."""
+    """min(x / x_max, 1)^a over an array of nonnegative counts."""
     return np.minimum(x / params.x_max, 1.0) ** params.a
 
 
 def weight_f(x: float, params: WeightParams = WeightParams()) -> float:
-    """(x/x_max)^alpha for x < x_max, else 1. Monotone, in [0, 1]."""
+    """weights of one count: (x/x_max)^a for x < x_max, else 1. Monotone, in [0, 1]."""
     if x < 0:
         raise MetlitError("co-occurrence count must be nonnegative")
-    if x >= params.x_max:
-        return 1.0
-    return (x / params.x_max) ** params.a
+    return float(weights(x, params))
 
 
 @dataclass
@@ -99,27 +97,32 @@ class GloveConfig:
     seed: int = 0
 
 
-def _batch_step(params, acc, pairs, weight, log_x, lr, touched, cells):
-    """One AdaGrad step over n records, rows pairs[r] = (i, V + j) of
-    `params` ([w | b] then [w~ | b~]); returns the sum of their pre-step
-    losses. The batch updates the rows `touched`, and cells[r, c] are the
-    d + 1 cells of row pairs[r, c] in the flat (touched, d + 1) sums."""
+def _train_chunk(params, acc, pairs, weight, log_x, lr):
+    """AdaGrad steps over a chunk of records, BATCH at a time, rows
+    pairs[r] = (i, V + j) of `params` ([w | b] then [w~ | b~]); returns the
+    sum of their losses, each at its batch's pre-step parameters."""
     d = params.shape[1] - 1
-    q = params.take(pairs, axis=0)
-    main, context = q[:, 0], q[:, 1]
-    residual = (np.einsum("nd,nd->n", main[:, :d], context[:, :d])
-                + main[:, d] + context[:, d] - log_x)
-    loss = float(weight @ (residual * residual))
-    # row i's gradient is common * [w~_j | 1], row V + j's is common * [w_i | 1]
-    grad = q[:, ::-1].copy()
-    grad[:, :, d] = 1.0
-    grad *= (2.0 * weight * residual)[:, None, None]
-    # a row repeated in the batch adds its gradients and squared gradients
-    g, s = (np.bincount(cells.ravel(), v.ravel(), touched.size * (d + 1)).reshape(-1, d + 1)
-            for v in (grad, grad * grad))
-    params[touched] -= lr * g / np.sqrt(acc[touched])
-    acc[touched] += s
-    return loss
+    # batch k updates the rows touched[starts[k]:starts[k + 1]], and
+    # cells[r, c] are the d + 1 cells of row pairs[r, c] in the flat (touched, d + 1) sums
+    touched, starts, slot = batch_plan(pairs, len(params), BATCH)
+    cells = slot[:, :, None] * (d + 1) + np.arange(d + 1)
+    residual = np.empty(len(pairs))
+    for k, a in enumerate(range(0, len(pairs), BATCH)):
+        s, ids = slice(a, a + BATCH), touched[starts[k]:starts[k + 1]]
+        q = params.take(pairs[s], axis=0)
+        main, context = q[:, 0], q[:, 1]
+        residual[s] = (np.einsum("nd,nd->n", main[:, :d], context[:, :d])
+                       + main[:, d] + context[:, d] - log_x[s])
+        # row i's gradient is common * [w~_j | 1], row V + j's is common * [w_i | 1]
+        grad = q[:, ::-1].copy()
+        grad[:, :, d] = 1.0
+        grad *= (2.0 * weight[s] * residual[s])[:, None, None]
+        # a row repeated in the batch adds its gradients and squared gradients
+        g, sq = (np.bincount(cells[s].ravel(), v.ravel(), ids.size * (d + 1)).reshape(-1, d + 1)
+                 for v in (grad, grad * grad))
+        params[ids] -= lr * g / np.sqrt(acc[ids])
+        acc[ids] += sq
+    return float(weight @ (residual * residual))
 
 
 def train_glove(
@@ -164,15 +167,9 @@ def train_glove(
         with np.errstate(all="ignore"):
             for a in range(0, len(order), chunk):
                 part = order[a:a + chunk]
-                pairs, f, ln_x = rows[part], weight[part], log_x[part]
-                touched, starts, slot = batch_plan(pairs, 2 * v, BATCH)
-                cells = slot[:, :, None] * (config.dim + 1) + np.arange(config.dim + 1)
-                for k, b in enumerate(range(0, len(part), BATCH)):
-                    s = slice(b, b + BATCH)
-                    epoch_loss += _batch_step(
-                        params, acc, pairs[s], f[s], ln_x[s], config.lr,
-                        touched[starts[k]:starts[k + 1]], cells[s],
-                    )
+                epoch_loss += _train_chunk(
+                    params, acc, rows[part], weight[part], log_x[part], config.lr
+                )
         if not np.isfinite(params).all():
             raise MetlitError(f"non-finite parameters after epoch {epoch}")
         if not math.isfinite(epoch_loss):

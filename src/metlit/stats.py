@@ -108,6 +108,27 @@ class TTestResult:
     significant: bool
 
 
+def _welch_columns(a, b, alpha: float, columns: list) -> list[TTestResult]:
+    """Welch tests of each column of `a` against the same column of `b`, whose
+    rows are samples; a column constant in both samples has no test."""
+    # a column of the transposed contiguous copy sums as the 1-D sample does
+    a, b = (np.ascontiguousarray(x.T) for x in (a, b))
+    n_a, n_b = a.shape[1], b.shape[1]
+    sq_a, sq_b = a.var(axis=1, ddof=1) / n_a, b.var(axis=1, ddof=1) / n_b
+    se2 = sq_a + sq_b
+    with np.errstate(divide="ignore", invalid="ignore"):  # flat columns
+        t = (a.mean(axis=1) - b.mean(axis=1)) / np.sqrt(se2)
+        df = se2 * se2 / (sq_a * sq_a / (n_a - 1) + sq_b * sq_b / (n_b - 1))
+    # constant, not var == 0: the rounded mean of n copies of 0.1 leaves a variance
+    flat = ((np.ptp(a, axis=1) == 0.0) & (np.ptp(b, axis=1) == 0.0)).tolist()
+    results = []
+    for column, t_c, df_c, flat_c in zip(columns, t.tolist(), df.tolist(), flat):
+        p = None if flat_c else two_sided_p(t_c, df_c)
+        test = (None, None, None) if flat_c else (t_c, df_c, p)
+        results.append(TTestResult(column, *test, significant=not flat_c and p < alpha))
+    return results
+
+
 def welch_t(sample_a, sample_b, alpha: float = 0.05) -> TTestResult:
     """Welch's unequal-variance two-sample t-test, two-sided.
 
@@ -116,25 +137,12 @@ def welch_t(sample_a, sample_b, alpha: float = 0.05) -> TTestResult:
     """
     a = np.asarray(sample_a, dtype=np.float64)
     b = np.asarray(sample_b, dtype=np.float64)
-    n_a, n_b = len(a), len(b)
-    if n_a < 2 or n_b < 2:
+    if len(a) < 2 or len(b) < 2:
         raise SampleSizeError("each sample needs at least 2 elements")
-    var_a = float(a.var(ddof=1))
-    var_b = float(b.var(ddof=1))
-    if var_a == 0.0 and var_b == 0.0:
+    (result,) = _welch_columns(a[:, None], b[:, None], alpha, [None])
+    if result.p_value is None:
         raise DegenerateSampleError("both samples have zero variance")
-    sq_a, sq_b = var_a / n_a, var_b / n_b
-    se2 = sq_a + sq_b
-    t = float(a.mean() - b.mean()) / math.sqrt(se2)
-    df = se2 * se2 / (sq_a * sq_a / (n_a - 1) + sq_b * sq_b / (n_b - 1))
-    p = two_sided_p(t, df)
-    return TTestResult(
-        dimension=None,
-        t_statistic=t,
-        degrees_of_freedom=df,
-        p_value=p,
-        significant=p < alpha,
-    )
+    return result
 
 
 def group_ttest(
@@ -156,18 +164,10 @@ def group_ttest(
             f"metaphor={len(met)}"
         )
     dim = lit.shape[1]
-    columns = [*range(dim), "norm"]
     lit, met = (np.column_stack([x, np.linalg.norm(x, axis=1)]) for x in (lit, met))
-    results: list[TTestResult] = []
-    for c, column in enumerate(columns):
-        try:
-            res = welch_t(lit[:, c], met[:, c], alpha=alpha)
-        except DegenerateSampleError as exc:
-            if column == "norm":
-                raise DegenerateSampleError(f"norm: {exc}") from None
-            res = TTestResult(None, None, None, None, significant=False)
-        res.dimension = column
-        results.append(res)
+    results = _welch_columns(lit, met, alpha, [*range(dim), "norm"])
+    if results[-1].p_value is None:
+        raise DegenerateSampleError("norm: both samples have zero variance")
     summary = {
         "n_literal": lit.shape[0],
         "n_metaphor": met.shape[0],

@@ -311,7 +311,7 @@ class TestTrainCbow:
 
 def batch_step(monkeypatch, model, windows, negatives, lrs):
     """Run the batched kernel on explicit windows and negatives, in place,
-    as one batch planned by _plan_chunk.
+    as a chunk of one batch.
 
     `negatives` lists each window's kept negatives; the kernel sees them
     padded to a common width with the rest marked not kept.
@@ -331,14 +331,12 @@ def batch_step(monkeypatch, model, windows, negatives, lrs):
     rows = np.hstack([centers[:, None], negs]) + v + 1
     lrs, kept = np.asarray(lrs, dtype=float), negs != v
     monkeypatch.setattr(cbow, "BATCH", len(windows))
-    touched, _, cells, weight = cbow._plan_chunk(context, counts, rows, lrs, len(params))
-    scores = cbow._batch_step(
-        params, context, counts, rows, kept, lrs, touched, cells, weight,
-        np.array([v, 2 * v + 1]), np.empty((2 * len(windows), d)),
+    loss = cbow._train_chunk(
+        params, context, counts, rows, kept, lrs, np.empty((2 * len(windows), d))
     )
     model.input_vectors[:] = params[:v]
     model.output_vectors[:] = params[v + 1:-1]
-    return float(cbow._batch_losses(scores, kept)[0])
+    return loss
 
 
 class PlannedUniforms:
@@ -421,47 +419,45 @@ class TestBatchedKernel:
         assert np.abs(model.input_vectors - expected_in).max() <= 1e-12
         assert np.abs(model.output_vectors - expected_out).max() <= 1e-12
 
-    def test_planned_bincount_equals_add_at_bitwise(self, monkeypatch):
-        # the scatter matrix of each batch, built from the chunk's plan by
-        # np.bincount, against np.unique and np.add.at on the batch alone;
-        # few ids and padding make duplicate cells common, and the last of
-        # the 23 windows is a batch of 3
+    def test_chunk_equals_batches_scattered_by_add_at_bitwise(self, monkeypatch):
+        # one chunk of 23 windows against its batches of 5 (the last of 3),
+        # each planned alone by np.unique and scattered by np.add.at; few
+        # ids and padding make duplicate cells common, and the rates spread
+        # the update weights over 10^-9..10^9
         rng = np.random.default_rng(16)
-        v, n_windows, batch = 6, 23, 5
+        v, d, n_windows, batch = 6, 3, 23, 5
         monkeypatch.setattr(cbow, "BATCH", batch)
+        params = rng.normal(0, 1, (2 * v + 2, d))
+        params[[v, -1]] = 0.0
         context = rng.integers(0, v + 1, (n_windows, 4))
         counts = rng.integers(1, 5, n_windows)
-        rows = rng.integers(v + 1, 2 * v + 2, (n_windows, 3))
-        lr = rng.uniform(0.01, 1.0, n_windows)
-        touched, starts, cells, weight = cbow._plan_chunk(context, counts, rows, lr, 2 * v + 2)
-        weight[:, 4:] = rng.normal(0, 1, rows.shape) * 10.0 ** rng.integers(-9, 9, rows.shape)
-        for k, b in enumerate(range(0, n_windows, batch)):
-            s = slice(b, b + batch)
-            n = len(counts[s])
-            ids, slot = np.unique(np.hstack([context[s], rows[s]]), return_inverse=True)
-            column = np.hstack([np.repeat(np.arange(n)[:, None], 4, axis=1),
-                                np.repeat(np.arange(n, 2 * n)[:, None], 3, axis=1)])
-            expected = np.zeros((len(ids), 2 * n))
-            np.add.at(expected, (slot.reshape(n, -1), column), weight[s])
-            got = np.bincount(cells[s].ravel(), weight[s].ravel(), len(ids) * 2 * n)
-            assert np.array_equal(touched[starts[k]:starts[k + 1]], ids)
-            assert np.array_equal(weight[s, :4], np.repeat((-lr[s] / counts[s])[:, None], 4, 1))
-            assert got.reshape(-1, 2 * n).tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("batch, n_windows", [(5, 23), (32, 100), (32, 96)])
-    def test_chunk_losses_equal_per_batch_sums_bitwise(self, monkeypatch, batch, n_windows):
-        # the loss sums each step used to take on its own batch, a shorter
-        # last batch and dropped negatives included
-        rng = np.random.default_rng(17)
-        monkeypatch.setattr(cbow, "BATCH", batch)
-        scores = rng.normal(0, 3, (n_windows, 4))
-        kept = rng.random((n_windows, 3)) < 0.7
-        expected = [
-            np.logaddexp(0.0, -scores[b:b + batch, 0]).sum()
-            + np.logaddexp(0.0, scores[b:b + batch, 1:]).sum(where=kept[b:b + batch])
-            for b in range(0, n_windows, batch)
-        ]
-        assert cbow._batch_losses(scores, kept).tolist() == expected
+        rows = np.hstack([rng.integers(v + 1, 2 * v + 1, (n_windows, 1)),
+                          rng.integers(v + 1, 2 * v + 2, (n_windows, 2))])
+        kept = rows[:, 1:] != 2 * v + 1
+        lr = rng.uniform(0.1, 1.0, n_windows) * 10.0 ** rng.integers(-9, 9, n_windows)
+        expected = params.copy()
+        # large rates saturate later scores: exp overflows, as train_cbow lets it
+        with np.errstate(over="ignore"):
+            for b in range(0, n_windows, batch):
+                s = slice(b, b + batch)
+                n = len(counts[s])
+                h = expected.take(context[s].T, axis=0).sum(axis=0) / counts[s, None]
+                out = expected[rows[s]]
+                coeff = 1.0 / (1.0 + np.exp(-np.matmul(out, h[:, :, None])[..., 0]))
+                coeff[:, 0] -= 1.0
+                coeff[:, 1:] *= kept[s]
+                grad_h = np.matmul(coeff[:, None, :], out)[:, 0]
+                ids, slot = np.unique(np.hstack([context[s], rows[s]]), return_inverse=True)
+                column = np.hstack([np.repeat(np.arange(n)[:, None], 4, axis=1),
+                                    np.repeat(np.arange(n, 2 * n)[:, None], 3, axis=1)])
+                weight = np.hstack([np.repeat((-lr[s] / counts[s])[:, None], 4, axis=1),
+                                    -lr[s, None] * coeff])
+                m = np.zeros((len(ids), 2 * n))
+                np.add.at(m, (slot.reshape(n, -1), column), weight)
+                expected[ids] += m @ np.vstack([grad_h, h])
+                expected[[v, -1]] = 0.0
+            cbow._train_chunk(params, context, counts, rows, kept, lr, np.empty((2 * batch, d)))
+        assert params.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("chunk", [1, 7, 32])
     def test_chunk_draws_equal_per_window_draws(self, monkeypatch, chunk):
@@ -476,13 +472,13 @@ class TestBatchedKernel:
         monkeypatch.setattr(cbow, "BATCH", 1)
         monkeypatch.setattr(cbow, "CHUNK_WINDOWS", chunk)
         drawn = []
-        real_batch_step = cbow._batch_step
+        real_train_chunk = cbow._train_chunk
 
-        def recording_step(params, context, counts, rows, kept, *rest):
-            drawn.append((rows[0, 1:] - len(vocab) - 1)[kept[0]].tolist())
-            return real_batch_step(params, context, counts, rows, kept, *rest)
+        def recording_chunk(params, context, counts, rows, kept, *rest):
+            drawn.extend((r[1:] - len(vocab) - 1)[k].tolist() for r, k in zip(rows, kept))
+            return real_train_chunk(params, context, counts, rows, kept, *rest)
 
-        monkeypatch.setattr(cbow, "_batch_step", recording_step)
+        monkeypatch.setattr(cbow, "_train_chunk", recording_chunk)
         config = CbowConfig(dim=4, epochs=1, seed=3, window=2, negatives=4)
         train_cbow(encoded, vocab, config)
         rng = np.random.default_rng(config.seed + 7919)

@@ -1,3 +1,4 @@
+import codecs
 import io
 import json
 import math
@@ -419,6 +420,7 @@ class TestCvErrors:
         ("--svm-lambda", "-1", "--svm-lambda must be finite and > 0, got -1.0"),
         ("--svm-epochs", "-1", "--svm-epochs must be >= 0, got -1"),
         ("--seed", "-1", "--seed must be >= 0, got -1"),
+        ("--folds", "13", "--folds must be <= the number of sentence vectors 12, got 13"),
     ])
     def test_invalid_setting_is_a_one_line_error(
         self, tmp_path, capsys, flag, value, message
@@ -592,6 +594,15 @@ class TestErrorContract:
         assert code == 1 and summary is None
         assert err.startswith(f"error: {path}, line {lineno}: {message}")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_empty_phrase_file_is_a_one_line_error_naming_it(self, done, capsys, tmp_path):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("\n", encoding="utf-8")
+        code, summary, err = run_cli(
+            capsys, ["embed", "--labeled", str(empty), "--out", done["out"]]
+        )
+        assert code == 1 and summary is None
+        assert err == f"error: {empty}: empty phrase file\n"
 
     @pytest.mark.parametrize("alpha", ["5", "0", "1"])
     def test_alpha_outside_unit_interval_is_a_one_line_error(self, done, capsys, alpha):
@@ -892,6 +903,30 @@ class TestPipeline:
              "--out", "o"]
         )
         assert args.window == 10 and args.epochs == 15
+
+    def test_byte_order_marks_change_no_artifact(self, workspace, tmp_path, capsys):
+        # the corpus and phrase file again, each saved with a leading UTF-8
+        # byte-order mark, as Windows editors save them
+        marked = {}
+        for key in ("corpus", "labeled"):
+            with open(workspace[key], "rb") as fh:
+                (tmp_path / key).write_bytes(codecs.BOM_UTF8 + fh.read())
+            marked[key] = str(tmp_path / key)
+        outs = []
+        for inputs in (workspace, marked):
+            outs.append(str(tmp_path / f"out{len(outs)}"))
+            code, _, _ = run_cli(capsys, [
+                "pipeline", "--corpus", inputs["corpus"], "--labeled", inputs["labeled"],
+                "--min-count", "1", "--dim", "4", "--epochs", "1", "--folds", "2",
+                "--svm-epochs", "5", "--out", outs[-1],
+            ])
+            assert code == 0
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1])) and cli.SENTVEC_FILE in names
+        for name in names:
+            with open(os.path.join(outs[0], name), "rb") as a, \
+                    open(os.path.join(outs[1], name), "rb") as b:
+                assert a.read() == b.read(), name
 
     def test_malformed_labeled_file_fails_with_line_number(
         self, workspace, capsys, tmp_path

@@ -1,3 +1,5 @@
+import codecs
+
 import pytest
 
 from metlit import LITERAL, METAPHOR
@@ -54,6 +56,25 @@ class TestDecodeUtf8:
         with pytest.raises(CorpusError) as exc:
             list(read_lines(str(path)))
         assert str(exc.value) == f"{path}, line 2: invalid UTF-8 at byte 102"
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # only at the start of the file: elsewhere U+FEFF is text
+        path = tmp_path / "f.txt"
+        path.write_bytes(codecs.BOM_UTF8 + "θάλασσα\n\ufeffx\n".encode("utf-8"))
+        assert [text for _, text in read_lines(str(path))] == ["θάλασσα\n", "\ufeffx\n"]
+
+    @pytest.mark.parametrize("data, where", [
+        (codecs.BOM_UTF8 + b"ab\xffcd", "line 1: invalid UTF-8 at byte 5"),
+        (codecs.BOM_UTF8 + b"ab\ncd\xff", "line 2: invalid UTF-8 at byte 8"),
+    ])
+    def test_invalid_byte_after_byte_order_mark_reports_absolute_offset(
+        self, tmp_path, data, where
+    ):
+        path = tmp_path / "f.txt"
+        path.write_bytes(data)
+        with pytest.raises(CorpusError) as exc:
+            list(read_lines(str(path)))
+        assert str(exc.value) == f"{path}, {where}"
 
 
 class TestVocabulary:
@@ -174,6 +195,20 @@ class TestLabeledPhrases:
         path = tmp_path / "phrases.tsv"
         path.write_text("\nliteral\ta\ta b\n\n", encoding="utf-8")
         assert len(load_labeled_phrases(str(path))) == 1
+
+    @pytest.mark.parametrize("text", ["", "\n \n"])
+    def test_file_without_phrases_is_an_error_naming_it(self, tmp_path, text):
+        path = tmp_path / "phrases.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CorpusError) as exc:
+            load_labeled_phrases(str(path))
+        assert str(exc.value) == f"{path}: empty phrase file"
+
+    def test_byte_order_mark_before_first_label(self, tmp_path):
+        path = tmp_path / "phrases.tsv"
+        path.write_bytes(codecs.BOM_UTF8 + "literal\tανοίγω\tανοίγω την πόρτα\n".encode("utf-8"))
+        (phrase,) = load_labeled_phrases(str(path))
+        assert phrase.label == LITERAL
 
     def test_verb_case_normalized_like_sentence(self, tmp_path):
         path = tmp_path / "phrases.tsv"

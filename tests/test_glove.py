@@ -6,7 +6,6 @@ import pytest
 from metlit import glove
 from metlit.cooccur import RECORD, build_cooccurrence
 from metlit.corpus import build_vocabulary
-from metlit.embeddings import batch_plan
 from metlit.glove import (
     GloveConfig,
     GloveModel,
@@ -297,7 +296,7 @@ class TestBatchedKernel:
         initial = total_loss(init_model(len(vocab), 5, seed=3), table)
         assert losses[0] == pytest.approx(initial, rel=1e-12)
 
-    def test_shared_rows_add_gradients_and_squared_gradients(self):
+    def test_shared_rows_add_gradients_and_squared_gradients(self, monkeypatch):
         rng = np.random.default_rng(12)
         v, d, lr = 3, 4, 0.1
         params = rng.normal(0, 0.5, (2 * v, d + 1))
@@ -321,12 +320,9 @@ class TestBatchedKernel:
             expected_p[r] -= lr * sum(gs) / np.sqrt(acc[r])
             expected_a[r] += sum(g * g for g in gs)
         pairs = np.array([(i, v + j) for i, j, _ in records])
+        monkeypatch.setattr(glove, "BATCH", len(records))
         xs = np.array([x for _, _, x in records])
-        touched, _, slot = batch_plan(pairs, 2 * v, len(records))
-        cells = slot[:, :, None] * (d + 1) + np.arange(d + 1)
-        loss = glove._batch_step(
-            params, acc, pairs, weights(xs), np.log(xs), lr, touched, cells
-        )
+        loss = glove._train_chunk(params, acc, pairs, weights(xs), np.log(xs), lr)
         assert loss == pytest.approx(expected_loss, rel=1e-12)
         assert np.allclose(params, expected_p, rtol=0, atol=1e-14)
         assert np.allclose(acc, expected_a, rtol=0, atol=1e-14)

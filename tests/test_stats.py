@@ -216,6 +216,19 @@ class TestGroupTTest:
         assert summary["flat_dimensions"] == 1
         assert all(r.p_value is not None for r in results if r is not flat)
 
+    @pytest.mark.parametrize("value", [0.1, 0.3, 0.7])
+    def test_constant_dimension_with_a_rounded_mean_has_no_test(self, value):
+        # the means of 45 and 55 copies of these values are not the value
+        # itself, so their variances are not 0 but rounding residue
+        vectors = blob_vectors(np.random.default_rng(11), 50, 3, offset=1.0)
+        vectors.metaphor[:5] = True
+        vectors.values[:, 1] = value
+        results, summary = group_ttest(vectors)
+        assert results[1].p_value is None and not results[1].significant
+        assert summary["flat_dimensions"] == 1
+        with pytest.raises(DegenerateSampleError):
+            welch_t(vectors.values[vectors.metaphor, 1], vectors.values[~vectors.metaphor, 1])
+
     def test_one_class_missing_is_an_error(self):
         rng = np.random.default_rng(7)
         vectors = labeled_vectors([rng.normal(0, 1, 3) for _ in range(10)], [False] * 10)
