@@ -249,7 +249,18 @@ def cmd_cv(args) -> dict:
 def cmd_pipeline(args) -> dict:
     """Every stage in turn, each result handed on and dropped once used."""
     _require_file(args.corpus, "corpus file")
-    _require_file(args.labeled, "labeled phrase file")
+    # the phrase file's non-blank lines bound the vector count, so a --folds or
+    # --svm-lambda that no count from 2 up admits fails before the corpus is read
+    # (at dimension 1, the widest range: the trainer names a --dim it cannot fit)
+    n = sum(1 for _, line in corpus.read_lines(_require_file(args.labeled, "labeled phrase file"))
+            if line.strip())
+    if args.folds > n:
+        raise MetlitError(f"--folds must be <= the {n} phrases of {args.labeled}, got {args.folds}")
+    low = min(classifier.lambda_range(m, 1, args.svm_epochs)[0] for m in range(2, n + 1))
+    high = classifier.lambda_range(2, 1, args.svm_epochs)[1]  # falls as m grows; low may not
+    if not low <= args.svm_lambda <= high:
+        raise MetlitError(f"--svm-lambda must lie in [{low:.3g}, {high:.3g}] for {args.svm_epochs} "
+                          f"epochs over at most {n} vectors, got {args.svm_lambda!r}")
     summaries = {"command": "pipeline", "model": args.model}
     sentences = _read_sentences(args.corpus)
     vocab, summaries["vocab"] = vocab_stage(args, sentences)

@@ -20,6 +20,8 @@ WEIGHTINGS = ("flat", "inverse_distance")
 # out-of-core streaming of large tables
 RECORD = np.dtype([("i", "<u4"), ("j", "<u4"), ("x", "<f8")])
 
+CHUNK_PAIRS = 1 << 17  # position pairs per merge while the table is smaller
+
 
 def build_cooccurrence(
     sentences: Sequence[Sequence[int]],
@@ -30,34 +32,40 @@ def build_cooccurrence(
 
     Each in-window position pair (distance d <= window) contributes 1
     (flat) or 1/d (inverse_distance) to both X_ij and X_ji, twice to X_ii
-    when i == j. Windows never cross sentence boundaries.
+    when i == j. Windows never cross sentence boundaries. The position
+    pairs are counted CHUNK_PAIRS at a time, or as many as the running
+    table has keys, so working memory follows the table, not the corpus.
     """
-    tokens, sentence_ids = flatten(sentences)
-    n = len(tokens)
-    owner = np.append(sentence_ids, -1)  # -1: every partner past the end
+    tokens, owner = flatten(sentences)
     window = min(window, max(map(len, sentences), default=1) - 1)
-    # partner[a, d] is position a + d + 1, at distance d + 1, or n past the end
-    partner = np.minimum(np.arange(n)[:, None] + np.arange(1, window + 1), n)
-    # Row-major order is position, then distance: a running sum's order. X_ij
-    # and X_ji gain every weight of the pair, so one key (min, max) is counted
-    # per pair, twice in place on the diagonal, then mirrored. np.bincount adds
-    # in input order, so each X_ij equals the running sum to the last bit.
-    a, d = np.nonzero(owner[partner] == owner[:-1, None])
-    del partner  # free each position array once it is used
-    i, j = tokens[a].astype(np.uint64), tokens[a + d + 1].astype(np.uint64)
-    weights = np.ones(len(d)) if weighting == "flat" else 1.0 / (d + 1.0)
-    del a, d
-    times = 1 + (i == j)
-    pairs = np.repeat(np.minimum(i, j) << 32 | np.maximum(i, j), times)
-    weights = np.repeat(weights, times)
-    del i, j, times
-    keys, slot = np.unique(pairs, return_inverse=True)
-    del pairs
-    x = np.bincount(slot, weights=weights)
+    # position a pairs with the span[a] positions after it in its sentence, so
+    # pair k (from 0, in position-then-distance order) joins the first position
+    # a with last[a] > k to the one at distance k - last[a] + span[a] + 1
+    span = np.minimum(np.searchsorted(owner, owner, "right") - np.arange(len(tokens)) - 1, window)
+    del owner  # np.unique sets the memory peak: free what it need not see
+    last, total = np.cumsum(span), int(span.sum())
+    # one key (min, max) per pair takes the weights of X_ij and X_ji, twice on
+    # the diagonal, and is mirrored at the end; np.bincount adds in input order,
+    # the running totals first, so each X_ij equals the running sum to the bit
+    keys, x, stop = np.empty(0, np.uint64), np.empty(0), 0
+    while stop < total:
+        k, stop = stop, min(stop + max(CHUNK_PAIRS, len(keys)), total)
+        a = np.searchsorted(last, np.arange(k, stop), "right")
+        d = np.arange(k + 1, stop + 1) - last[a] + span[a]
+        i, j = tokens[a].astype(np.uint64), tokens[a + d].astype(np.uint64)
+        times = 1 + (i == j)
+        weights = np.repeat(np.ones(len(d)) if weighting == "flat" else 1.0 / d, times)
+        weights = np.concatenate([x, weights])
+        pairs = np.concatenate([keys, np.repeat(np.minimum(i, j) << 32 | np.maximum(i, j), times)])
+        del a, d, i, j, times, keys, x
+        keys, slot = np.unique(pairs, return_inverse=True)
+        x = np.bincount(slot, weights)
+        del pairs, weights, slot
     off = keys >> 32 != keys & 0xFFFFFFFF
     keys = np.concatenate([keys, keys[off] << 32 | keys[off] >> 32])  # (j, i)
     order = np.argsort(keys)
     keys, x = keys[order], np.concatenate([x, x[off]])[order]
+    del order
     table = np.empty(len(keys), dtype=RECORD)
     table["i"], table["j"], table["x"] = keys >> 32, keys & 0xFFFFFFFF, x
     return table

@@ -135,10 +135,10 @@ def train_glove(
     `table` is a cooccur.RECORD array whose word ids index `vocab`. Each
     epoch visits the records in seeded shuffled order, BATCH at a time, and
     takes each record's loss and gradient at its batch's pre-step
-    parameters: a batch of one is the per-record AdaGrad loop. The batches
-    of CHUNK_RECORDS records are planned at once by batch_plan. The
-    loss per epoch is the sum of those losses. Divergence is surfaced:
-    non-finite parameters or a non-finite loss raise, never clipped.
+    parameters: a batch of one is the per-record AdaGrad loop. A chunk of
+    CHUNK_RECORDS records is gathered, weighted and planned (batch_plan) at
+    once. The loss per epoch is the sum of those losses. Divergence is
+    surfaced: non-finite parameters or a non-finite loss raise, never clipped.
     """
     if not len(table):
         raise MetlitError("empty co-occurrence table")
@@ -156,8 +156,6 @@ def train_glove(
         acc = np.ones_like(params)
     except (MemoryError, ValueError):
         raise MetlitError(f"--dim {config.dim}: cannot allocate the V×D parameter matrices")
-    weight, log_x = weights(table["x"], config.params), np.log(table["x"])
-    rows = np.column_stack([table["i"], table["j"]]).astype(np.intp) + [0, v]
     chunk = BATCH * max(1, CHUNK_RECORDS // BATCH)
     shuffle_rng = np.random.default_rng(config.seed + 1)
     epoch_losses: list[float] = []
@@ -166,10 +164,10 @@ def train_glove(
         epoch_loss = 0.0
         with np.errstate(all="ignore"):
             for a in range(0, len(order), chunk):
-                part = order[a:a + chunk]
-                epoch_loss += _train_chunk(
-                    params, acc, rows[part], weight[part], log_x[part], config.lr
-                )
+                part = table[order[a:a + chunk]]
+                rows = np.column_stack([part["i"], part["j"]]).astype(np.intp) + [0, v]
+                epoch_loss += _train_chunk(params, acc, rows, weights(part["x"], config.params),
+                                           np.log(part["x"]), config.lr)
         if not np.isfinite(params).all():
             raise MetlitError(f"non-finite parameters after epoch {epoch}")
         if not math.isfinite(epoch_loss):

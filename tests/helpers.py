@@ -1,6 +1,7 @@
 """Shared fixtures: finite-difference checks, synthetic data generators and
 per-sample reference implementations that fast kernels are checked against."""
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -371,3 +372,26 @@ def reference_train_glove(table, vocab, config):
             raise MetlitError(f"non-finite loss in epoch {epoch}")
         epoch_losses.append(epoch_loss)
     return EmbeddingMatrix(list(vocab.words), model.w + model.w_tilde), epoch_losses
+
+
+def zipf_sentences(rng, n_tokens, vocab_size, length=14):
+    """Sentences of `length` ids (the last may be shorter), id r drawn with
+    probability proportional to 1 / (r + 1), as word ranks fall in text."""
+    p = 1.0 / np.arange(1, vocab_size + 1)
+    ids = rng.choice(vocab_size, size=n_tokens, p=p / p.sum())
+    return [ids[a:a + length].tolist() for a in range(0, n_tokens, length)]
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the peak of the memory it allocated on top of
+    what was live when it was called, in bytes, as tracemalloc reports it."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    live = tracemalloc.get_traced_memory()[0]
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - live
+    finally:
+        if not tracing:
+            tracemalloc.stop()

@@ -871,6 +871,79 @@ class TestPipeline:
         assert err == f"error: {message}\n"
         assert not os.path.exists(workspace["out"])
 
+    def _pipeline(self, workspace, capsys, labeled, *settings):
+        return run_cli(capsys, [
+            "pipeline", "--corpus", workspace["corpus"], "--labeled", labeled,
+            "--min-count", "1", "--dim", "4", "--epochs", "1", *settings,
+            "--out", workspace["out"],
+        ])
+
+    def test_folds_above_the_phrase_count_fail_before_the_corpus_is_read(
+        self, workspace, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli.corpus, "read_corpus_lines", None)  # reading it fails
+        with open(workspace["labeled"], "a", encoding="utf-8") as fh:
+            fh.write("\n  \n")  # blank lines are not phrases
+        code, summary, err = self._pipeline(workspace, capsys, workspace["labeled"],
+                                            "--folds", "13")
+        assert code == 1 and summary is None
+        assert err == f"error: --folds must be <= the 12 phrases of {workspace['labeled']}, got 13\n"
+        assert not os.path.exists(workspace["out"])
+
+    def test_svm_lambda_no_phrase_count_admits_fails_before_the_corpus_is_read(
+        self, workspace, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli.corpus, "read_corpus_lines", None)
+        code, summary, err = self._pipeline(workspace, capsys, workspace["labeled"],
+                                            "--folds", "2", "--svm-lambda", "1e-300")
+        bounds = [lambda_range(n, 1, 100) for n in range(2, 13)]
+        low, high = min(b[0] for b in bounds), max(b[1] for b in bounds)
+        assert code == 1 and summary is None
+        assert err == (f"error: --svm-lambda must lie in [{low:.3g}, {high:.3g}] for 100 epochs "
+                       f"over at most 12 vectors, got 1e-300\n")
+        assert not os.path.exists(workspace["out"])
+
+    def test_svm_lambda_a_smaller_phrase_count_admits_is_left_to_cv(
+        self, workspace, capsys, tmp_path
+    ):
+        # the early check takes the lowest lower end over every count: with
+        # one epoch it rises from 10 to 11 rows, so the lower end for 10 rows
+        # passes with 11 phrases, and cv, which fits all 11 vectors, rejects it
+        labeled = tmp_path / "eleven.tsv"
+        with open(workspace["labeled"], encoding="utf-8") as fh:
+            labeled.write_text("".join(fh.readlines()[:11]), encoding="utf-8")
+        lam = float(lambda_range(10, 1, 1)[0])
+        assert lam < lambda_range(11, 1, 1)[0]
+        code, summary, err = self._pipeline(workspace, capsys, str(labeled), "--folds", "2",
+                                            "--svm-epochs", "1", "--svm-lambda", repr(lam))
+        assert code == 1 and summary is None
+        assert err.startswith("error: --svm-lambda must lie in [")
+        assert f"for 1 epochs over 11 vectors, got {lam!r}" in err
+        assert os.path.isfile(os.path.join(workspace["out"], cli.SENTVEC_FILE))
+
+    def test_glove_count_in_chunks_of_three_pairs_changes_no_byte(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        outs, summaries = [str(tmp_path / "default"), str(tmp_path / "chunked")], []
+        for out in outs:
+            if out == outs[1]:
+                monkeypatch.setattr(cli.cooccur, "CHUNK_PAIRS", 3)
+            code, summary, _ = run_cli(capsys, [
+                "pipeline", "--corpus", workspace["corpus"], "--labeled", workspace["labeled"],
+                "--model", "glove", "--min-count", "1", "--dim", "4", "--epochs", "2",
+                "--folds", "2", "--svm-epochs", "5", "--out", out,
+            ])
+            assert code == 0
+            summaries.append(_strip_dir(summary, out))
+        assert summaries[0] == summaries[1]
+        assert summaries[0]["cooccur"]["entries"] > 100  # many chunks of 3 pairs
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1])) and cli.COOCCUR_FILE in names
+        for name in names:
+            with open(os.path.join(outs[0], name), "rb") as a, \
+                    open(os.path.join(outs[1], name), "rb") as b:
+                assert a.read() == b.read(), name
+
     def test_glove_pipeline_ignores_cbow_settings(self, workspace, capsys):
         code, _, _ = run_cli(capsys, [
             "pipeline", "--corpus", workspace["corpus"], "--labeled", workspace["labeled"],

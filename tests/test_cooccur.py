@@ -1,10 +1,13 @@
+import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from metlit import cooccur
 from metlit.cbow import ContextWindow
 from metlit.cooccur import (
     RECORD,
@@ -14,7 +17,7 @@ from metlit.cooccur import (
     save_table,
 )
 
-from helpers import iterate_windows, reference_cooccurrence
+from helpers import iterate_windows, reference_cooccurrence, traced_peak, zipf_sentences
 
 
 def brute_force_mass(sentences, window, weighting):
@@ -122,6 +125,53 @@ class TestBuildCooccurrence:
         expected = reference_cooccurrence(sentences, window, weighting)
         assert table.dtype == RECORD
         assert table.tolist() == sorted((i, j, x) for (i, j), x in expected.items())
+
+
+class TestChunkedCount:
+    """build_cooccurrence merges CHUNK_PAIRS position pairs at a time, or as
+    many as its running table has keys, into that table."""
+
+    @settings(deadline=None)
+    @given(
+        sentences=st.lists(
+            st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1)),
+                     max_size=30),
+            max_size=5,
+        ),
+        window=st.integers(1, 14),
+        chunk=st.integers(1, 64),
+    )
+    def test_any_chunk_size_gives_the_one_chunk_table(self, sentences, window, chunk):
+        # chunks of 1 to 64 pairs end inside windows of up to 14 positions
+        for weighting in WEIGHTINGS:
+            with mock.patch.object(cooccur, "CHUNK_PAIRS", chunk):
+                table = build_cooccurrence(sentences, window=window, weighting=weighting)
+            with mock.patch.object(cooccur, "CHUNK_PAIRS", 2**62):
+                whole = build_cooccurrence(sentences, window=window, weighting=weighting)
+            expected = reference_cooccurrence(sentences, window, weighting)
+            assert table.tolist() == sorted((i, j, x) for (i, j), x in expected.items())
+            assert table.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_merges_grow_logarithmically_when_every_pair_is_distinct(self, monkeypatch, chunk):
+        # distinct ids make every pair a new key: the running table doubles
+        # with each merge once it reaches a chunk
+        merges = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: merges.append(len(a[0])) or unique(*a, **k))
+        monkeypatch.setattr(cooccur, "CHUNK_PAIRS", chunk)
+        table = build_cooccurrence([list(range(300))], window=10, weighting="flat")
+        pairs = len(table) // 2
+        assert pairs == 290 * 10 + 45
+        assert len(merges) == 1 + math.ceil(math.log2(pairs / chunk))
+        assert sum(merges) <= 3 * pairs  # the merges sort no more than 3P keys in all
+
+    def test_working_memory_is_a_few_tables(self):
+        # a benchmark-sized corpus: 100k tokens over 2,000 ids, about 0.33M
+        # records; counting every position pair at once needs over 7 tables
+        sentences = zipf_sentences(np.random.default_rng(0), 100_000, 2000)
+        table, peak = traced_peak(build_cooccurrence, sentences, window=10)
+        assert peak < 5 * table.nbytes, f"{peak / table.nbytes:.2f} tables"
 
 
 class TestBinaryFormat:

@@ -5,7 +5,7 @@ import pytest
 
 from metlit import glove
 from metlit.cooccur import RECORD, build_cooccurrence
-from metlit.corpus import build_vocabulary
+from metlit.corpus import Vocabulary, build_vocabulary
 from metlit.glove import (
     GloveConfig,
     GloveModel,
@@ -25,7 +25,9 @@ from helpers import (
     mean_cosine,
     numeric_grad,
     reference_train_glove,
+    traced_peak,
     two_topic_corpus,
+    zipf_sentences,
 )
 
 
@@ -248,6 +250,17 @@ class TestTrainGlove:
         intra = mean_cosine(emb, topic_a, topic_a)
         inter = mean_cosine(emb, topic_a, topic_b)
         assert intra > inter
+
+    def test_working_memory_holds_no_table_length_array_but_the_order(self):
+        # 30k tokens over 2,000 ids, about 137k records: each chunk's rows,
+        # weights and logs are gathered, where table-length ones would add
+        # two tables; the shuffled order is half a table
+        sentences = zipf_sentences(np.random.default_rng(0), 30_000, 2000)
+        table = build_cooccurrence(sentences, window=10)
+        words = [str(i) for i in range(2000)]
+        vocab = Vocabulary(words, dict.fromkeys(words, 1))
+        _, peak = traced_peak(train_glove, table, vocab, GloveConfig(dim=10, epochs=1))
+        assert peak < 2 * table.nbytes, f"{peak / table.nbytes:.2f} tables"
 
 
 class TestFixedPoint:
