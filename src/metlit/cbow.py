@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import MetlitError
-from .corpus import Vocabulary, flatten
+from .corpus import Encoded, Vocabulary
 from .embeddings import EmbeddingMatrix, batch_plan
 
 LR_FLOOR_FRACTION = 1e-4  # linear decay ends at lr0 * this
@@ -171,19 +171,19 @@ def _window_schedule(lr0: float, processed: np.ndarray, total: int) -> np.ndarra
 
 
 def build_windows(
-    tokens: np.ndarray, sentence_ids: np.ndarray, positions: np.ndarray, m: int,
+    tokens: np.ndarray, offsets: np.ndarray, positions: np.ndarray, m: int,
     pad: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Contexts of the windows centered at `positions`.
 
     Returns (ids, counts): row r holds the counts[r] context ids of window
     r, left context then right, cut at the sentence edges as
-    iterate_windows cuts them, followed by `pad` up to width 2m.
-    `sentence_ids` must be non-decreasing, as flatten gives them.
+    iterate_windows cuts them, followed by `pad` up to width 2m. Sentence k
+    is tokens[offsets[k]:offsets[k + 1]], as in corpus.Encoded.
     """
-    sentence = sentence_ids[positions]
-    left = np.minimum(positions - np.searchsorted(sentence_ids, sentence), m)
-    right = np.minimum(np.searchsorted(sentence_ids, sentence, side="right") - 1 - positions, m)
+    sentence = np.searchsorted(offsets, positions, side="right") - 1
+    left = np.minimum(positions - offsets[sentence], m)
+    right = np.minimum(offsets[sentence + 1] - 1 - positions, m)
     counts = left + right
     # column c is the c-th context token: it skips the center once c >= left
     c = np.arange(2 * m)
@@ -242,27 +242,28 @@ def _train_chunk(params, context, counts, rows, kept, lr, stack):
 
 
 def train_cbow(
-    sentences: list[list[int]],
+    sentences: Encoded,
     vocab: Vocabulary,
     config: CbowConfig,
 ) -> tuple[EmbeddingMatrix, list[float]]:
     """Train over encoded sentences; return embeddings and mean loss per epoch.
 
-    The final embeddings are the input (context-side) vectors. Sentence
-    order is reshuffled each epoch from the seed, and training is
-    bit-reproducible for a given seed. Each window draws its k negatives
-    from the epoch's rng and, as word2vec does, skips a draw equal to its
-    center. Windows are stepped BATCH at a time; with BATCH = 1 this is the
-    per-window negative-sampling loop.
+    The final embeddings are the input (context-side) vectors. The order of
+    the non-empty sentences is reshuffled each epoch from the seed, and
+    training is bit-reproducible for a given seed. Each window draws its k
+    negatives from the epoch's rng and, as word2vec does, skips a draw equal
+    to its center. Windows are stepped BATCH at a time; with BATCH = 1 this
+    is the per-window negative-sampling loop.
     """
-    sentences = [s for s in sentences if s]
-    if not sentences:
+    lengths = sentences.lengths()
+    nonempty = np.flatnonzero(lengths)
+    if not len(nonempty):
         raise MetlitError("empty corpus")
     if config.negatives > len(vocab):
         raise MetlitError(f"--negatives must be <= the vocabulary size {len(vocab)}, "
                           f"got {config.negatives}")
     # no context reaches past the longest sentence
-    m = min(config.window, max(map(len, sentences)) - 1)
+    m = min(config.window, int(lengths.max()) - 1)
     # input rows, a zero row, output rows (zero at the start), a zero row
     pad = len(vocab)
     try:  # numpy gives ValueError for a size past its index range
@@ -273,22 +274,22 @@ def train_cbow(
         raise MetlitError(f"--dim {config.dim}: cannot allocate the V×D parameter matrices")
     sampler = UnigramSampler.from_vocabulary(vocab)
     order_rng = np.random.default_rng(config.seed + 1)
-    windows_per_epoch = sum(map(len, sentences))
+    windows_per_epoch = int(lengths.sum())
     total = windows_per_epoch * max(config.epochs, 1)
     chunk = BATCH * max(1, CHUNK_WINDOWS // BATCH)
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
-        order = order_rng.permutation(len(sentences))
-        tokens, sentence_ids = flatten([sentences[k] for k in order])
+        shuffled = sentences.take(nonempty[order_rng.permutation(len(nonempty))])
+        tokens, offsets, sizes = shuffled.tokens, shuffled.offsets, shuffled.lengths()
         # a one-token sentence's window has no context: it is skipped and
         # takes no draws, but its position still advances the lr schedule
-        positions = np.flatnonzero(np.bincount(sentence_ids)[sentence_ids] > 1)
+        positions = np.flatnonzero(np.repeat(sizes > 1, sizes))
         rng = np.random.default_rng(config.seed + 7919 * (epoch + 1))
         loss_sum = 0.0
         with np.errstate(all="ignore"):
             for a in range(0, len(positions), chunk):
                 where = positions[a:a + chunk]
-                context, counts = build_windows(tokens, sentence_ids, where, m, pad)
+                context, counts = build_windows(tokens, offsets, where, m, pad)
                 centers = tokens[where]
                 # word2vec's rule: a draw equal to the center is skipped
                 negatives = sampler.draw(rng, len(where) * config.negatives)

@@ -95,23 +95,13 @@ def _load(args, name: str, what: str, loader):
     return loader(_require_file(os.path.join(args.out, name), what))
 
 
-def _read_sentences(path: str) -> list[list[str]]:
-    sentences = [s for s in corpus.read_corpus_lines(path) if s]
-    if not sentences:
-        raise MetlitError(f"corpus is empty: {path}")
-    return sentences
-
-
-def _encode(vocab: corpus.Vocabulary, sentences: list[list[str]]) -> list[list[int]]:
-    return [vocab.encode(s) for s in sentences]
-
-
-def vocab_stage(args, sentences: list[list[str]]) -> tuple[corpus.Vocabulary, dict]:
-    vocab = corpus.build_vocabulary(sentences, min_count=args.min_count)
+def vocab_stage(args) -> tuple[tuple[corpus.Vocabulary, corpus.Encoded], dict]:
+    """The vocabulary of --corpus, and the corpus in its ids."""
+    vocab, encoded = corpus.read_encoded(args.corpus, min_count=args.min_count)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, VOCAB_FILE)
     corpus.save_vocabulary(vocab, path)
-    return vocab, {
+    return (vocab, encoded), {
         "command": "vocab",
         "vocab_size": len(vocab),
         "total_tokens": sum(vocab.freq.values()),
@@ -120,7 +110,7 @@ def vocab_stage(args, sentences: list[list[str]]) -> tuple[corpus.Vocabulary, di
     }
 
 
-def cooccur_stage(args, encoded: list[list[int]]) -> tuple[np.ndarray, dict]:
+def cooccur_stage(args, encoded: corpus.Encoded) -> tuple[np.ndarray, dict]:
     table = cooccur.build_cooccurrence(encoded, window=args.window,
                                        weighting=args.cooccur_weighting)
     path = os.path.join(args.out, COOCCUR_FILE)
@@ -147,7 +137,7 @@ def _save_trained(args, command: str, embeddings: EmbeddingMatrix, losses: list[
     }
 
 
-def cbow_stage(args, encoded: list[list[int]], vocab: corpus.Vocabulary):
+def cbow_stage(args, encoded: corpus.Encoded, vocab: corpus.Vocabulary):
     config = cbow.CbowConfig(
         dim=args.dim, window=args.window, epochs=args.epochs, lr=args.lr,
         negatives=args.negatives, seed=args.seed,
@@ -212,18 +202,23 @@ def cv_stage(args, vectors: sentvec.SentenceVectors) -> tuple[classifier.EvalRep
     }
 
 
+def _encode_corpus(args) -> tuple[corpus.Vocabulary, corpus.Encoded]:
+    """--corpus in the ids of the vocabulary in --out."""
+    vocab = _load(args, VOCAB_FILE, "vocabulary", corpus.load_vocabulary)
+    return corpus.read_encoded(args.corpus, vocab=vocab)
+
+
 def cmd_vocab(args) -> dict:
-    return vocab_stage(args, _read_sentences(args.corpus))[1]
+    return vocab_stage(args)[1]
 
 
 def cmd_cooccur(args) -> dict:
-    vocab = _load(args, VOCAB_FILE, "vocabulary", corpus.load_vocabulary)
-    return cooccur_stage(args, _encode(vocab, _read_sentences(args.corpus)))[1]
+    return cooccur_stage(args, _encode_corpus(args)[1])[1]
 
 
 def cmd_train_cbow(args) -> dict:
-    vocab = _load(args, VOCAB_FILE, "vocabulary", corpus.load_vocabulary)
-    return cbow_stage(args, _encode(vocab, _read_sentences(args.corpus)), vocab)[1]
+    vocab, encoded = _encode_corpus(args)
+    return cbow_stage(args, encoded, vocab)[1]
 
 
 def cmd_train_glove(args) -> dict:
@@ -246,6 +241,14 @@ def cmd_cv(args) -> dict:
     return cv_stage(args, vectors)[1]
 
 
+def svm_lambda_bounds(n: int, epochs: int) -> tuple[float, float]:
+    """The --svm-lambda range some count of 2 to n vectors of dimension 1
+    admits. The upper end falls as the count m grows, and the lower end
+    falls from m to m + 2, so its least value is at m = n - 1 or n."""
+    low = min(classifier.lambda_range(m, 1, epochs)[0] for m in {max(2, n - 1), n})
+    return low, classifier.lambda_range(2, 1, epochs)[1]
+
+
 def cmd_pipeline(args) -> dict:
     """Every stage in turn, each result handed on and dropped once used."""
     _require_file(args.corpus, "corpus file")
@@ -256,16 +259,12 @@ def cmd_pipeline(args) -> dict:
             if line.strip())
     if args.folds > n:
         raise MetlitError(f"--folds must be <= the {n} phrases of {args.labeled}, got {args.folds}")
-    low = min(classifier.lambda_range(m, 1, args.svm_epochs)[0] for m in range(2, n + 1))
-    high = classifier.lambda_range(2, 1, args.svm_epochs)[1]  # falls as m grows; low may not
+    low, high = svm_lambda_bounds(n, args.svm_epochs)
     if not low <= args.svm_lambda <= high:
         raise MetlitError(f"--svm-lambda must lie in [{low:.3g}, {high:.3g}] for {args.svm_epochs} "
                           f"epochs over at most {n} vectors, got {args.svm_lambda!r}")
     summaries = {"command": "pipeline", "model": args.model}
-    sentences = _read_sentences(args.corpus)
-    vocab, summaries["vocab"] = vocab_stage(args, sentences)
-    encoded = _encode(vocab, sentences)
-    del sentences
+    (vocab, encoded), summaries["vocab"] = vocab_stage(args)
     if args.model == "glove":
         table, summaries["cooccur"] = cooccur_stage(args, encoded)
         del encoded

@@ -7,12 +7,11 @@ A table is one array of RECORD sorted by (i, j), holding both orientations
 from __future__ import annotations
 
 import os
-from typing import Sequence
 
 import numpy as np
 
 from . import MetlitError
-from .corpus import flatten
+from .corpus import Encoded
 
 WEIGHTINGS = ("flat", "inverse_distance")
 
@@ -24,7 +23,7 @@ CHUNK_PAIRS = 1 << 17  # position pairs per merge while the table is smaller
 
 
 def build_cooccurrence(
-    sentences: Sequence[Sequence[int]],
+    sentences: Encoded,
     window: int = 10,
     weighting: str = "inverse_distance",
 ) -> np.ndarray:
@@ -36,13 +35,13 @@ def build_cooccurrence(
     pairs are counted CHUNK_PAIRS at a time, or as many as the running
     table has keys, so working memory follows the table, not the corpus.
     """
-    tokens, owner = flatten(sentences)
-    window = min(window, max(map(len, sentences), default=1) - 1)
+    tokens, lengths = sentences.tokens, sentences.lengths()
+    window = min(window, int(lengths.max(initial=1)) - 1)
     # position a pairs with the span[a] positions after it in its sentence, so
     # pair k (from 0, in position-then-distance order) joins the first position
     # a with last[a] > k to the one at distance k - last[a] + span[a] + 1
-    span = np.minimum(np.searchsorted(owner, owner, "right") - np.arange(len(tokens)) - 1, window)
-    del owner  # np.unique sets the memory peak: free what it need not see
+    span = np.repeat(sentences.offsets[1:], lengths) - np.arange(len(tokens)) - 1
+    np.minimum(span, window, out=span)
     last, total = np.cumsum(span), int(span.sum())
     # one key (min, max) per pair takes the weights of X_ij and X_ji, twice on
     # the diagonal, and is mirrored at the end; np.bincount adds in input order,

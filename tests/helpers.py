@@ -15,6 +15,7 @@ from metlit.cbow import (
     negative_gradients,
 )
 from metlit.classifier import FoldMetrics, SvmModel
+from metlit.corpus import Encoded
 from metlit.embeddings import EmbeddingMatrix
 from metlit.glove import WeightParams, pair_gradients
 from metlit.glove import init_model as init_glove
@@ -372,6 +373,19 @@ def reference_train_glove(table, vocab, config):
             raise MetlitError(f"non-finite loss in epoch {epoch}")
         epoch_losses.append(epoch_loss)
     return EmbeddingMatrix(list(vocab.words), model.w + model.w_tilde), epoch_losses
+
+
+def as_encoded(sentences):
+    """Lists of ids as a corpus.Encoded, empty lists kept as empty sentences.
+
+    The ids are int32, as corpus.read_encoded gives them, or uint32 where one
+    passes 2^31 - 1, as the co-occurrence record's u32 ids allow.
+    """
+    offsets = np.zeros(len(sentences) + 1, np.int64)
+    np.cumsum([len(s) for s in sentences], out=offsets[1:])
+    ids = [w for s in sentences for w in s]
+    dtype = np.int32 if max(ids, default=0) < 2**31 else np.uint32
+    return Encoded(np.array(ids, dtype=dtype), offsets)
 
 
 def zipf_sentences(rng, n_tokens, vocab_size, length=14):

@@ -44,6 +44,7 @@ from metlit.sentvec import SentenceVectors, embed_dataset
 from metlit.stats import group_ttest, welch_t
 
 from helpers import (
+    as_encoded,
     labeled_vectors,
     max_relerr,
     mean_cosine,
@@ -262,7 +263,7 @@ def test_cbow_convergence_and_topic_separation(check):
     rng = np.random.default_rng(0)
     sentences, topic_a, topic_b = two_topic_corpus(rng, n_tokens=10_000)
     vocab = build_vocabulary(sentences)
-    encoded = [vocab.encode(s) for s in sentences]
+    encoded = as_encoded([vocab.encode(s) for s in sentences])
 
     _, losses = train_cbow(
         encoded, vocab, CbowConfig(dim=16, window=4, epochs=10, seed=0)
@@ -387,7 +388,7 @@ def test_end_to_end_synthetic_pipeline(check, tmp_path):
     write_lines(labeled_path, labeled_lines)
 
     vocab = build_vocabulary(corpus_sents, min_count=1)
-    encoded = [vocab.encode(s) for s in corpus_sents]
+    encoded = as_encoded([vocab.encode(s) for s in corpus_sents])
     emb, _ = train_cbow(
         encoded, vocab, CbowConfig(dim=50, window=4, epochs=5, seed=0)
     )

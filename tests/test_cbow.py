@@ -20,9 +20,10 @@ from metlit.cbow import (
     negative_loss,
     train_cbow,
 )
-from metlit.corpus import build_vocabulary, flatten
+from metlit.corpus import build_vocabulary
 
 from helpers import (
+    as_encoded,
     iterate_windows,
     max_relerr,
     mean_cosine,
@@ -268,7 +269,7 @@ class TestTrainCbow:
         rng = np.random.default_rng(seed)
         sentences, topic_a, topic_b = two_topic_corpus(rng, n_tokens=n_tokens)
         vocab = build_vocabulary(sentences)
-        encoded = [vocab.encode(s) for s in sentences]
+        encoded = as_encoded([vocab.encode(s) for s in sentences])
         return encoded, vocab, topic_a, topic_b
 
     def test_epochs_zero_returns_initialization(self):
@@ -282,9 +283,9 @@ class TestTrainCbow:
     def test_empty_corpus_is_an_error(self):
         _, vocab, _, _ = self._corpus()
         with pytest.raises(ValueError):
-            train_cbow([], vocab, CbowConfig(dim=4))
+            train_cbow(as_encoded([]), vocab, CbowConfig(dim=4))
         with pytest.raises(ValueError):
-            train_cbow([[]], vocab, CbowConfig(dim=4))
+            train_cbow(as_encoded([[]]), vocab, CbowConfig(dim=4))
 
     def test_same_seed_bit_reproducible_single_thread(self):
         encoded, vocab, _, _ = self._corpus()
@@ -379,7 +380,7 @@ class TestBatchedKernel:
         monkeypatch.setattr(cbow, "BATCH", 1)
         monkeypatch.setattr(cbow, "CHUNK_WINDOWS", chunk)
         config = CbowConfig(dim=8, epochs=2, seed=5, window=3, lr=0.1)
-        emb, losses = train_cbow(encoded, vocab, config)
+        emb, losses = train_cbow(as_encoded(encoded), vocab, config)
         ref, ref_losses = reference_train_cbow(encoded, vocab, config)
         assert np.abs(emb.vectors - ref.vectors).max() <= 1e-12
         assert np.allclose(losses, ref_losses, rtol=0, atol=1e-12)
@@ -480,7 +481,7 @@ class TestBatchedKernel:
 
         monkeypatch.setattr(cbow, "_train_chunk", recording_chunk)
         config = CbowConfig(dim=4, epochs=1, seed=3, window=2, negatives=4)
-        train_cbow(encoded, vocab, config)
+        train_cbow(as_encoded(encoded), vocab, config)
         rng = np.random.default_rng(config.seed + 7919)
         order = np.random.default_rng(config.seed + 1).permutation(len(encoded))
         expected = [sample_negatives(sampler, rng, encoded[i][c], 4)
@@ -499,13 +500,14 @@ class TestBatchedKernel:
         # one-token sentences, and radii below, at and above the longest
         # sentence, cut into chunks of `size` positions
         sentences = [list(range(7 * s, 7 * s + n)) for s, n in enumerate(lengths)]
-        tokens, sentence_ids = flatten(sentences)
+        corpus = as_encoded(sentences)
+        tokens = corpus.tokens
         expected = [w for s in sentences for w in iterate_windows(s, m)]
         pad = -1
         got = []
         for a in range(0, len(tokens), size):
             where = np.arange(a, min(a + size, len(tokens)))
-            context, counts = build_windows(tokens, sentence_ids, where, m, pad)
+            context, counts = build_windows(tokens, corpus.offsets, where, m, pad)
             assert context.shape == (len(where), 2 * m)
             assert (context[np.arange(2 * m) >= counts[:, None]] == pad).all()
             got += [ContextWindow(int(tokens[p]), context[r, :counts[r]].tolist())

@@ -221,6 +221,21 @@ class TestStageChaining:
         )
         assert code == 1 and "vocabulary" in err
 
+    @pytest.mark.parametrize("command", ["cooccur", "train-cbow"])
+    def test_corpus_sharing_no_word_with_the_vocabulary_is_a_one_line_error(
+        self, workspace, tmp_path, capsys, command
+    ):
+        out = workspace["out"]
+        argv = ["vocab", "--corpus", workspace["corpus"], "--min-count", "1", "--out", out]
+        assert run_cli(capsys, argv)[0] == 0
+        words = len(load_vocabulary(os.path.join(out, cli.VOCAB_FILE)))
+        other = tmp_path / "other.txt"
+        other.write_text("Ξένο κείμενο.\n\nάλλες λέξεις\n", encoding="utf-8")
+        code, summary, err = run_cli(capsys, [command, "--corpus", str(other), "--out", out])
+        assert code == 1 and summary is None
+        assert err == f"error: {other}: no token is in the vocabulary of {words} words\n"
+        assert os.listdir(out) == [cli.VOCAB_FILE]  # no artifact written
+
     def test_embed_requires_embeddings_artifact(self, workspace, capsys):
         os.makedirs(workspace["out"], exist_ok=True)
         code, _, err = run_cli(
@@ -743,9 +758,9 @@ class TestTrainingErrors:
         radii = []
         real = cbow.build_windows
 
-        def build_windows(tokens, sentence_ids, positions, m, pad):
+        def build_windows(tokens, offsets, positions, m, pad):
             radii.append(m)
-            return real(tokens, sentence_ids, positions, m, pad)
+            return real(tokens, offsets, positions, m, pad)
 
         monkeypatch.setattr(cbow, "build_windows", build_windows)
         code, clamped = self._train_cbow(trained_out, capsys, "--window", str(longest - 1))
@@ -902,6 +917,16 @@ class TestPipeline:
         assert err == (f"error: --svm-lambda must lie in [{low:.3g}, {high:.3g}] for 100 epochs "
                        f"over at most 12 vectors, got 1e-300\n")
         assert not os.path.exists(workspace["out"])
+
+    @pytest.mark.parametrize("epochs", [0, 1, 2, 3, 10, 100])
+    def test_svm_lambda_bounds_equal_the_bounds_over_every_count(self, epochs):
+        # the two-count bounds against the ends over every count m from 2 to
+        # n, each kept as n grows
+        low, high = math.inf, 0.0
+        for n in range(2, 2001):
+            low = min(low, lambda_range(n, 1, epochs)[0])
+            high = max(high, lambda_range(n, 1, epochs)[1])
+            assert cli.svm_lambda_bounds(n, epochs) == (low, high)
 
     def test_svm_lambda_a_smaller_phrase_count_admits_is_left_to_cv(
         self, workspace, capsys, tmp_path

@@ -17,7 +17,13 @@ from metlit.cooccur import (
     save_table,
 )
 
-from helpers import iterate_windows, reference_cooccurrence, traced_peak, zipf_sentences
+from helpers import (
+    as_encoded,
+    iterate_windows,
+    reference_cooccurrence,
+    traced_peak,
+    zipf_sentences,
+)
 
 
 def brute_force_mass(sentences, window, weighting):
@@ -62,36 +68,36 @@ class TestWindows:
 
 class TestBuildCooccurrence:
     def test_single_pair_counted_symmetrically(self):
-        table = entries(build_cooccurrence([[0, 1]], window=10, weighting="flat"))
+        table = entries(build_cooccurrence(as_encoded([[0, 1]]), window=10, weighting="flat"))
         assert table[(0, 1)] == 1.0
         assert table[(1, 0)] == 1.0
         assert len(table) == 2
 
     def test_distance_beyond_window_excluded(self):
-        table = entries(build_cooccurrence([[0, 1, 0]], window=1, weighting="flat"))
+        table = entries(build_cooccurrence(as_encoded([[0, 1, 0]]), window=1, weighting="flat"))
         assert table[(0, 1)] == 2.0
         assert table[(1, 0)] == 2.0
         assert (0, 0) not in table
 
     def test_inverse_distance_weighting(self):
-        table = build_cooccurrence([[0, 1, 2]], window=2, weighting="inverse_distance")
+        table = build_cooccurrence(as_encoded([[0, 1, 2]]), window=2, weighting="inverse_distance")
         assert entries(table)[(0, 2)] == 0.5
 
     def test_same_word_pair_accumulates_on_diagonal(self):
-        table = build_cooccurrence([[0, 0]], window=5, weighting="flat")
+        table = build_cooccurrence(as_encoded([[0, 0]]), window=5, weighting="flat")
         assert entries(table)[(0, 0)] == 2.0  # both orientations land on X_00
 
     def test_windows_never_cross_sentence_boundaries(self):
-        split = build_cooccurrence([[0, 1], [2, 3]], window=10, weighting="flat")
-        joined = build_cooccurrence([[0, 1, 2, 3]], window=10, weighting="flat")
+        split = build_cooccurrence(as_encoded([[0, 1], [2, 3]]), window=10, weighting="flat")
+        joined = build_cooccurrence(as_encoded([[0, 1, 2, 3]]), window=10, weighting="flat")
         assert (1, 2) not in entries(split)
         assert (1, 2) in entries(joined)
 
     def test_symmetry_on_random_input(self):
         rng = np.random.default_rng(11)
-        sentences = random_sentences(rng)
+        corpus = as_encoded(random_sentences(rng))
         for weighting in ("flat", "inverse_distance"):
-            table = entries(build_cooccurrence(sentences, window=4, weighting=weighting))
+            table = entries(build_cooccurrence(corpus, window=4, weighting=weighting))
             for (i, j), x in table.items():
                 assert table[(j, i)] == x
 
@@ -99,13 +105,13 @@ class TestBuildCooccurrence:
         rng = np.random.default_rng(12)
         sentences = random_sentences(rng)
         for weighting in ("flat", "inverse_distance"):
-            table = build_cooccurrence(sentences, window=3, weighting=weighting)
+            table = build_cooccurrence(as_encoded(sentences), window=3, weighting=weighting)
             expected = brute_force_mass(sentences, 3, weighting)
             assert table["x"].sum() == pytest.approx(expected, rel=1e-12)
 
     def test_entries_strictly_positive(self):
         rng = np.random.default_rng(13)
-        table = build_cooccurrence(random_sentences(rng), window=5)
+        table = build_cooccurrence(as_encoded(random_sentences(rng)), window=5)
         assert all(x > 0 for x in entries(table).values())
 
     @settings(deadline=None)
@@ -121,7 +127,7 @@ class TestBuildCooccurrence:
     def test_equals_reference_loop_exactly(self, sentences, window, weighting):
         # small ids repeat (the diagonal), windows outrun sentences, and
         # empty and one-token sentences occur
-        table = build_cooccurrence(sentences, window=window, weighting=weighting)
+        table = build_cooccurrence(as_encoded(sentences), window=window, weighting=weighting)
         expected = reference_cooccurrence(sentences, window, weighting)
         assert table.dtype == RECORD
         assert table.tolist() == sorted((i, j, x) for (i, j), x in expected.items())
@@ -143,11 +149,12 @@ class TestChunkedCount:
     )
     def test_any_chunk_size_gives_the_one_chunk_table(self, sentences, window, chunk):
         # chunks of 1 to 64 pairs end inside windows of up to 14 positions
+        corpus = as_encoded(sentences)
         for weighting in WEIGHTINGS:
             with mock.patch.object(cooccur, "CHUNK_PAIRS", chunk):
-                table = build_cooccurrence(sentences, window=window, weighting=weighting)
+                table = build_cooccurrence(corpus, window=window, weighting=weighting)
             with mock.patch.object(cooccur, "CHUNK_PAIRS", 2**62):
-                whole = build_cooccurrence(sentences, window=window, weighting=weighting)
+                whole = build_cooccurrence(corpus, window=window, weighting=weighting)
             expected = reference_cooccurrence(sentences, window, weighting)
             assert table.tolist() == sorted((i, j, x) for (i, j), x in expected.items())
             assert table.tobytes() == whole.tobytes()
@@ -160,7 +167,7 @@ class TestChunkedCount:
         unique = np.unique
         monkeypatch.setattr(np, "unique", lambda *a, **k: merges.append(len(a[0])) or unique(*a, **k))
         monkeypatch.setattr(cooccur, "CHUNK_PAIRS", chunk)
-        table = build_cooccurrence([list(range(300))], window=10, weighting="flat")
+        table = build_cooccurrence(as_encoded([list(range(300))]), window=10, weighting="flat")
         pairs = len(table) // 2
         assert pairs == 290 * 10 + 45
         assert len(merges) == 1 + math.ceil(math.log2(pairs / chunk))
@@ -170,7 +177,7 @@ class TestChunkedCount:
         # a benchmark-sized corpus: 100k tokens over 2,000 ids, about 0.33M
         # records; counting every position pair at once needs over 7 tables
         sentences = zipf_sentences(np.random.default_rng(0), 100_000, 2000)
-        table, peak = traced_peak(build_cooccurrence, sentences, window=10)
+        table, peak = traced_peak(build_cooccurrence, as_encoded(sentences), window=10)
         assert peak < 5 * table.nbytes, f"{peak / table.nbytes:.2f} tables"
 
 
@@ -178,7 +185,7 @@ class TestBinaryFormat:
     def test_save_load_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(15)
         table = build_cooccurrence(
-            random_sentences(rng), window=4, weighting="inverse_distance"
+            as_encoded(random_sentences(rng)), window=4, weighting="inverse_distance"
         )
         path = tmp_path / "x.bin"
         save_table(table, str(path))
@@ -210,7 +217,7 @@ class TestBinaryFormat:
         assert (i, j, x) == (1, 2, 0.5)
 
     def test_records_sorted_by_pair(self, tmp_path):
-        table = build_cooccurrence([[3, 1], [0, 2]], window=1, weighting="flat")
+        table = build_cooccurrence(as_encoded([[3, 1], [0, 2]]), window=1, weighting="flat")
         path = tmp_path / "x.bin"
         save_table(table, str(path))
         raw = path.read_bytes()

@@ -1,22 +1,30 @@
 import codecs
+import unicodedata
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from metlit import LITERAL, METAPHOR
+from metlit import LITERAL, METAPHOR, corpus
 from metlit.corpus import (
     CorpusError,
+    Encoded,
     LabeledPhrase,
     Vocabulary,
     build_vocabulary,
-    count_tokens,
     load_labeled_phrases,
     load_vocabulary,
     read_corpus_lines,
+    read_encoded,
     read_lines,
     save_vocabulary,
     tokenize,
     vocabulary_from_counts,
 )
+
+from helpers import as_encoded, traced_peak
 
 
 class TestTokenize:
@@ -79,18 +87,18 @@ class TestDecodeUtf8:
 
 class TestVocabulary:
     def test_counts_and_ids_min_count_1(self):
-        vocab = vocabulary_from_counts(count_tokens([["a", "b", "a"]]), min_count=1)
+        vocab = vocabulary_from_counts(Counter(["a", "b", "a"]), min_count=1)
         assert len(vocab) == 2
         assert vocab._ids["a"] == 0 and vocab.freq["a"] == 2
         assert vocab._ids["b"] == 1 and vocab.freq["b"] == 1
 
     def test_min_count_threshold_drops_rare_words(self):
-        vocab = vocabulary_from_counts(count_tokens([["a", "b", "a"]]), min_count=2)
+        vocab = vocabulary_from_counts(Counter(["a", "b", "a"]), min_count=2)
         assert vocab.words == ["a"]
 
     def test_all_below_threshold_is_an_error(self):
         with pytest.raises(CorpusError):
-            vocabulary_from_counts(count_tokens([["x", "y"]]), min_count=3)
+            vocabulary_from_counts(Counter(["x", "y"]), min_count=3)
 
     def test_ids_dense_and_inverse_of_words(self):
         sentences = [["c", "a", "b", "a", "c", "c"]]
@@ -150,6 +158,117 @@ class TestReadCorpusLines:
             list(read_corpus_lines(str(path)))
         expected_offset = len("καλό\n".encode("utf-8")) + 1
         assert str(expected_offset) in str(exc.value)
+
+
+# words whose tokens differ from their text: case, NFD accents that NFC
+# composes, final sigma, punctuation and underscores that split
+WORDS = ["θάλασσα", unicodedata.normalize("NFD", "Θάλασσα"), "ΟΡΊΖΟΝΤΕΣ", "ορίζοντες",
+         "πόρτα,", "Ανοίγω", "x1", "foo_bar", "a", "...", "B"]
+
+
+def reference_encoding(text, min_count=1, vocab=None):
+    """tokenize + Counter + Vocabulary.encode over the lines of `text`,
+    without the sentences the encoding leaves empty."""
+    sentences = [tokenize(line) for line in text.removeprefix("\ufeff").split("\n")]
+    vocab = vocab or build_vocabulary(sentences, min_count)
+    return vocab, [ids for ids in map(vocab.encode, sentences) if ids]
+
+
+class TestReadEncoded:
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        lines=st.lists(st.lists(st.one_of(
+            st.sampled_from(WORDS),
+            st.integers(0, 30).map(lambda k: f"σπάνιο{k}"),  # rare: below min_count
+        ), max_size=8), min_size=1, max_size=12),
+        bom=st.booleans(),
+        crlf=st.booleans(),
+        min_count=st.integers(1, 4),
+    )
+    @example(lines=[["σπάνιο1"], [], ["a", "a"], ["σπάνιο2", "..."]], bom=True, crlf=False,
+             min_count=2)
+    def test_equals_counter_and_encode(self, tmp_path, lines, bom, crlf, min_count):
+        # blank lines, lines of out-of-vocabulary words only, a leading BOM
+        text = "".join(" ".join(words) + ("\r\n" if crlf else "\n") for words in lines)
+        path = tmp_path / "corpus.txt"
+        path.write_bytes((codecs.BOM_UTF8 if bom else b"") + text.encode("utf-8"))
+        try:
+            vocab, expected = reference_encoding(text, min_count)
+        except CorpusError:  # no token reaches min_count, or there is none
+            with pytest.raises(CorpusError):
+                read_encoded(str(path), min_count)
+            return
+        got_vocab, encoded = read_encoded(str(path), min_count)
+        assert got_vocab == vocab and got_vocab.words == vocab.words
+        assert encoded.tokens.dtype == np.int32 and encoded.offsets.dtype == np.int64
+        assert [s.tolist() for s in encoded] == expected
+        # against a loaded vocabulary: the words of the first line only
+        first = tokenize(" ".join(lines[0]))
+        given_vocab = build_vocabulary([first], 1) if first else vocab
+        _, expected = reference_encoding(text, vocab=given_vocab)
+        if not expected:
+            with pytest.raises(CorpusError, match="no token is in the vocabulary"):
+                read_encoded(str(path), vocab=given_vocab)
+            return
+        got_vocab, encoded = read_encoded(str(path), vocab=given_vocab)
+        assert got_vocab is given_vocab
+        assert [s.tolist() for s in encoded] == expected
+
+    def test_reads_the_corpus_through_read_corpus_lines(self, tmp_path, monkeypatch):
+        # a tracer that replaces the module's reader sees every line
+        path = tmp_path / "corpus.txt"
+        path.write_text("a b\n\nb\n", encoding="utf-8")
+        seen = []
+        real = corpus.read_corpus_lines
+        monkeypatch.setattr(corpus, "read_corpus_lines",
+                            lambda p: (seen.append(t) or t for t in real(p)))
+        _, encoded = read_encoded(str(path))
+        assert seen == [["a", "b"], [], ["b"]]
+        assert encoded.offsets.tolist() == [0, 2, 3]
+
+    @pytest.mark.parametrize("text", ["", "\n...\n \n"])
+    def test_corpus_without_tokens_is_an_error_naming_it(self, tmp_path, text):
+        path = tmp_path / "corpus.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CorpusError) as exc:
+            read_encoded(str(path))
+        assert str(exc.value) == f"corpus is empty: {path}"
+
+    def test_no_token_in_the_vocabulary_is_an_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text("δέλτα ε\n", encoding="utf-8")
+        vocab = build_vocabulary([["alpha", "beta"]], min_count=1)
+        with pytest.raises(CorpusError) as exc:
+            read_encoded(str(path), vocab=vocab)
+        assert str(exc.value) == f"{path}: no token is in the vocabulary of 2 words"
+
+    def test_working_memory_is_a_few_bytes_a_token(self, tmp_path):
+        # about 1M tokens on Zipf-drawn words, some below min_count; held
+        # as str token lists and then id lists, this corpus peaks at about
+        # 117 bytes a token
+        rng = np.random.default_rng(0)
+        p = 1.0 / np.arange(1, 20_001)
+        ids = rng.choice(20_000, size=1_000_000, p=p / p.sum())
+        words = np.array([f"λέξη{r}" for r in range(20_000)])
+        path = tmp_path / "corpus.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            for a in range(0, len(ids), 14):
+                fh.write(" ".join(words[ids[a:a + 14]]) + "\n")
+        del words
+        (vocab, encoded), peak = traced_peak(read_encoded, str(path), 5)
+        assert len(encoded.tokens) == sum(vocab.freq.values()) > 0.98 * len(ids)
+        assert peak <= 24 * len(ids), f"{peak / len(ids):.1f} bytes a token"
+
+
+class TestEncoded:
+    def test_iterates_and_takes_sentences(self):
+        encoded = as_encoded([[4, 5], [], [6], [7, 8, 9]])
+        assert [s.tolist() for s in encoded] == [[4, 5], [], [6], [7, 8, 9]]
+        assert encoded.lengths().tolist() == [2, 0, 1, 3]
+        taken = encoded.take(np.array([3, 0, 2]))
+        assert isinstance(taken, Encoded)
+        assert [s.tolist() for s in taken] == [[7, 8, 9], [4, 5], [6]]
+        assert taken.tokens.dtype == encoded.tokens.dtype
 
 
 class TestLabeledPhrases:

@@ -22,6 +22,8 @@ from metlit.corpus import (
 from metlit.embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
 from metlit.sentvec import SentenceVectors, load_sentence_vectors, save_sentence_vectors
 
+from helpers import as_encoded
+
 # each test reuses one file, so a function-scoped tmp_path is safe here
 FILE_SETTINGS = settings(
     deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -118,7 +120,7 @@ def write_model(path):
 
 
 def write_table(path):
-    save_table(build_cooccurrence([[0, 1, 2], [2, 1]], window=2), path)
+    save_table(build_cooccurrence(as_encoded([[0, 1, 2], [2, 1]]), window=2), path)
 
 
 def write_phrases(path):

@@ -21,6 +21,7 @@ from metlit.glove import (
 
 from helpers import (
     adagrad_step,
+    as_encoded,
     max_relerr,
     mean_cosine,
     numeric_grad,
@@ -199,7 +200,7 @@ class TestTrainGlove:
         rng = np.random.default_rng(seed)
         sentences, topic_a, topic_b = two_topic_corpus(rng, n_tokens=n_tokens)
         vocab = build_vocabulary(sentences)
-        encoded = [vocab.encode(s) for s in sentences]
+        encoded = as_encoded([vocab.encode(s) for s in sentences])
         table = build_cooccurrence(encoded, window=4)
         return table, vocab, topic_a, topic_b
 
@@ -256,7 +257,7 @@ class TestTrainGlove:
         # weights and logs are gathered, where table-length ones would add
         # two tables; the shuffled order is half a table
         sentences = zipf_sentences(np.random.default_rng(0), 30_000, 2000)
-        table = build_cooccurrence(sentences, window=10)
+        table = build_cooccurrence(as_encoded(sentences), window=10)
         words = [str(i) for i in range(2000)]
         vocab = Vocabulary(words, dict.fromkeys(words, 1))
         _, peak = traced_peak(train_glove, table, vocab, GloveConfig(dim=10, epochs=1))
@@ -282,7 +283,7 @@ class TestBatchedKernel:
         rng = np.random.default_rng(11)
         sentences, _, _ = two_topic_corpus(rng, n_tokens=n_tokens, topic_size=5)
         vocab = build_vocabulary(sentences)
-        table = build_cooccurrence([vocab.encode(s) for s in sentences], window=3)
+        table = build_cooccurrence(as_encoded([vocab.encode(s) for s in sentences]), window=3)
         return table, vocab
 
     def test_batch_of_one_equals_per_record_loop(self, monkeypatch):
