@@ -5,7 +5,8 @@ artifact into the `--out` directory under a fixed name and returns
 `(result, summary)`. A single command loads the stage's inputs from the
 artifacts in `--out` and calls the stage. `pipeline` reads the corpus once
 and passes each result on to the next stage in memory; it still writes
-every artifact, byte-identical to the chain of single commands. Every
+every artifact, byte-identical to the chain of single commands, and leaves
+`--out` as it was if a stage fails. Every
 option is declared once, in `OPTIONS`, a numeric one with its range, and
 `main` checks the options a command uses before the command reads
 anything. Machine-readable JSON summaries go to stdout, human diagnostics
@@ -15,6 +16,7 @@ to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -32,6 +34,7 @@ SENTVEC_FILE = "sentence_vectors.txt"
 TTEST_FILE = "ttest_report.tsv"
 CV_FILE = "cv_report.tsv"
 MODEL_FILE = "svm_model.txt"
+PARTIAL = ".partial"  # pipeline's suffix for an artifact until every stage has run
 
 # A numeric option's range: the text its error line gives, and a test of
 # the value that is false for NaN.
@@ -90,6 +93,14 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
+def _write(args, name: str, save, value) -> str:
+    """Save `value` as the artifact `name` of --out and return its path;
+    `pipeline` saves it as <name>.partial, renamed once every stage has run."""
+    path = os.path.join(args.out, name)
+    save(value, path + PARTIAL if args.subcommand == "pipeline" else path)
+    return path
+
+
 def _load(args, name: str, what: str, loader):
     """The artifact `name` of --out, read by `loader`; `what` names it if missing."""
     return loader(_require_file(os.path.join(args.out, name), what))
@@ -99,8 +110,7 @@ def vocab_stage(args) -> tuple[tuple[corpus.Vocabulary, corpus.Encoded], dict]:
     """The vocabulary of --corpus, and the corpus in its ids."""
     vocab, encoded = corpus.read_encoded(args.corpus, min_count=args.min_count)
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, VOCAB_FILE)
-    corpus.save_vocabulary(vocab, path)
+    path = _write(args, VOCAB_FILE, corpus.save_vocabulary, vocab)
     return (vocab, encoded), {
         "command": "vocab",
         "vocab_size": len(vocab),
@@ -113,8 +123,7 @@ def vocab_stage(args) -> tuple[tuple[corpus.Vocabulary, corpus.Encoded], dict]:
 def cooccur_stage(args, encoded: corpus.Encoded) -> tuple[np.ndarray, dict]:
     table = cooccur.build_cooccurrence(encoded, window=args.window,
                                        weighting=args.cooccur_weighting)
-    path = os.path.join(args.out, COOCCUR_FILE)
-    cooccur.save_table(table, path)
+    path = _write(args, COOCCUR_FILE, cooccur.save_table, table)
     return table, {
         "command": "cooccur",
         "entries": len(table),
@@ -126,8 +135,7 @@ def cooccur_stage(args, encoded: corpus.Encoded) -> tuple[np.ndarray, dict]:
 
 
 def _save_trained(args, command: str, embeddings: EmbeddingMatrix, losses: list[float]):
-    path = os.path.join(args.out, EMBEDDINGS_FILE)
-    save_embeddings(embeddings, path)
+    path = _write(args, EMBEDDINGS_FILE, save_embeddings, embeddings)
     return embeddings, {
         "command": command,
         "dim": args.dim,
@@ -157,8 +165,7 @@ def glove_stage(args, table: np.ndarray, vocab: corpus.Vocabulary):
 def embed_stage(args, embeddings: EmbeddingMatrix) -> tuple[sentvec.SentenceVectors, dict]:
     phrases = corpus.load_labeled_phrases(args.labeled)
     vectors, report = sentvec.embed_dataset(phrases, embeddings, mode=args.aggregate)
-    path = os.path.join(args.out, SENTVEC_FILE)
-    sentvec.save_sentence_vectors(vectors, path)
+    path = _write(args, SENTVEC_FILE, sentvec.save_sentence_vectors, vectors)
     return vectors, {
         "command": "embed",
         "phrases": len(phrases),
@@ -172,8 +179,7 @@ def embed_stage(args, embeddings: EmbeddingMatrix) -> tuple[sentvec.SentenceVect
 
 def ttest_stage(args, vectors: sentvec.SentenceVectors) -> tuple[list, dict]:
     results, summary = stats.group_ttest(vectors, alpha=args.alpha)
-    path = os.path.join(args.out, TTEST_FILE)
-    stats.save_ttest_report(results, path)
+    path = _write(args, TTEST_FILE, stats.save_ttest_report, results)
     summary.update({"command": "ttest", "output": path})
     return results, summary
 
@@ -183,10 +189,8 @@ def cv_stage(args, vectors: sentvec.SentenceVectors) -> tuple[classifier.EvalRep
         vectors, k=args.folds, lam=args.svm_lambda, epochs=args.svm_epochs,
         seed=args.seed,
     )
-    report_path = os.path.join(args.out, CV_FILE)
-    classifier.save_report(report, report_path)
-    model_path = os.path.join(args.out, MODEL_FILE)
-    classifier.save_model(report.model, model_path)
+    report_path = _write(args, CV_FILE, classifier.save_report, report)
+    model_path = _write(args, MODEL_FILE, classifier.save_model, report.model)
     return report, {
         "command": "cv",
         "folds": args.folds,
@@ -250,7 +254,9 @@ def svm_lambda_bounds(n: int, epochs: int) -> tuple[float, float]:
 
 
 def cmd_pipeline(args) -> dict:
-    """Every stage in turn, each result handed on and dropped once used."""
+    """Every stage in turn. The artifacts are written as <name>.partial and
+    renamed once every stage has run; a failed run removes them, and --out
+    if the run made it."""
     _require_file(args.corpus, "corpus file")
     # the phrase file's non-blank lines bound the vector count, so a --folds or
     # --svm-lambda that no count from 2 up admits fails before the corpus is read
@@ -263,6 +269,29 @@ def cmd_pipeline(args) -> dict:
     if not low <= args.svm_lambda <= high:
         raise MetlitError(f"--svm-lambda must lie in [{low:.3g}, {high:.3g}] for {args.svm_epochs} "
                           f"epochs over at most {n} vectors, got {args.svm_lambda!r}")
+    names = [VOCAB_FILE, EMBEDDINGS_FILE, SENTVEC_FILE, TTEST_FILE, CV_FILE, MODEL_FILE]
+    if args.model == "glove":
+        names.append(COOCCUR_FILE)
+    made = not os.path.exists(args.out)
+    try:
+        summaries = _run_stages(args)
+    except BaseException:
+        # the stage's error is the one reported, whatever the clean-up meets
+        for name in names:
+            with contextlib.suppress(OSError):
+                os.remove(os.path.join(args.out, name + PARTIAL))
+        if made:
+            with contextlib.suppress(OSError):
+                os.rmdir(args.out)
+        raise
+    for name in names:
+        path = os.path.join(args.out, name)
+        os.replace(path + PARTIAL, path)
+    return summaries
+
+
+def _run_stages(args) -> dict:
+    """Every stage in turn, each result handed on and dropped once used."""
     summaries = {"command": "pipeline", "model": args.model}
     (vocab, encoded), summaries["vocab"] = vocab_stage(args)
     if args.model == "glove":

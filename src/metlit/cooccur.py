@@ -45,28 +45,61 @@ def build_cooccurrence(
     last, total = np.cumsum(span), int(span.sum())
     # one key (min, max) per pair takes the weights of X_ij and X_ji, twice on
     # the diagonal, and is mirrored at the end; np.bincount adds in input order,
-    # the running totals first, so each X_ij equals the running sum to the bit
+    # the running totals first, so each X_ij equals the running sum to the bit.
+    # Each array is deleted once used: together they set the count's peak.
     keys, x, stop = np.empty(0, np.uint64), np.empty(0), 0
     while stop < total:
         k, stop = stop, min(stop + max(CHUNK_PAIRS, len(keys)), total)
         a = np.searchsorted(last, np.arange(k, stop), "right")
         d = np.arange(k + 1, stop + 1) - last[a] + span[a]
-        i, j = tokens[a].astype(np.uint64), tokens[a + d].astype(np.uint64)
+        i, j = tokens[a], tokens[a + d]
+        del a
         times = 1 + (i == j)
+        pairs = np.minimum(i, j).astype(np.uint64) << 32 | np.maximum(i, j).astype(np.uint64)
+        pairs = np.repeat(pairs, times)
+        del i, j
         weights = np.repeat(np.ones(len(d)) if weighting == "flat" else 1.0 / d, times)
-        weights = np.concatenate([x, weights])
-        pairs = np.concatenate([keys, np.repeat(np.minimum(i, j) << 32 | np.maximum(i, j), times)])
-        del a, d, i, j, times, keys, x
-        keys, slot = np.unique(pairs, return_inverse=True)
-        x = np.bincount(slot, weights)
-        del pairs, weights, slot
-    off = keys >> 32 != keys & 0xFFFFFFFF
-    keys = np.concatenate([keys, keys[off] << 32 | keys[off] >> 32])  # (j, i)
-    order = np.argsort(keys)
-    keys, x = keys[order], np.concatenate([x, x[off]])[order]
-    del order
-    table = np.empty(len(keys), dtype=RECORD)
-    table["i"], table["j"], table["x"] = keys >> 32, keys & 0xFFFFFFFF, x
+        del d, times
+        # only the chunk is sorted; its keys are found in the running keys or
+        # inserted into them, which keeps them sorted
+        chunk, slot = np.unique(pairs, return_inverse=True)
+        del pairs
+        slot = np.concatenate([np.arange(len(chunk)), slot])
+        at = np.searchsorted(keys, chunk)
+        found = at < len(keys)
+        found[found] = keys[at[found]] == chunk[found]
+        start = np.zeros(len(chunk))
+        start[found] = x[at[found]]
+        weights = np.concatenate([start, weights])
+        del start
+        sums = np.bincount(slot, weights)
+        del slot, weights
+        x[at[found]] = sums[found]
+        new = ~found
+        keys, x = np.insert(keys, at[new], chunk[new]), np.insert(x, at[new], sums[new])
+        del chunk, at, found, new, sums
+    del span, last
+    # row i holds its mirrored records (i, j < i) in the order of j, then its
+    # own keys (i, j >= i). Stably sorted by their larger id, the off-diagonal
+    # keys give the mirrored records in table order, each in the place of its
+    # rank plus the keys of the rows before its own; the keys fill the other
+    # places in their order
+    lo, hi = (keys >> 32).astype(np.uint32), (keys & 0xFFFFFFFF).astype(np.uint32)
+    del keys
+    order = np.flatnonzero(lo != hi)
+    order = order[np.argsort(hi[order], kind="stable")]
+    place = np.searchsorted(lo, hi[order])
+    place += np.arange(len(order))
+    table = np.empty(len(lo) + len(order), dtype=RECORD)
+    own = np.ones(len(table), dtype=bool)
+    own[place] = False
+    table["i"][own], table["j"][own], table["x"][own] = lo, hi, x
+    del own
+    table["i"][place] = hi[order]
+    del hi
+    table["j"][place] = lo[order]
+    del lo
+    table["x"][place] = x[order]
     return table
 
 

@@ -50,11 +50,18 @@ class GloveModel:
     acc_b_tilde: np.ndarray
 
 
+def _draw_into(parts: list[np.ndarray], dim: int, seed: int) -> None:
+    """Fill w, w~, b and b~, in that order, uniform in [-0.5/D, 0.5/D]."""
+    rng = np.random.default_rng(seed)
+    for part in parts:
+        part[...] = rng.uniform(-0.5 / dim, 0.5 / dim, size=part.shape)
+
+
 def init_model(vocab_size: int, dim: int, seed: int = 0) -> GloveModel:
     """All four parameter groups uniform in [-0.5/D, 0.5/D]; accumulators 1."""
-    rng = np.random.default_rng(seed)
     shapes = [(vocab_size, dim), (vocab_size, dim), vocab_size, vocab_size]
-    drawn = [rng.uniform(-0.5 / dim, 0.5 / dim, size=shape) for shape in shapes]
+    drawn = [np.empty(shape) for shape in shapes]
+    _draw_into(drawn, dim, seed)
     return GloveModel(*drawn, *(np.ones(shape) for shape in shapes))
 
 
@@ -150,9 +157,10 @@ def train_glove(
         raise MetlitError("pair loss requires X_ij > 0 (log undefined)")
     v = len(vocab)
     try:  # numpy gives ValueError for a size past its index range
-        model = init_model(v, config.dim, seed=config.seed)
-        params = np.vstack([np.column_stack([model.w, model.b]),
-                            np.column_stack([model.w_tilde, model.b_tilde])])
+        # [w | b] over [w~ | b~], drawn as init_model draws them
+        params = np.empty((2 * v, config.dim + 1))
+        _draw_into([params[:v, :-1], params[v:, :-1], params[:v, -1], params[v:, -1]],
+                   config.dim, config.seed)
         acc = np.ones_like(params)
     except (MemoryError, ValueError):
         raise MetlitError(f"--dim {config.dim}: cannot allocate the V×D parameter matrices")

@@ -1,4 +1,5 @@
 import codecs
+import errno
 import io
 import json
 import math
@@ -848,7 +849,9 @@ class TestPipeline:
         )
         assert code == 0
         assert summary["train"]["command"] == "train-glove"
-        assert os.path.isfile(os.path.join(workspace["out"], cli.COOCCUR_FILE))
+        assert sorted(os.listdir(workspace["out"])) == sorted([  # no .partial file left
+            cli.VOCAB_FILE, cli.COOCCUR_FILE, cli.EMBEDDINGS_FILE, cli.SENTVEC_FILE,
+            cli.TTEST_FILE, cli.CV_FILE, cli.MODEL_FILE])
 
     @pytest.mark.parametrize("model, flag, value, message", [
         ("cbow", "--min-count", "0", "--min-count must be >= 1, got 0"),
@@ -928,23 +931,75 @@ class TestPipeline:
             high = max(high, lambda_range(n, 1, epochs)[1])
             assert cli.svm_lambda_bounds(n, epochs) == (low, high)
 
-    def test_svm_lambda_a_smaller_phrase_count_admits_is_left_to_cv(
-        self, workspace, capsys, tmp_path
-    ):
-        # the early check takes the lowest lower end over every count: with
-        # one epoch it rises from 10 to 11 rows, so the lower end for 10 rows
-        # passes with 11 phrases, and cv, which fits all 11 vectors, rejects it
+    @staticmethod
+    def _eleven_phrases(workspace, tmp_path):
+        """The first 11 phrases, and a --svm-lambda the early check passes
+        that cv rejects at one epoch: the early check takes the lowest lower
+        end over every count, and with one epoch it rises from 10 to 11 rows,
+        so the lower end for 10 rows passes with 11 phrases, and cv, which
+        fits all 11 vectors, rejects it."""
         labeled = tmp_path / "eleven.tsv"
         with open(workspace["labeled"], encoding="utf-8") as fh:
             labeled.write_text("".join(fh.readlines()[:11]), encoding="utf-8")
         lam = float(lambda_range(10, 1, 1)[0])
         assert lam < lambda_range(11, 1, 1)[0]
-        code, summary, err = self._pipeline(workspace, capsys, str(labeled), "--folds", "2",
+        return str(labeled), lam
+
+    def test_svm_lambda_a_smaller_phrase_count_admits_is_left_to_cv(
+        self, workspace, capsys, tmp_path
+    ):
+        labeled, lam = self._eleven_phrases(workspace, tmp_path)
+        code, summary, err = self._pipeline(workspace, capsys, labeled, "--folds", "2",
                                             "--svm-epochs", "1", "--svm-lambda", repr(lam))
         assert code == 1 and summary is None
         assert err.startswith("error: --svm-lambda must lie in [")
         assert f"for 1 epochs over 11 vectors, got {lam!r}" in err
-        assert os.path.isfile(os.path.join(workspace["out"], cli.SENTVEC_FILE))
+        assert not os.path.exists(workspace["out"])
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["no-out", "earlier-out"])
+    @pytest.mark.parametrize("stage, message, written", [
+        ("train-cbow", "cannot allocate the V×D parameter matrices", [cli.VOCAB_FILE]),
+        ("train-glove", "cannot allocate the V×D parameter matrices",
+         [cli.VOCAB_FILE, cli.COOCCUR_FILE]),
+        ("cv", "--svm-lambda must lie in [",
+         [cli.VOCAB_FILE, cli.EMBEDDINGS_FILE, cli.SENTVEC_FILE, cli.TTEST_FILE]),
+    ], ids=["train-cbow", "train-glove", "cv"])
+    def test_failed_stage_leaves_out_as_it_was(
+        self, workspace, capsys, tmp_path, monkeypatch, stage, message, written, earlier
+    ):
+        # the stages before the failing one write their artifacts as .partial
+        # files, and the failure removes them, and --out if the run made it
+        out = workspace["out"]
+        if earlier:  # an earlier run's artifact and a file of the user's
+            os.makedirs(out)
+            for name in (cli.VOCAB_FILE, "notes.txt"):
+                with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+                    fh.write("earlier\n")
+        before = _snapshot(out)
+        removed, remove = [], os.remove
+        monkeypatch.setattr(os, "remove", lambda path: remove(path) or removed.append(path))
+        labeled, settings = workspace["labeled"], ["--folds", "2"]
+        if stage == "cv":
+            labeled, lam = self._eleven_phrases(workspace, tmp_path)
+            settings += ["--svm-epochs", "1", "--svm-lambda", repr(lam)]
+        else:
+            settings += ["--model", stage.removeprefix("train-"), "--dim", str(10**15)]
+        code, summary, err = self._pipeline(workspace, capsys, labeled, *settings)
+        assert code == 1 and summary is None
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert sorted(removed) == sorted(os.path.join(out, name + cli.PARTIAL) for name in written)
+        assert _snapshot(out) == before
+
+    def test_out_naming_a_file_is_the_error_reported(self, workspace, capsys):
+        # the clean-up finds no directory to remove .partial files from, and
+        # its own errors never replace the stage's
+        with open(workspace["out"], "w", encoding="utf-8") as fh:
+            fh.write("earlier\n")
+        code, summary, err = self._pipeline(workspace, capsys, workspace["labeled"], "--folds", "2")
+        assert code == 1 and summary is None
+        assert err == f"error: {FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), workspace['out'])}\n"
+        with open(workspace["out"], encoding="utf-8") as fh:
+            assert fh.read() == "earlier\n"
 
     def test_glove_count_in_chunks_of_three_pairs_changes_no_byte(
         self, workspace, tmp_path, capsys, monkeypatch
@@ -1039,6 +1094,17 @@ class TestPipeline:
         )
         assert code == 1
         assert "line 2" in err
+
+
+def _snapshot(out: str) -> dict | None:
+    """Every file in `out` with its bytes, or None if `out` does not exist."""
+    if not os.path.exists(out):
+        return None
+    snapshot = {}
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            snapshot[name] = fh.read()
+    return snapshot
 
 
 def _strip_dir(summary: dict, out: str) -> dict:

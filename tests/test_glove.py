@@ -255,13 +255,26 @@ class TestTrainGlove:
     def test_working_memory_holds_no_table_length_array_but_the_order(self):
         # 30k tokens over 2,000 ids, about 137k records: each chunk's rows,
         # weights and logs are gathered, where table-length ones would add
-        # two tables; the shuffled order is half a table
+        # two tables; the shuffled order is half a table, and the parameters
+        # with their accumulators a third
         sentences = zipf_sentences(np.random.default_rng(0), 30_000, 2000)
         table = build_cooccurrence(as_encoded(sentences), window=10)
         words = [str(i) for i in range(2000)]
         vocab = Vocabulary(words, dict.fromkeys(words, 1))
         _, peak = traced_peak(train_glove, table, vocab, GloveConfig(dim=10, epochs=1))
-        assert peak < 2 * table.nbytes, f"{peak / table.nbytes:.2f} tables"
+        assert peak < 1.5 * table.nbytes, f"{peak / table.nbytes:.2f} tables"
+
+    def test_set_up_draws_straight_into_the_stacked_parameters(self):
+        # the stacked parameters and their accumulators are two (2V, D + 1)
+        # matrices, and a draw of w or w~ half of one more; a GloveModel
+        # stacked into them would add its parameters and four accumulators
+        v, d = 2000, 50
+        table = np.array([(0, v - 1, 1.0), (v - 1, 0, 1.0)], dtype=RECORD)
+        words = [str(i) for i in range(v)]
+        vocab = Vocabulary(words, dict.fromkeys(words, 1))
+        _, peak = traced_peak(train_glove, table, vocab, GloveConfig(dim=d, epochs=0))
+        matrix = 2 * v * (d + 1) * 8
+        assert peak < 3 * matrix, f"{peak / matrix:.2f} stacked-parameter matrices"
 
 
 class TestFixedPoint:
