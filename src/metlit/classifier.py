@@ -187,13 +187,12 @@ def _fit_forked(vectors, runs, lam, epochs, workers) -> list[tuple[SvmModel, int
 
 
 def _pegasos(vectors: SentenceVectors, runs: list[tuple[np.ndarray, int]], lam: float,
-             epochs: int, violations: list[int] | None = None,
-             workers: int = 1) -> list[SvmModel]:
-    """Fit one model per (training rows, seed) run, each by one `_fit`.
+             epochs: int, workers: int = 1) -> list[tuple[SvmModel, int]]:
+    """Fit one model per (training rows, seed) run, each by one `_fit`, and
+    count the steps that updated it.
 
     The runs of cross_validate are the folds, then the full data. They run
-    in `workers` processes, and the models are the same for any count. If
-    `violations` is a list, each run appends its count of updating steps.
+    in `workers` processes, and the fits are the same for any count.
     """
     bounds = [lambda_range(len(rows), vectors.values.shape[1], epochs) for rows, _ in runs]
     low, high = max(b[0] for b in bounds), min(b[1] for b in bounds)
@@ -208,9 +207,7 @@ def _pegasos(vectors: SentenceVectors, runs: list[tuple[np.ndarray, int]], lam: 
         if not (np.isfinite(model.weights).all() and math.isfinite(model.bias)):
             run = f"fold {i}" if i < len(fits) - 1 else "the full-data fit"
             raise MetlitError(f"{run}: the SVM model is not finite")
-    if violations is not None:
-        violations.extend(updates for _, updates in fits)
-    return [model for model, _ in fits]
+    return fits
 
 
 def train_svm(
@@ -229,7 +226,7 @@ def train_svm(
         raise MetlitError("empty training set")
     if train.metaphor.all() or not train.metaphor.any():
         raise MetlitError("training set must contain both classes")
-    return _pegasos(train, [(np.arange(len(train)), seed)], lam, epochs)[0]
+    return _pegasos(train, [(np.arange(len(train)), seed)], lam, epochs)[0][0]
 
 
 def hinge_objective(model: SvmModel, vectors: SentenceVectors) -> float:
@@ -308,16 +305,15 @@ def cross_validate(
     steps = epochs * sum(len(train) for train, _ in runs)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = 1 if steps < PARALLEL_STEPS or not hasattr(os, "fork") else min(cpus, len(runs))
-    violations: list[int] = []
-    *fold_models, model = _pegasos(vectors, runs, lam, epochs, violations, workers)
-    per_fold = [evaluate_fold(m, vectors[fold]) for m, fold in zip(fold_models, folds)]
+    fits = _pegasos(vectors, runs, lam, epochs, workers)
+    per_fold = [evaluate_fold(m, vectors[fold]) for (m, _), fold in zip(fits, folds)]
     mean_accuracy = sum(m.accuracy for m in per_fold) / len(per_fold)
     defined = [m.precision for m in per_fold if m.precision is not None]
     mean_precision = sum(defined) / len(defined) if defined else None
     return EvalReport(
         per_fold=per_fold, mean_accuracy=mean_accuracy, mean_precision=mean_precision,
-        model=model, fits=len(runs), pegasos_steps=steps,
-        margin_violations=sum(violations), workers=workers,
+        model=fits[-1][0], fits=len(runs), pegasos_steps=steps,
+        margin_violations=sum(updates for _, updates in fits), workers=workers,
     )
 
 

@@ -114,7 +114,8 @@ def vocab_stage(args) -> tuple[tuple[corpus.Vocabulary, corpus.Encoded], dict]:
     return (vocab, encoded), {
         "command": "vocab",
         "vocab_size": len(vocab),
-        "total_tokens": sum(vocab.freq.values()),
+        "total_tokens": encoded.read,
+        "vocab_tokens": sum(vocab.freq.values()),
         "min_count": args.min_count,
         "output": path,
     }

@@ -137,11 +137,13 @@ class Encoded:
 
     `tokens` holds the ids back to back (int32 as read_encoded gives them,
     4 bytes a token) and `offsets` each sentence's start and, last, the end
-    (int64). Iterating yields each sentence's ids.
+    (int64). `read` counts the tokens of the corpus read, out-of-vocabulary
+    ones included. Iterating yields each sentence's ids.
     """
 
     tokens: np.ndarray
     offsets: np.ndarray
+    read: int
 
     def __iter__(self) -> Iterator[np.ndarray]:
         bounds = self.offsets.tolist()
@@ -155,7 +157,7 @@ class Encoded:
         lengths = self.lengths()[order]
         offsets = np.concatenate([[0], np.cumsum(lengths)])
         shift = np.repeat(self.offsets[order] - offsets[:-1], lengths)
-        return Encoded(self.tokens[shift + np.arange(offsets[-1])], offsets)
+        return Encoded(self.tokens[shift + np.arange(offsets[-1])], offsets, self.read)
 
 
 def read_encoded(
@@ -191,7 +193,7 @@ def read_encoded(
     if not stops[-1]:
         raise CorpusError(f"{path}: no token is in the vocabulary of {len(vocab)} words")
     offsets = np.concatenate([[0], stops[np.diff(stops, prepend=0) > 0]])
-    return vocab, Encoded(np.delete(tokens, dropped), offsets)
+    return vocab, Encoded(np.delete(tokens, dropped), offsets, len(tokens))
 
 
 def save_vocabulary(vocab: Vocabulary, path: str) -> None:

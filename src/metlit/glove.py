@@ -3,6 +3,10 @@
 Minimizes sum over pairs of f(X_ij) * (w_i . w~_j + b_i + b~_j - ln X_ij)^2
 with per-coordinate AdaGrad updates. The weight function f damps very
 frequent pairs: (x / x_max)^a below the cutoff, 1 above it.
+
+The parameters are one (2V, D + 1) array, [w | b] over [w~ | b~]: record
+(i, j) reads and updates rows i and V + j. Its AdaGrad accumulators have
+the same layout.
 """
 
 from __future__ import annotations
@@ -26,73 +30,45 @@ class WeightParams:
     x_max: float = 100.0
 
 
-def weights(x: np.ndarray, params: WeightParams = WeightParams()) -> np.ndarray:
-    """min(x / x_max, 1)^a over an array of nonnegative counts."""
-    return np.minimum(x / params.x_max, 1.0) ** params.a
+def weights(x: np.ndarray, weighting: WeightParams = WeightParams()) -> np.ndarray:
+    """min(x / x_max, 1)^a over nonnegative counts: monotone, in [0, 1]."""
+    return np.minimum(x / weighting.x_max, 1.0) ** weighting.a
 
 
-def weight_f(x: float, params: WeightParams = WeightParams()) -> float:
-    """weights of one count: (x/x_max)^a for x < x_max, else 1. Monotone, in [0, 1]."""
-    if x < 0:
-        raise MetlitError("co-occurrence count must be nonnegative")
-    return float(weights(x, params))
-
-
-@dataclass
-class GloveModel:
-    w: np.ndarray        # (V, D) main vectors
-    w_tilde: np.ndarray  # (V, D) context vectors
-    b: np.ndarray        # (V,) main biases
-    b_tilde: np.ndarray  # (V,) context biases
-    acc_w: np.ndarray
-    acc_w_tilde: np.ndarray
-    acc_b: np.ndarray
-    acc_b_tilde: np.ndarray
-
-
-def _draw_into(parts: list[np.ndarray], dim: int, seed: int) -> None:
-    """Fill w, w~, b and b~, in that order, uniform in [-0.5/D, 0.5/D]."""
+def init_params(vocab_size: int, dim: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked parameters, with w, w~, b and b~ drawn in that order
+    uniform in [-0.5/D, 0.5/D], and their accumulators, all 1."""
+    v = vocab_size
+    params = np.empty((2 * v, dim + 1))
     rng = np.random.default_rng(seed)
-    for part in parts:
+    for part in (params[:v, :-1], params[v:, :-1], params[:v, -1], params[v:, -1]):
         part[...] = rng.uniform(-0.5 / dim, 0.5 / dim, size=part.shape)
-
-
-def init_model(vocab_size: int, dim: int, seed: int = 0) -> GloveModel:
-    """All four parameter groups uniform in [-0.5/D, 0.5/D]; accumulators 1."""
-    shapes = [(vocab_size, dim), (vocab_size, dim), vocab_size, vocab_size]
-    drawn = [np.empty(shape) for shape in shapes]
-    _draw_into(drawn, dim, seed)
-    return GloveModel(*drawn, *(np.ones(shape) for shape in shapes))
-
-
-def pair_loss(
-    model: GloveModel, i: int, j: int, x: float,
-    params: WeightParams = WeightParams(),
-) -> float:
-    """f(X_ij) * (w_i . w~_j + b_i + b~_j - ln X_ij)^2."""
-    return pair_gradients(model, i, j, x, params)[0]
+    return params, np.ones_like(params)
 
 
 def pair_gradients(
-    model: GloveModel, i: int, j: int, x: float,
-    params: WeightParams = WeightParams(),
-) -> tuple[float, np.ndarray, np.ndarray, float, float]:
-    """Loss and analytic gradients (d_wi, d_wtj, d_bi, d_btj) for one entry."""
+    params: np.ndarray, i: int, j: int, x: float,
+    weighting: WeightParams = WeightParams(),
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """f(X_ij) * (w_i . w~_j + b_i + b~_j - ln X_ij)^2 and its gradients
+    with respect to rows i and V + j of `params`."""
     if x <= 0:
         raise MetlitError("pair loss requires X_ij > 0 (log undefined)")
-    f = weight_f(x, params)
-    residual = float(model.w[i] @ model.w_tilde[j] + model.b[i] + model.b_tilde[j]) - math.log(x)
-    loss = f * residual * residual
+    main, context = params[i], params[len(params) // 2 + j]
+    f = float(weights(x, weighting))
+    residual = float(main[:-1] @ context[:-1] + main[-1] + context[-1]) - math.log(x)
     common = 2.0 * f * residual
-    return loss, common * model.w_tilde[j], common * model.w[i], common, common
+    grad_i, grad_j = common * context, common * main
+    grad_i[-1] = grad_j[-1] = common
+    return f * residual * residual, grad_i, grad_j
 
 
 def total_loss(
-    model: GloveModel, table: np.ndarray,
-    params: WeightParams = WeightParams(),
+    params: np.ndarray, table: np.ndarray,
+    weighting: WeightParams = WeightParams(),
 ) -> float:
     """Weighted objective over a co-occurrence table (cooccur.RECORD array)."""
-    return sum(pair_loss(model, i, j, x, params) for i, j, x in table.tolist())
+    return sum(pair_gradients(params, i, j, x, weighting)[0] for i, j, x in table.tolist())
 
 
 @dataclass
@@ -106,8 +82,8 @@ class GloveConfig:
 
 def _train_chunk(params, acc, pairs, weight, log_x, lr):
     """AdaGrad steps over a chunk of records, BATCH at a time, rows
-    pairs[r] = (i, V + j) of `params` ([w | b] then [w~ | b~]); returns the
-    sum of their losses, each at its batch's pre-step parameters."""
+    pairs[r] = (i, V + j) of `params`; returns the sum of their losses,
+    each at its batch's pre-step parameters."""
     d = params.shape[1] - 1
     # batch k updates the rows touched[starts[k]:starts[k + 1]], and
     # cells[r, c] are the d + 1 cells of row pairs[r, c] in the flat (touched, d + 1) sums
@@ -157,11 +133,7 @@ def train_glove(
         raise MetlitError("pair loss requires X_ij > 0 (log undefined)")
     v = len(vocab)
     try:  # numpy gives ValueError for a size past its index range
-        # [w | b] over [w~ | b~], drawn as init_model draws them
-        params = np.empty((2 * v, config.dim + 1))
-        _draw_into([params[:v, :-1], params[v:, :-1], params[:v, -1], params[v:, -1]],
-                   config.dim, config.seed)
-        acc = np.ones_like(params)
+        params, acc = init_params(v, config.dim, config.seed)
     except (MemoryError, ValueError):
         raise MetlitError(f"--dim {config.dim}: cannot allocate the V×D parameter matrices")
     chunk = BATCH * max(1, CHUNK_RECORDS // BATCH)

@@ -17,8 +17,7 @@ from metlit.cbow import (
 from metlit.classifier import FoldMetrics, SvmModel
 from metlit.corpus import Encoded
 from metlit.embeddings import EmbeddingMatrix
-from metlit.glove import WeightParams, pair_gradients
-from metlit.glove import init_model as init_glove
+from metlit.glove import WeightParams, init_params, pair_gradients
 from metlit.sentvec import SentenceVectors
 
 
@@ -329,23 +328,19 @@ def reference_cooccurrence(sentences, window, weighting):
     return entries
 
 
-def adagrad_step(model, i, j, x, lr0, params=WeightParams()):
-    """One AdaGrad update on entry (i, j); returns the pre-step loss.
+def adagrad_step(params, acc, i, j, x, lr0, weighting=WeightParams()):
+    """One AdaGrad update of rows i and V + j for entry (i, j); returns the
+    pre-step loss.
 
     Updates use the accumulators as they stand, then the squared gradients
     are added, matching the usual convention for this objective.
     """
     if lr0 <= 0:
         raise MetlitError("lr0 must be positive")
-    loss, d_wi, d_wtj, d_bi, d_btj = pair_gradients(model, i, j, x, params)
-    model.w[i] -= lr0 * d_wi / np.sqrt(model.acc_w[i])
-    model.w_tilde[j] -= lr0 * d_wtj / np.sqrt(model.acc_w_tilde[j])
-    model.b[i] -= lr0 * d_bi / math.sqrt(model.acc_b[i])
-    model.b_tilde[j] -= lr0 * d_btj / math.sqrt(model.acc_b_tilde[j])
-    model.acc_w[i] += d_wi * d_wi
-    model.acc_w_tilde[j] += d_wtj * d_wtj
-    model.acc_b[i] += d_bi * d_bi
-    model.acc_b_tilde[j] += d_btj * d_btj
+    loss, grad_i, grad_j = pair_gradients(params, i, j, x, weighting)
+    for row, grad in ((i, grad_i), (len(params) // 2 + j, grad_j)):
+        params[row] -= lr0 * grad / np.sqrt(acc[row])
+        acc[row] += grad * grad
     return loss
 
 
@@ -355,7 +350,8 @@ def reference_train_glove(table, vocab, config):
     Records are visited in a seed + 1 shuffled order each epoch; the loss
     per epoch is the sum of each record's pre-step loss.
     """
-    model = init_glove(len(vocab), config.dim, seed=config.seed)
+    v = len(vocab)
+    params, acc = init_params(v, config.dim, config.seed)
     entries = table.tolist()
     shuffle_rng = np.random.default_rng(config.seed + 1)
     epoch_losses = []
@@ -365,14 +361,13 @@ def reference_train_glove(table, vocab, config):
         with np.errstate(all="ignore"):
             for k in order:
                 i, j, x = entries[k]
-                epoch_loss += adagrad_step(model, i, j, x, config.lr, config.params)
-        for arr in (model.w, model.w_tilde, model.b, model.b_tilde):
-            if not np.isfinite(arr).all():
-                raise MetlitError(f"non-finite parameters after epoch {epoch}")
+                epoch_loss += adagrad_step(params, acc, i, j, x, config.lr, config.params)
+        if not np.isfinite(params).all():
+            raise MetlitError(f"non-finite parameters after epoch {epoch}")
         if not math.isfinite(epoch_loss):
             raise MetlitError(f"non-finite loss in epoch {epoch}")
         epoch_losses.append(epoch_loss)
-    return EmbeddingMatrix(list(vocab.words), model.w + model.w_tilde), epoch_losses
+    return EmbeddingMatrix(list(vocab.words), params[:v, :-1] + params[v:, :-1]), epoch_losses
 
 
 def as_encoded(sentences):
@@ -385,7 +380,7 @@ def as_encoded(sentences):
     np.cumsum([len(s) for s in sentences], out=offsets[1:])
     ids = [w for s in sentences for w in s]
     dtype = np.int32 if max(ids, default=0) < 2**31 else np.uint32
-    return Encoded(np.array(ids, dtype=dtype), offsets)
+    return Encoded(np.array(ids, dtype=dtype), offsets, len(ids))
 
 
 def zipf_sentences(rng, n_tokens, vocab_size, length=14):

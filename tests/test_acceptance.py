@@ -30,16 +30,7 @@ from metlit.classifier import (
 )
 from metlit.cooccur import RECORD, build_cooccurrence
 from metlit.corpus import build_vocabulary, load_labeled_phrases
-from metlit.glove import (
-    GloveConfig,
-    GloveModel,
-    init_model as glove_init,
-    pair_gradients,
-    pair_loss,
-    total_loss,
-    train_glove,
-    weight_f,
-)
+from metlit.glove import GloveConfig, pair_gradients, total_loss, train_glove, weights
 from metlit.sentvec import SentenceVectors, embed_dataset
 from metlit.stats import group_ttest, welch_t
 
@@ -102,7 +93,7 @@ def test_gradient_fidelity(check):
     started = time.perf_counter()
     rng = np.random.default_rng(42)
     worst = 0.0
-    models = 0
+    models = stray = 0
 
     for _ in range(34):  # exact CBOW loss
         v, d = int(rng.integers(2, 9)), int(rng.integers(1, 6))
@@ -149,42 +140,25 @@ def test_gradient_fidelity(check):
         worst = max(worst, max_relerr(dense_in, numeric_grad(f_in, model.input_vectors.copy())))
         models += 1
 
-    for _ in range(34):  # GloVe pair loss, all four parameter groups
+    for _ in range(34):  # GloVe pair loss, over every stacked parameter
         v, d = int(rng.integers(2, 9)), int(rng.integers(1, 6))
-        model = glove_init(v, d, seed=int(rng.integers(10_000)))
-        model.w = rng.normal(0, 1, (v, d))
-        model.w_tilde = rng.normal(0, 1, (v, d))
-        model.b = rng.normal(0, 1, v)
-        model.b_tilde = rng.normal(0, 1, v)
+        params = rng.normal(0, 1, (2 * v, d + 1))
         i, j = int(rng.integers(v)), int(rng.integers(v))
         x = float(rng.uniform(0.5, 150.0))
-        _, d_wi, d_wtj, d_bi, d_btj = pair_gradients(model, i, j, x)
-
-        def rebuild(w=None, wt=None, b=None, bt=None, model=model):
-            return GloveModel(
-                model.w if w is None else w,
-                model.w_tilde if wt is None else wt,
-                model.b if b is None else b,
-                model.b_tilde if bt is None else bt,
-                model.acc_w, model.acc_w_tilde, model.acc_b, model.acc_b_tilde,
-            )
-
-        num = numeric_grad(lambda a: pair_loss(rebuild(w=a), i, j, x), model.w.copy())
-        worst = max(worst, max_relerr(d_wi, num[i]))
-        num = numeric_grad(lambda a: pair_loss(rebuild(wt=a), i, j, x), model.w_tilde.copy())
-        worst = max(worst, max_relerr(d_wtj, num[j]))
-        num = numeric_grad(lambda a: pair_loss(rebuild(b=a), i, j, x), model.b.copy())
-        worst = max(worst, max_relerr(d_bi, num[i]))
-        num = numeric_grad(lambda a: pair_loss(rebuild(bt=a), i, j, x), model.b_tilde.copy())
-        worst = max(worst, max_relerr(d_btj, num[j]))
+        _, grad_i, grad_j = pair_gradients(params, i, j, x)
+        num = numeric_grad(lambda p: pair_gradients(p, i, j, x)[0], params.copy())
+        worst = max(worst, max_relerr(grad_i, num[i]), max_relerr(grad_j, num[v + j]))
+        # no other row moves the loss, also when i == j
+        stray += int(np.delete(num, [i, v + j], axis=0).any())
         models += 1
 
     elapsed = time.perf_counter() - started
-    ok = models >= 100 and worst <= 1e-4 and elapsed < 10.0
+    ok = models >= 100 and worst <= 1e-4 and not stray and elapsed < 10.0
     check(
         "gradient fidelity: analytic matches finite differences at 1e-4",
         ok,
-        f"{models} models, worst rel err {worst:.2e}, {elapsed:.1f}s",
+        f"{models} models, worst rel err {worst:.2e}, {stray} GloVe losses moved by "
+        f"other rows, {elapsed:.1f}s",
     )
 
 
@@ -192,12 +166,12 @@ def test_weight_function(check):
     """f(0)=0, f(x_max)=1, f(50) within 1e-6 of 0.5946, monotone. Budget: 1 s."""
     started = time.perf_counter()
     grid = np.linspace(0.0, 120.0, 1000)
-    values = [weight_f(float(x)) for x in grid]
+    values = weights(grid).tolist()
     monotone = all(b >= a for a, b in zip(values, values[1:]))
     ok = (
-        weight_f(0.0) == 0.0
-        and weight_f(100.0) == 1.0
-        and abs(weight_f(50.0) - 0.5946035575013605) <= 1e-6
+        weights(0.0) == 0.0
+        and weights(100.0) == 1.0
+        and abs(weights(50.0) - 0.5946035575013605) <= 1e-6
         and monotone
     )
     elapsed = time.perf_counter() - started
@@ -205,7 +179,7 @@ def test_weight_function(check):
     check(
         "weight function boundary values and monotonicity",
         ok,
-        f"f(50)={weight_f(50.0):.10f}, {elapsed:.2f}s",
+        f"f(50)={weights(50.0):.10f}, {elapsed:.2f}s",
     )
 
 
@@ -221,18 +195,16 @@ def test_glove_fixed_point_and_rank_complete(check):
     rng = np.random.default_rng(7)
     v = 4
 
-    model = glove_init(v, 3, seed=1)
-    model.w = rng.normal(0, 1, (v, 3))
-    model.w_tilde = rng.normal(0, 1, (v, 3))
-    model.b = rng.normal(0, 1, v)
-    model.b_tilde = rng.normal(0, 1, v)
+    params = np.empty((2 * v, 4))  # [w | b] over [w~ | b~], drawn w, w~, b, b~
+    for part in (params[:v, :-1], params[v:, :-1], params[:v, -1], params[v:, -1]):
+        part[...] = rng.normal(0, 1, part.shape)
     exact_table = np.array([
         (i, j, math.exp(
-            float(model.w[i] @ model.w_tilde[j] + model.b[i] + model.b_tilde[j])
+            float(params[i, :-1] @ params[v + j, :-1] + params[i, -1] + params[v + j, -1])
         ))
         for i in range(v) for j in range(v)
     ], dtype=RECORD)
-    fixed_point_loss = total_loss(model, exact_table)
+    fixed_point_loss = total_loss(params, exact_table)
 
     logs = rng.normal(1.0, 0.8, (v, v))
     logs = (logs + logs.T) / 2  # symmetric counts

@@ -106,8 +106,8 @@ class TestDecision:
     def test_margins_and_confusion_counts_match_per_row_reference(self, blobs_914):
         data = blobs_914
         folds, runs = fold_runs(data, 10, seed=3)
-        models = classifier._pegasos(data, runs, 1e-3, 4)
-        for model, fold in zip(models, folds + [np.arange(len(data))]):
+        fits = classifier._pegasos(data, runs, 1e-3, 4)
+        for (model, _), fold in zip(fits, folds + [np.arange(len(data))]):
             margins = decision(model, data.values)
             ref = np.array([reference_predict(model, row)[1] for row in data.values])
             assert np.all(np.abs(margins - ref) <= 1e-12 * np.abs(ref))
@@ -343,8 +343,8 @@ class TestLockstepMatchesReference:
 
     def test_every_lockstep_row_matches_reference(self, data):
         _, runs = fold_runs(data, 10, seed=self.SEED)
-        models = classifier._pegasos(data, runs, self.LAM, self.EPOCHS)
-        for model, (rows, seed) in zip(models, runs):
+        fits = classifier._pegasos(data, runs, self.LAM, self.EPOCHS)
+        for (model, _), (rows, seed) in zip(fits, runs):
             ref = reference_train_svm(data[rows], lam=self.LAM,
                                       epochs=self.EPOCHS, seed=seed)
             assert_matches_reference(model, ref)
@@ -373,14 +373,11 @@ class TestLockstepMatchesReference:
 class TestParallelFits:
     def test_one_and_two_workers_give_the_same_models(self, blobs_914):
         _, runs = fold_runs(blobs_914, 10, seed=3)
-        fits = {}
-        for workers in (1, 2):
-            violations = []
-            models = classifier._pegasos(blobs_914, runs, 1e-3, 4, violations, workers)
-            fits[workers] = models, violations
-        (serial, serial_counts), (forked, forked_counts) = fits[1], fits[2]
-        assert forked_counts == serial_counts and len(forked) == len(serial) == 11
-        for a, b in zip(serial, forked):
+        serial, forked = (classifier._pegasos(blobs_914, runs, 1e-3, 4, workers)
+                          for workers in (1, 2))
+        assert len(forked) == len(serial) == 11
+        assert [u for _, u in forked] == [u for _, u in serial]
+        for (a, _), (b, _) in zip(serial, forked):
             assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
             assert np.array_equal(a.scale_mean, b.scale_mean)
             assert np.array_equal(a.scale_std, b.scale_std)

@@ -82,6 +82,18 @@ class TestVocabCommand:
         )
         assert code == 0 and summary["vocab_size"] == 1
 
+    def test_total_tokens_counts_the_tokens_the_cut_drops(self, tmp_path, capsys):
+        # the singletons "c" and "d" fall below --min-count 2, and "d"'s line empties
+        corpus_path = tmp_path / "tiny.txt"
+        corpus_path.write_text("a a b c\nd\nb a\n", encoding="utf-8")
+        code, summary, _ = run_cli(
+            capsys,
+            ["vocab", "--corpus", str(corpus_path), "--min-count", "2",
+             "--out", str(tmp_path / "out")],
+        )
+        assert code == 0 and summary["vocab_size"] == 2
+        assert (summary["total_tokens"], summary["vocab_tokens"]) == (7, 5)
+
     def test_missing_corpus_fails_before_writing(self, tmp_path, capsys):
         out = tmp_path / "out"
         code, summary, err = run_cli(

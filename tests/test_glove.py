@@ -8,14 +8,11 @@ from metlit.cooccur import RECORD, build_cooccurrence
 from metlit.corpus import Vocabulary, build_vocabulary
 from metlit.glove import (
     GloveConfig,
-    GloveModel,
     WeightParams,
-    init_model,
+    init_params,
     pair_gradients,
-    pair_loss,
     total_loss,
     train_glove,
-    weight_f,
     weights,
 )
 
@@ -32,167 +29,130 @@ from helpers import (
 )
 
 
-def random_glove(rng, v, d):
-    model = init_model(v, d, seed=int(rng.integers(1000)))
-    model.w = rng.normal(0, 1, (v, d))
-    model.w_tilde = rng.normal(0, 1, (v, d))
-    model.b = rng.normal(0, 1, v)
-    model.b_tilde = rng.normal(0, 1, v)
-    return model
+def random_params(rng, v, d):
+    """Stacked parameters with w, w~, b and b~ drawn from N(0, 1)."""
+    params = np.empty((2 * v, d + 1))
+    for part in (params[:v, :-1], params[v:, :-1], params[:v, -1], params[v:, -1]):
+        part[...] = rng.normal(0, 1, part.shape)
+    return params
+
+
+def exact_count(params, i, j):
+    """The count X_ij at which record (i, j) has zero residual."""
+    main, context = params[i], params[len(params) // 2 + j]
+    return math.exp(float(main[:-1] @ context[:-1] + main[-1] + context[-1]))
 
 
 class TestWeightFunction:
     def test_zero_count_gets_zero_weight(self):
-        assert weight_f(0.0) == 0.0
+        assert weights(0.0) == 0.0
 
     def test_cap_at_x_max(self):
-        assert weight_f(100.0) == 1.0
-        assert weight_f(1e6) == 1.0
+        assert weights(100.0) == 1.0
+        assert weights(1e6) == 1.0
 
     def test_midpoint_closed_form(self):
-        assert weight_f(50.0) == pytest.approx(0.5**0.75, abs=1e-12)
-        assert weight_f(50.0) == pytest.approx(0.5946035575013605, abs=1e-12)
+        assert weights(50.0) == pytest.approx(0.5**0.75, abs=1e-12)
+        assert weights(50.0) == pytest.approx(0.5946035575013605, abs=1e-12)
 
     def test_monotone_on_grid(self):
-        xs = np.linspace(0, 120, 1000)
-        ys = [weight_f(float(x)) for x in xs]
+        ys = weights(np.linspace(0, 120, 1000)).tolist()
         assert all(b >= a for a, b in zip(ys, ys[1:]))
         assert all(0.0 <= y <= 1.0 for y in ys)
 
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            weight_f(-1.0)
-
     def test_custom_params(self):
-        params = WeightParams(a=1.0, x_max=10.0)
-        assert weight_f(5.0, params) == pytest.approx(0.5, abs=1e-12)
+        weighting = WeightParams(a=1.0, x_max=10.0)
+        assert weights(5.0, weighting) == pytest.approx(0.5, abs=1e-12)
 
     def test_vectorized_equals_scalar_below_at_and_above_cutoff(self):
-        for params in (WeightParams(), WeightParams(a=0.5, x_max=10.0)):
+        for weighting in (WeightParams(), WeightParams(a=0.5, x_max=10.0)):
             xs = np.array([1e-9, 0.3, 1.0, 7.5, 9.999, 10.0, 10.5, 50.0,
                            99.99, 100.0, 100.01, 1e6])
-            for x, f in zip(xs.tolist(), weights(xs, params).tolist()):
-                if x < params.x_max:
+            for x, f in zip(xs.tolist(), weights(xs, weighting).tolist()):
+                if x < weighting.x_max:
                     # numpy's vectorized power may round 1 ulp off libm's pow
-                    assert f == pytest.approx(weight_f(x, params), rel=1e-15, abs=0)
+                    closed = min(x / weighting.x_max, 1.0) ** weighting.a
+                    assert f == pytest.approx(closed, rel=1e-15, abs=0)
                 else:
-                    assert f == weight_f(x, params) == 1.0
+                    assert f == 1.0
 
 
 class TestPairLoss:
     def test_zero_residual_gives_zero_loss(self):
-        rng = np.random.default_rng(0)
-        model = random_glove(rng, 3, 2)
-        x = math.exp(float(model.w[0] @ model.w_tilde[1] + model.b[0] + model.b_tilde[1]))
-        assert pair_loss(model, 0, 1, x) == pytest.approx(0.0, abs=1e-12)
+        params = random_params(np.random.default_rng(0), 3, 2)
+        loss = pair_gradients(params, 0, 1, exact_count(params, 0, 1))[0]
+        assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_count_zero_parameters(self):
-        model = GloveModel(
-            w=np.zeros((2, 2)), w_tilde=np.zeros((2, 2)),
-            b=np.zeros(2), b_tilde=np.zeros(2),
-            acc_w=np.ones((2, 2)), acc_w_tilde=np.ones((2, 2)),
-            acc_b=np.ones(2), acc_b_tilde=np.ones(2),
-        )
-        assert pair_loss(model, 0, 1, 1.0) == 0.0  # ln 1 = 0 exactly
+        assert pair_gradients(np.zeros((4, 3)), 0, 1, 1.0)[0] == 0.0  # ln 1 = 0 exactly
 
     def test_count_e_zero_parameters(self):
-        model = GloveModel(
-            w=np.zeros((2, 2)), w_tilde=np.zeros((2, 2)),
-            b=np.zeros(2), b_tilde=np.zeros(2),
-            acc_w=np.ones((2, 2)), acc_w_tilde=np.ones((2, 2)),
-            acc_b=np.ones(2), acc_b_tilde=np.ones(2),
-        )
         expected = (math.e / 100.0) ** 0.75  # f(e) * (0 - 1)^2
-        assert pair_loss(model, 0, 1, math.e) == pytest.approx(expected, abs=1e-12)
+        assert pair_gradients(np.zeros((4, 3)), 0, 1, math.e)[0] == pytest.approx(
+            expected, abs=1e-12)
         assert expected == pytest.approx(0.0670, abs=1e-4)  # 0.06694... to 3 figures
 
     def test_nonpositive_count_rejected(self):
-        rng = np.random.default_rng(1)
-        model = random_glove(rng, 2, 2)
+        params = random_params(np.random.default_rng(1), 2, 2)
         for bad in (0.0, -1.0):
             with pytest.raises(ValueError):
-                pair_loss(model, 0, 1, bad)
+                pair_gradients(params, 0, 1, bad)
 
 
 class TestPairGradients:
     def test_zero_residual_gives_zero_gradients(self):
-        rng = np.random.default_rng(2)
-        model = random_glove(rng, 3, 2)
-        x = math.exp(float(model.w[1] @ model.w_tilde[2] + model.b[1] + model.b_tilde[2]))
-        loss, d_wi, d_wtj, d_bi, d_btj = pair_gradients(model, 1, 2, x)
+        params = random_params(np.random.default_rng(2), 3, 2)
+        loss, grad_i, grad_j = pair_gradients(params, 1, 2, exact_count(params, 1, 2))
         assert loss == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(d_wi, 0) and np.allclose(d_wtj, 0)
-        assert d_bi == pytest.approx(0.0, abs=1e-9)
-        assert d_btj == pytest.approx(0.0, abs=1e-9)
+        assert np.allclose(grad_i, 0, atol=1e-9) and np.allclose(grad_j, 0, atol=1e-9)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             v, d = int(rng.integers(2, 6)), int(rng.integers(1, 5))
-            model = random_glove(rng, v, d)
+            params = random_params(rng, v, d)
             i, j = int(rng.integers(v)), int(rng.integers(v))
             x = float(rng.uniform(0.5, 150.0))
-            _, d_wi, d_wtj, d_bi, d_btj = pair_gradients(model, i, j, x)
-
-            def with_w(w, model=model, i=i, j=j, x=x):
-                m2 = GloveModel(w, model.w_tilde, model.b, model.b_tilde,
-                                model.acc_w, model.acc_w_tilde,
-                                model.acc_b, model.acc_b_tilde)
-                return pair_loss(m2, i, j, x)
-
-            num_w = numeric_grad(with_w, model.w.copy())
-            assert max_relerr(d_wi, num_w[i]) < 1e-4
-
-            def with_b(b, model=model, i=i, j=j, x=x):
-                m2 = GloveModel(model.w, model.w_tilde, b, model.b_tilde,
-                                model.acc_w, model.acc_w_tilde,
-                                model.acc_b, model.acc_b_tilde)
-                return pair_loss(m2, i, j, x)
-
-            num_b = numeric_grad(with_b, model.b.copy())
-            assert max_relerr(d_bi, num_b[i]) < 1e-4
+            _, grad_i, grad_j = pair_gradients(params, i, j, x)
+            num = numeric_grad(lambda p, i=i, j=j, x=x: pair_gradients(p, i, j, x)[0],
+                               params.copy())
+            assert max_relerr(grad_i, num[i]) < 1e-4
+            assert max_relerr(grad_j, num[v + j]) < 1e-4
+            assert not np.delete(num, [i, v + j], axis=0).any()
 
 
 class TestAdagrad:
     def test_first_step_divides_by_unit_accumulator(self):
-        rng = np.random.default_rng(4)
-        model = random_glove(rng, 2, 2)
-        model.acc_w[:] = 1.0
-        model.acc_w_tilde[:] = 1.0
-        model.acc_b[:] = 1.0
-        model.acc_b_tilde[:] = 1.0
-        w_before = model.w[0].copy()
-        _, d_wi, _, _, _ = pair_gradients(model, 0, 1, 5.0)
-        adagrad_step(model, 0, 1, 5.0, lr0=0.1)
-        # pre-update accumulator is exactly 1, so the step is plain lr * grad
-        assert np.allclose(model.w[0], w_before - 0.1 * d_wi, atol=1e-12)
-        assert np.allclose(model.acc_w[0], 1.0 + d_wi**2, atol=1e-12)
+        params = random_params(np.random.default_rng(4), 2, 2)
+        acc = np.ones_like(params)
+        before = params.copy()
+        _, grad_i, grad_j = pair_gradients(params, 0, 1, 5.0)
+        adagrad_step(params, acc, 0, 1, 5.0, lr0=0.1)
+        # pre-update accumulator is exactly 1, so the step is plain lr * grad;
+        # the rows are i = 0 and V + j = 3
+        assert np.allclose(params[0], before[0] - 0.1 * grad_i, atol=1e-12)
+        assert np.allclose(params[3], before[3] - 0.1 * grad_j, atol=1e-12)
+        assert np.allclose(acc[0], 1.0 + grad_i**2, atol=1e-12)
+        assert np.allclose(acc[3], 1.0 + grad_j**2, atol=1e-12)
 
     def test_zero_residual_step_is_identity(self):
-        rng = np.random.default_rng(5)
-        model = random_glove(rng, 2, 2)
-        x = math.exp(float(model.w[0] @ model.w_tilde[1] + model.b[0] + model.b_tilde[1]))
-        w, wt = model.w.copy(), model.w_tilde.copy()
-        b, bt = model.b.copy(), model.b_tilde.copy()
-        adagrad_step(model, 0, 1, x, lr0=0.1)
-        assert np.allclose(model.w, w, atol=1e-9)
-        assert np.allclose(model.w_tilde, wt, atol=1e-9)
-        assert np.allclose(model.b, b, atol=1e-9)
-        assert np.allclose(model.b_tilde, bt, atol=1e-9)
+        params = random_params(np.random.default_rng(5), 2, 2)
+        before = params.copy()
+        adagrad_step(params, np.ones_like(params), 0, 1, exact_count(params, 0, 1), lr0=0.1)
+        assert np.allclose(params, before, atol=1e-9)
 
     def test_repeated_steps_shrink_pair_loss(self):
-        rng = np.random.default_rng(6)
-        model = random_glove(rng, 2, 3)
-        first = pair_loss(model, 0, 1, 10.0)
+        params = random_params(np.random.default_rng(6), 2, 3)
+        acc = np.ones_like(params)
+        first = pair_gradients(params, 0, 1, 10.0)[0]
         for _ in range(50):
-            adagrad_step(model, 0, 1, 10.0, lr0=0.1)
-        assert pair_loss(model, 0, 1, 10.0) < 1e-3 * max(first, 1.0)
+            adagrad_step(params, acc, 0, 1, 10.0, lr0=0.1)
+        assert pair_gradients(params, 0, 1, 10.0)[0] < 1e-3 * max(first, 1.0)
 
     def test_nonpositive_lr_rejected(self):
-        rng = np.random.default_rng(7)
-        model = random_glove(rng, 2, 2)
+        params = random_params(np.random.default_rng(7), 2, 2)
         with pytest.raises(ValueError):
-            adagrad_step(model, 0, 1, 1.0, lr0=0.0)
+            adagrad_step(params, np.ones_like(params), 0, 1, 1.0, lr0=0.0)
 
 
 class TestTrainGlove:
@@ -205,11 +165,20 @@ class TestTrainGlove:
         return table, vocab, topic_a, topic_b
 
     def test_epochs_zero_returns_initialization(self):
+        # the draw order is pinned here, not by init_params: reordering it
+        # would change every GloVe artifact
         table, vocab, _, _ = self._table_and_vocab()
-        emb, losses = train_glove(table, vocab, GloveConfig(dim=6, epochs=0, seed=2))
+        v, d = len(vocab), 6
+        emb, losses = train_glove(table, vocab, GloveConfig(dim=d, epochs=0, seed=2))
         assert losses == []
-        init = init_model(len(vocab), 6, seed=2)
-        assert np.array_equal(emb.vectors, init.w + init.w_tilde)
+        rng = np.random.default_rng(2)
+        w, w_tilde, b, b_tilde = (rng.uniform(-0.5 / d, 0.5 / d, shape)
+                                  for shape in [(v, d), (v, d), v, v])
+        assert np.array_equal(emb.vectors, w + w_tilde)
+        params, acc = init_params(v, d, seed=2)
+        assert np.array_equal(params, np.vstack([np.column_stack([w, b]),
+                                                 np.column_stack([w_tilde, b_tilde])]))
+        assert np.array_equal(acc, np.ones((2 * v, d + 1)))
 
     def test_empty_table_is_an_error(self):
         _, vocab, _, _ = self._table_and_vocab()
@@ -279,16 +248,11 @@ class TestTrainGlove:
 
 class TestFixedPoint:
     def test_exact_solution_has_negligible_loss(self):
-        rng = np.random.default_rng(8)
-        v, d = 4, 3
-        model = random_glove(rng, v, d)
-        table = np.array([
-            (i, j, math.exp(
-                float(model.w[i] @ model.w_tilde[j] + model.b[i] + model.b_tilde[j])
-            ))
-            for i in range(v) for j in range(v)
-        ], dtype=RECORD)
-        assert total_loss(model, table) < 1e-12
+        v = 4
+        params = random_params(np.random.default_rng(8), v, 3)
+        table = np.array([(i, j, exact_count(params, i, j)) for i in range(v) for j in range(v)],
+                         dtype=RECORD)
+        assert total_loss(params, table) < 1e-12
 
 
 class TestBatchedKernel:
@@ -320,7 +284,7 @@ class TestBatchedKernel:
         monkeypatch.setattr(glove, "BATCH", batch or len(table))
         config = GloveConfig(dim=5, lr=lr, epochs=1, seed=3)
         _, losses = train_glove(table, vocab, config)
-        initial = total_loss(init_model(len(vocab), 5, seed=3), table)
+        initial = total_loss(init_params(len(vocab), 5, seed=3)[0], table)
         assert losses[0] == pytest.approx(initial, rel=1e-12)
 
     def test_shared_rows_add_gradients_and_squared_gradients(self, monkeypatch):
@@ -337,7 +301,7 @@ class TestBatchedKernel:
         for i, j, x in records:
             main, context = params[i], params[v + j]
             residual = main[:d] @ context[:d] + main[d] + context[d] - math.log(x)
-            f = weight_f(x)
+            f = weights(x)
             expected_loss += f * residual * residual
             common = 2.0 * f * residual
             grads.setdefault(i, []).append(common * np.append(context[:d], 1.0))
