@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,29 +162,40 @@ def lambda_range(n: int, dim: int, epochs: int) -> tuple[float, float]:
     return max(low, tiny), 1.0 / (tiny * steps)
 
 
-_JOB: list = []  # in a worker, the (vectors, runs, lam, epochs) it inherited
-
-
-def _fit_run(i: int) -> tuple[SvmModel, int]:
-    vectors, runs, lam, epochs = _JOB[0]
-    return _fit(vectors, *runs[i], lam, epochs)
-
-
 def _fit_forked(vectors, runs, lam, epochs, workers) -> list[tuple[SvmModel, int]]:
-    """Every run's `_fit`, in run order, from `workers` forked processes: they
-    inherit the rows and numpy, and end in os._exit, never in the caller's
-    `finally` blocks. The last run, the full-data fit, goes first."""
-    import multiprocessing  # 35 ms with concurrent.futures, so imported on use
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _JOB.append,
-                               ((vectors, runs, lam, epochs),))
-    try:  # a worker's exception is raised here
-        return list(pool.map(_fit_run, range(len(runs))[::-1]))[::-1]
-    except BrokenProcessPool as exc:  # a worker was killed, say for memory
-        raise MetlitError(f"an SVM fit's worker process died: {exc}") from None
+    """Every run's `_fit`, in run order, from `workers` forked processes; worker
+    w fits runs[-1 - w::-workers] and pickles them, or its exception, back over
+    its own pipe. The caller fits nothing, and kills and reaps every worker."""
+    import signal  # 35 KB that every other command would hold, so imported on use
+    fits, children = [None] * len(runs), []  # children: (pid, read end of its pipe)
+    try:
+        for w in range(workers):
+            read, write = os.pipe()
+            if not (pid := os.fork()):  # a worker ends in os._exit, never in the caller's code
+                try:
+                    try:
+                        sent = [_fit(vectors, *r, lam, epochs) for r in runs[-1 - w::-workers]]
+                    except Exception as exc:
+                        sent = exc
+                    with open(write, "wb") as pipe:
+                        pickle.dump(sent, pipe)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        for w, (_, pipe) in enumerate(children):
+            if not pipe.peek(1):  # it ended before sending: killed, say for memory
+                raise MetlitError("an SVM fit's worker process died: it sent no fits")
+            sent = pickle.load(pipe)
+            if isinstance(sent, Exception):
+                raise sent
+            fits[-1 - w::-workers] = sent
+        return fits
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _pegasos(vectors: SentenceVectors, runs: list[tuple[np.ndarray, int]], lam: float,

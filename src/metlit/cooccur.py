@@ -38,8 +38,8 @@ def build_cooccurrence(
     tokens, lengths = sentences.tokens, sentences.lengths()
     window = min(window, int(lengths.max(initial=1)) - 1)
     # position a pairs with the span[a] positions after it in its sentence, so
-    # pair k (from 0, in position-then-distance order) joins the first position
-    # a with last[a] > k to the one at distance k - last[a] + span[a] + 1
+    # pairs last[a] - span[a] to last[a] - 1 (from 0, in position-then-distance
+    # order) join a to the positions at distances 1 to span[a]
     span = np.repeat(sentences.offsets[1:], lengths) - np.arange(len(tokens)) - 1
     np.minimum(span, window, out=span)
     last, total = np.cumsum(span), int(span.sum())
@@ -50,7 +50,8 @@ def build_cooccurrence(
     keys, x, stop = np.empty(0, np.uint64), np.empty(0), 0
     while stop < total:
         k, stop = stop, min(stop + max(CHUNK_PAIRS, len(keys)), total)
-        a = np.searchsorted(last, np.arange(k, stop), "right")
+        a0, a1 = np.searchsorted(last, [k, stop - 1], "right")  # holding pairs k and stop - 1
+        a = np.repeat(np.arange(a0, a1 + 1), span[a0:a1 + 1])[k - last[a0] + span[a0]:][:stop - k]
         d = np.arange(k + 1, stop + 1) - last[a] + span[a]
         i, j = tokens[a], tokens[a + d]
         del a

@@ -85,13 +85,13 @@ def _train_chunk(params, acc, pairs, weight, log_x, lr):
     pairs[r] = (i, V + j) of `params`; returns the sum of their losses,
     each at its batch's pre-step parameters."""
     d = params.shape[1] - 1
-    # batch k updates the rows touched[starts[k]:starts[k + 1]], and
-    # cells[r, c] are the d + 1 cells of row pairs[r, c] in the flat (touched, d + 1) sums
+    # batch k updates the rows ids = touched[starts[k]:starts[k + 1]], and its
+    # cells[r, c] are the d + 1 cells of row pairs[r, c] in the flat (ids, d + 1) sums
     touched, starts, slot = batch_plan(pairs, len(params), BATCH)
-    cells = slot[:, :, None] * (d + 1) + np.arange(d + 1)
     residual = np.empty(len(pairs))
     for k, a in enumerate(range(0, len(pairs), BATCH)):
         s, ids = slice(a, a + BATCH), touched[starts[k]:starts[k + 1]]
+        cells = slot[s, :, None] * (d + 1) + np.arange(d + 1)
         q = params.take(pairs[s], axis=0)
         main, context = q[:, 0], q[:, 1]
         residual[s] = (np.einsum("nd,nd->n", main[:, :d], context[:, :d])
@@ -101,7 +101,7 @@ def _train_chunk(params, acc, pairs, weight, log_x, lr):
         grad[:, :, d] = 1.0
         grad *= (2.0 * weight[s] * residual[s])[:, None, None]
         # a row repeated in the batch adds its gradients and squared gradients
-        g, sq = (np.bincount(cells[s].ravel(), v.ravel(), ids.size * (d + 1)).reshape(-1, d + 1)
+        g, sq = (np.bincount(cells.ravel(), v.ravel(), ids.size * (d + 1)).reshape(-1, d + 1)
                  for v in (grad, grad * grad))
         params[ids] -= lr * g / np.sqrt(acc[ids])
         acc[ids] += sq
@@ -140,7 +140,8 @@ def train_glove(
     shuffle_rng = np.random.default_rng(config.seed + 1)
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(len(table))
+        order = np.arange(len(table), dtype=np.min_scalar_type(len(table)))
+        shuffle_rng.shuffle(order)  # permutation(len(table)), in the narrowest type
         epoch_loss = 0.0
         with np.errstate(all="ignore"):
             for a in range(0, len(order), chunk):
@@ -148,10 +149,12 @@ def train_glove(
                 rows = np.column_stack([part["i"], part["j"]]).astype(np.intp) + [0, v]
                 epoch_loss += _train_chunk(params, acc, rows, weights(part["x"], config.params),
                                            np.log(part["x"]), config.lr)
+        del order  # before the next epoch's is made
         if not np.isfinite(params).all():
             raise MetlitError(f"non-finite parameters after epoch {epoch}")
         if not math.isfinite(epoch_loss):
             raise MetlitError(f"non-finite loss in epoch {epoch}")
         epoch_losses.append(epoch_loss)
+    del acc
     embeddings = EmbeddingMatrix(list(vocab.words), params[:v, :-1] + params[v:, :-1])
     return embeddings, epoch_losses

@@ -394,6 +394,9 @@ def zipf_sentences(rng, n_tokens, vocab_size, length=14):
 def traced_peak(fn, *args, **kwargs):
     """fn(*args, **kwargs) and the peak of the memory it allocated on top of
     what was live when it was called, in bytes, as tracemalloc reports it."""
+    # numpy imports numpy.random on the first draw: make that import here, so
+    # that the peak does not depend on whether an earlier test made it
+    np.random.default_rng(0).random()
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     tracemalloc.reset_peak()

@@ -1,4 +1,6 @@
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -381,6 +383,38 @@ class TestParallelFits:
             assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
             assert np.array_equal(a.scale_mean, b.scale_mean)
             assert np.array_equal(a.scale_std, b.scale_std)
+
+    @pytest.mark.parametrize("failure", [None, "raise", "kill"])
+    def test_caller_fits_nothing_and_reaps_every_worker(self, monkeypatch, blobs_914, failure):
+        # 5 runs over 2 workers: worker 0 fits runs 4, 2, 0 and worker 1
+        # runs 3, 1. Worker 0 fails at run 2 while worker 1 hangs at run 3,
+        # so an error returns only if the caller kills worker 1
+        _, runs = fold_runs(blobs_914, 4, seed=0)
+        parent, real_fit, in_caller = os.getpid(), classifier._fit, []
+
+        def fit(vectors, rows, seed, lam, epochs):
+            if os.getpid() == parent:
+                in_caller.append(seed)
+            elif failure and seed == 3:
+                time.sleep(60)
+            elif failure == "kill" and seed == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            elif failure == "raise" and seed == 2:
+                raise ZeroDivisionError("fold 2")
+            return real_fit(vectors, rows, seed, lam, epochs)
+
+        monkeypatch.setattr(classifier, "_fit", fit)
+        start = time.monotonic()
+        if failure is None:
+            assert len(classifier._pegasos(blobs_914, runs, 1e-3, 2, workers=2)) == 5
+        else:  # a worker's exception comes back as itself
+            error = ZeroDivisionError if failure == "raise" else MetlitError
+            with pytest.raises(error, match="fold 2|worker process died: it sent no fits"):
+                classifier._pegasos(blobs_914, runs, 1e-3, 2, workers=2)
+        assert time.monotonic() - start < 30
+        assert in_caller == []
+        with pytest.raises(ChildProcessError):  # no child left, running or exited
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("threshold, cpus, workers", [
         (0, 8, 3),      # above the threshold: one process per run at most

@@ -7,6 +7,8 @@ import multiprocessing
 import os
 import signal
 import statistics
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -416,6 +418,28 @@ class TestParallelCv:
         assert code == 1 and summary is None and files == {}
         assert err.startswith(message) and err.count("\n") == 1
         assert multiprocessing.active_children() == []
+
+    def test_forked_fits_import_no_process_pool(self, out):
+        # a fresh interpreter, since this one has imported multiprocessing
+        script = "\n".join([
+            "import os, sys",
+            "from metlit import classifier, cli",
+            "classifier.PARALLEL_STEPS = 0",
+            "os.sched_getaffinity = lambda pid: {0, 1}",
+            "code = cli.main(['cv', '--folds', '4', '--svm-epochs', '6', '--out', sys.argv[1]])",
+            "print(sorted(m for m in sys.modules",
+            "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))",
+            "sys.exit(code)",
+        ])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        done = subprocess.run([sys.executable, "-c", script, out], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        summary, modules = done.stdout.splitlines()
+        assert json.loads(summary)["workers"] == 2
+        assert modules == "[]"
 
 
 class TestCvErrors:
