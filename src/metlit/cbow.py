@@ -2,9 +2,11 @@
 
 Predicts a center word from the mean of its context vectors. Training
 minimizes the negative-sampling surrogate of J = -log P(center | context)
-over minibatches of windows. The per-window losses and gradients below
-(exact softmax and negative sampling) are the references the gradient
-checks and the per-window steps in tests/helpers.py are built on.
+over minibatches of windows. The parameters are one stacked array: V input
+rows, a zero row, V output rows and a zero row, so word c's output row is
+len(params) // 2 + c. The per-window losses below (exact softmax and
+negative sampling) read those rows; they are the references the gradient
+checks in the tests are built on.
 """
 
 from __future__ import annotations
@@ -21,65 +23,27 @@ from .embeddings import EmbeddingMatrix, batch_plan
 LR_FLOOR_FRACTION = 1e-4  # linear decay ends at lr0 * this
 
 
-@dataclass
-class ContextWindow:
-    center: int
-    context: list[int]
+def init_params(vocab_size: int, dim: int, seed: int = 0) -> np.ndarray:
+    """The stacked parameters: input rows uniform in [-0.5/D, 0.5/D], drawn
+    from the seed, over a zero row, zero output rows and a zero row."""
+    params = np.zeros((2 * vocab_size + 2, dim))
+    params[:vocab_size] = np.random.default_rng(seed).uniform(
+        -0.5 / dim, 0.5 / dim, (vocab_size, dim))
+    return params
 
 
-@dataclass
-class CbowModel:
-    input_vectors: np.ndarray   # (V, D) context side
-    output_vectors: np.ndarray  # (V, D) center side
-
-    def copy(self) -> "CbowModel":
-        return CbowModel(self.input_vectors.copy(), self.output_vectors.copy())
-
-
-def init_model(vocab_size: int, dim: int, seed: int = 0) -> CbowModel:
-    """Input vectors uniform in [-0.5/D, 0.5/D]; output vectors zero."""
-    rng = np.random.default_rng(seed)
-    bound = 0.5 / dim
-    input_vectors = rng.uniform(-bound, bound, size=(vocab_size, dim))
-    output_vectors = np.zeros((vocab_size, dim))
-    return CbowModel(input_vectors, output_vectors)
-
-
-def context_mean(model: CbowModel, window: ContextWindow) -> np.ndarray:
-    """Arithmetic mean of input vectors over the context ids."""
-    if not window.context:
+def context_mean(params: np.ndarray, context) -> np.ndarray:
+    """Arithmetic mean of the input rows of the context ids."""
+    if not len(context):
         raise MetlitError("empty context window")
-    return model.input_vectors[window.context].mean(axis=0)
+    return params[context].mean(axis=0)
 
 
-def loss_exact(model: CbowModel, window: ContextWindow) -> float:
-    """-log softmax(output . context_mean)[center]; always >= 0."""
-    h = context_mean(model, window)
-    logits = model.output_vectors @ h
+def loss_exact(params: np.ndarray, center: int, context) -> float:
+    """-log softmax(output rows . context_mean)[center]; always >= 0."""
+    logits = params[len(params) // 2:-1] @ context_mean(params, context)
     shift = logits.max()
-    return float(shift + np.log(np.exp(logits - shift).sum()) - logits[window.center])
-
-
-def exact_gradients(
-    model: CbowModel, window: ContextWindow
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss plus gradients for exact mode.
-
-    Returns (loss, grad over output_vectors (V, D), grad of the context
-    mean h (D,)). The per-context-row input gradient is grad_h / |context|,
-    accumulated once per occurrence of a duplicated id.
-    """
-    h = context_mean(model, window)
-    logits = model.output_vectors @ h
-    shift = logits.max()
-    exp = np.exp(logits - shift)
-    probs = exp / exp.sum()
-    loss = float(shift + np.log(exp.sum()) - logits[window.center])
-    d_logits = probs.copy()
-    d_logits[window.center] -= 1.0
-    grad_output = np.outer(d_logits, h)
-    grad_h = model.output_vectors.T @ d_logits
-    return loss, grad_output, grad_h
+    return float(shift + np.log(np.exp(logits - shift).sum()) - logits[center])
 
 
 class UnigramSampler:
@@ -115,39 +79,11 @@ class UnigramSampler:
         return words
 
 
-def negative_loss(
-    model: CbowModel, window: ContextWindow, negatives: list[int]
-) -> float:
+def negative_loss(params: np.ndarray, center: int, context, negatives) -> float:
     """Surrogate loss: -log sig(s_center) - sum(log sig(-s_negative))."""
-    h = context_mean(model, window)
-    s_pos = float(model.output_vectors[window.center] @ h)
-    loss = float(np.logaddexp(0.0, -s_pos))
-    if negatives:
-        s_neg = model.output_vectors[negatives] @ h
-        loss += float(np.logaddexp(0.0, s_neg).sum())
-    return loss
-
-
-def negative_gradients(
-    model: CbowModel, window: ContextWindow, negatives: list[int]
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Loss plus gradients of the surrogate for fixed negatives.
-
-    Returns (loss, rows = [center] + negatives as an array, grad over those
-    output rows, grad of the context mean).
-    """
-    h = context_mean(model, window)
-    rows = np.array([window.center] + list(negatives))
-    scores = model.output_vectors[rows] @ h
-    sig = 1.0 / (1.0 + np.exp(-scores))
-    loss = float(np.logaddexp(0.0, -scores[0]))
-    if len(negatives):
-        loss += float(np.logaddexp(0.0, scores[1:]).sum())
-    coeff = sig.copy()
-    coeff[0] -= 1.0  # positive term: sigma - 1; negatives keep sigma
-    grad_rows = np.outer(coeff, h)
-    grad_h = coeff @ model.output_vectors[rows]
-    return loss, rows, grad_rows, grad_h
+    rows = len(params) // 2 + np.array([center, *negatives])
+    scores = params[rows] @ context_mean(params, context)
+    return float(np.logaddexp(0.0, -scores[0]) + np.logaddexp(0.0, scores[1:]).sum())
 
 
 @dataclass
@@ -197,12 +133,11 @@ def _train_chunk(params, context, counts, rows, kept, lr, stack):
     """Summed negative-sampling steps over a chunk of windows, BATCH at a
     time; returns the sum of the windows' pre-step losses.
 
-    `params` stacks the input rows, a zero row, the output rows and a zero
-    row; `rows` index its output half (center, then negatives). Every
-    window's gradient is taken at its batch's pre-step parameters, as
-    negative_gradients takes it, and rows shared within a batch accumulate
-    every contribution. Padding and dropped negatives point at the zero
-    rows, which are cleared again after each step. grad_h and h are
+    `params` is laid out as init_params lays it out; `rows` index its
+    output half (center, then negatives). Every window's gradient is taken
+    at its batch's pre-step parameters, and rows shared within a batch
+    accumulate every contribution. Padding and dropped negatives point at
+    the zero rows, which are cleared again after each step. grad_h and h are
     written into the first 2n rows of `stack`, a (2 BATCH, D) buffer.
     """
     width = context.shape[1]
@@ -264,11 +199,9 @@ def train_cbow(
                           f"got {config.negatives}")
     # no context reaches past the longest sentence
     m = min(config.window, int(lengths.max()) - 1)
-    # input rows, a zero row, output rows (zero at the start), a zero row
-    pad = len(vocab)
+    pad = len(vocab)  # the zero input row; pad + 1 + c is word c's output row
     try:  # numpy gives ValueError for a size past its index range
-        params = np.zeros((2 * pad + 2, config.dim))
-        params[:pad] = init_model(pad, config.dim, seed=config.seed).input_vectors
+        params = init_params(pad, config.dim, config.seed)
         stack = np.empty((2 * BATCH, config.dim))
     except (MemoryError, ValueError):
         raise MetlitError(f"--dim {config.dim}: cannot allocate the V×D parameter matrices")

@@ -165,8 +165,11 @@ def lambda_range(n: int, dim: int, epochs: int) -> tuple[float, float]:
 def _fit_forked(vectors, runs, lam, epochs, workers) -> list[tuple[SvmModel, int]]:
     """Every run's `_fit`, in run order, from `workers` forked processes; worker
     w fits runs[-1 - w::-workers] and pickles them, or its exception, back over
-    its own pipe. The caller fits nothing, and kills and reaps every worker."""
-    import signal  # 35 KB that every other command would hold, so imported on use
+    its own pipe. The caller reads the pipes as they become ready, so the first
+    failure comes back at once; it fits nothing, and kills and reaps every worker."""
+    # imported on use, as no other command needs them: signal alone holds 35 KB
+    import select
+    import signal
     fits, children = [None] * len(runs), []  # children: (pid, read end of its pipe)
     try:
         for w in range(workers):
@@ -183,13 +186,15 @@ def _fit_forked(vectors, runs, lam, epochs, workers) -> list[tuple[SvmModel, int
                     os._exit(0)
             os.close(write)
             children.append((pid, open(read, "rb")))
-        for w, (_, pipe) in enumerate(children):
-            if not pipe.peek(1):  # it ended before sending: killed, say for memory
-                raise MetlitError("an SVM fit's worker process died: it sent no fits")
-            sent = pickle.load(pipe)
-            if isinstance(sent, Exception):
-                raise sent
-            fits[-1 - w::-workers] = sent
+        waiting = {pipe: w for w, (_, pipe) in enumerate(children)}
+        while waiting:
+            for pipe in select.select(list(waiting), [], [])[0]:
+                if not pipe.peek(1):  # it ended before sending: killed, say for memory
+                    raise MetlitError("an SVM fit's worker process died: it sent no fits")
+                sent = pickle.load(pipe)
+                if isinstance(sent, Exception):
+                    raise sent
+                fits[-1 - waiting.pop(pipe)::-workers] = sent
         return fits
     finally:
         for pid, pipe in children:

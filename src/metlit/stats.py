@@ -122,22 +122,6 @@ def _welch_columns(a, b, alpha: float, columns: list) -> list[TTestResult]:
     return results
 
 
-def welch_t(sample_a, sample_b, alpha: float = 0.05) -> TTestResult:
-    """Welch's unequal-variance two-sample t-test, two-sided.
-
-    t = (mean_a - mean_b) / sqrt(s2_a/n_a + s2_b/n_b) with n-1 variances;
-    degrees of freedom by Welch-Satterthwaite.
-    """
-    a = np.asarray(sample_a, dtype=np.float64)
-    b = np.asarray(sample_b, dtype=np.float64)
-    if len(a) < 2 or len(b) < 2:
-        raise SampleSizeError("each sample needs at least 2 elements")
-    (result,) = _welch_columns(a[:, None], b[:, None], alpha, [None])
-    if result.p_value is None:
-        raise DegenerateSampleError("both samples have zero variance")
-    return result
-
-
 def group_ttest(
     vectors: SentenceVectors, alpha: float = 0.05
 ) -> tuple[list[TTestResult], dict]:

@@ -5,20 +5,14 @@ import tracemalloc
 
 import numpy as np
 
-from metlit import LABELS, LITERAL, METAPHOR, MetlitError
-from metlit.cbow import (
-    LR_FLOOR_FRACTION,
-    ContextWindow,
-    UnigramSampler,
-    exact_gradients,
-    init_model,
-    negative_gradients,
-)
+from metlit import LABELS, LITERAL, METAPHOR, MetlitError, cbow
+from metlit.cbow import LR_FLOOR_FRACTION, UnigramSampler, context_mean, loss_exact, negative_loss
 from metlit.classifier import FoldMetrics, SvmModel
 from metlit.corpus import Encoded
 from metlit.embeddings import EmbeddingMatrix
 from metlit.glove import WeightParams, init_params, pair_gradients
 from metlit.sentvec import SentenceVectors
+from metlit.stats import DegenerateSampleError, SampleSizeError, _welch_columns
 
 
 def relerr(analytic, numeric):
@@ -236,14 +230,57 @@ def reference_evaluate_fold(model, test):
     return FoldMetrics(accuracy=accuracy, precision=precision, tp=tp, fp=fp, tn=tn, fn=fn)
 
 
-def sgd_step_exact(model, window, lr):
+def welch_t(sample_a, sample_b, alpha=0.05):
+    """Welch's unequal-variance two-sample t-test, two-sided.
+
+    t = (mean_a - mean_b) / sqrt(s2_a/n_a + s2_b/n_b) with n-1 variances;
+    degrees of freedom by Welch-Satterthwaite.
+    """
+    a = np.asarray(sample_a, dtype=np.float64)
+    b = np.asarray(sample_b, dtype=np.float64)
+    if len(a) < 2 or len(b) < 2:
+        raise SampleSizeError("each sample needs at least 2 elements")
+    (result,) = _welch_columns(a[:, None], b[:, None], alpha, [None])
+    if result.p_value is None:
+        raise DegenerateSampleError("both samples have zero variance")
+    return result
+
+
+def exact_gradients(params, center, context):
+    """The gradient of cbow.loss_exact over the stacked parameters: every
+    output row's softmax term, and grad_h / |context| on the input row of
+    each context occurrence."""
+    out = len(params) // 2
+    h = context_mean(params, context)
+    logits = params[out:-1] @ h
+    d_logits = np.exp(logits - logits.max())
+    d_logits /= d_logits.sum()
+    d_logits[center] -= 1.0
+    grad = np.zeros_like(params)
+    grad[out:-1] = np.outer(d_logits, h)
+    np.add.at(grad, context, d_logits @ params[out:-1] / len(context))
+    return grad
+
+
+def negative_gradients(params, center, context, negatives):
+    """The gradient of cbow.negative_loss over the stacked parameters, for
+    fixed negatives; a repeated negative or context id gains every term."""
+    rows = len(params) // 2 + np.array([center, *negatives])
+    h = context_mean(params, context)
+    coeff = 1.0 / (1.0 + np.exp(-(params[rows] @ h)))
+    coeff[0] -= 1.0  # positive term: sigma - 1; negatives keep sigma
+    grad = np.zeros_like(params)
+    np.add.at(grad, rows, np.outer(coeff, h))
+    np.add.at(grad, context, coeff @ params[rows] / len(context))
+    return grad
+
+
+def sgd_step_exact(params, center, context, lr):
     """Apply one exact-softmax gradient step in place; return pre-step loss."""
     if lr < 0:
         raise MetlitError("learning rate must be >= 0")
-    loss, grad_output, grad_h = exact_gradients(model, window)
-    ctx = np.asarray(window.context)
-    model.output_vectors -= lr * grad_output
-    np.add.at(model.input_vectors, ctx, -lr * grad_h / len(ctx))
+    loss = loss_exact(params, center, context)
+    params -= lr * exact_gradients(params, center, context)
     return loss
 
 
@@ -253,25 +290,23 @@ def sample_negatives(sampler, rng, center, k):
     return [int(n) for n in sampler.draw(rng, k) if n != center]
 
 
-def sgd_step_negative(model, window, lr, k, sampler, rng):
+def sgd_step_negative(params, center, context, lr, k, sampler, rng):
     """Apply one negative-sampling step in place; return pre-step loss."""
     if k < 1:
         raise MetlitError("negatives count must be >= 1")
-    negatives = sample_negatives(sampler, rng, window.center, k)
-    loss, rows, grad_rows, grad_h = negative_gradients(model, window, negatives)
-    ctx = np.asarray(window.context)
-    np.add.at(model.output_vectors, rows, -lr * grad_rows)
-    np.add.at(model.input_vectors, ctx, -lr * grad_h / len(ctx))
+    negatives = sample_negatives(sampler, rng, center, k)
+    loss = negative_loss(params, center, context, negatives)
+    params -= lr * negative_gradients(params, center, context, negatives)
     return loss
 
 
 def iterate_windows(ids, m):
-    """Yield one window per position; edge windows are truncated, not padded."""
+    """Yield one (center, context) pair per position; edge windows are
+    truncated, not padded."""
     if m < 1:
         raise ValueError("window radius must be >= 1")
     for c in range(len(ids)):
-        context = list(ids[max(0, c - m):c]) + list(ids[c + 1:c + 1 + m])
-        yield ContextWindow(center=ids[c], context=context)
+        yield ids[c], list(ids[max(0, c - m):c]) + list(ids[c + 1:c + 1 + m])
 
 
 def reference_train_cbow(sentences, vocab, config):
@@ -280,10 +315,10 @@ def reference_train_cbow(sentences, vocab, config):
     Sentences are shuffled each epoch by a seed + 1 rng, and each epoch
     draws its negatives from a seed + 7919 * (epoch + 1) rng. A window
     without context is skipped but still advances the linear lr schedule.
-    Returns the input vectors as embeddings and the mean loss per epoch.
+    Returns the input rows as embeddings and the mean loss per epoch.
     """
     sentences = [s for s in sentences if s]
-    model = init_model(len(vocab), config.dim, seed=config.seed)
+    params = cbow.init_params(len(vocab), config.dim, config.seed)
     sampler = UnigramSampler.from_vocabulary(vocab)
     order_rng = np.random.default_rng(config.seed + 1)
     total = sum(len(s) for s in sentences) * max(config.epochs, 1)
@@ -294,19 +329,19 @@ def reference_train_cbow(sentences, vocab, config):
         loss_sum = 0.0
         steps = 0
         for idx in order_rng.permutation(len(sentences)):
-            for window in iterate_windows(sentences[idx], config.window):
-                if window.context:
+            for center, context in iterate_windows(sentences[idx], config.window):
+                if context:
                     lr = config.lr * max(
                         LR_FLOOR_FRACTION,
                         1.0 - (1.0 - LR_FLOOR_FRACTION) * (processed / total),
                     )
                     loss_sum += sgd_step_negative(
-                        model, window, lr, config.negatives, sampler, rng
+                        params, center, context, lr, config.negatives, sampler, rng
                     )
                     steps += 1
                 processed += 1
         epoch_losses.append(loss_sum / steps if steps else 0.0)
-    return EmbeddingMatrix(list(vocab.words), model.input_vectors), epoch_losses
+    return EmbeddingMatrix(list(vocab.words), params[:len(vocab)]), epoch_losses
 
 
 def reference_cooccurrence(sentences, window, weighting):

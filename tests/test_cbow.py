@@ -8,103 +8,99 @@ from hypothesis import strategies as st
 from metlit import cbow
 from metlit.cbow import (
     CbowConfig,
-    CbowModel,
-    ContextWindow,
     UnigramSampler,
     build_windows,
     context_mean,
-    exact_gradients,
-    init_model,
+    init_params,
     loss_exact,
-    negative_gradients,
     negative_loss,
     train_cbow,
 )
-from metlit.corpus import build_vocabulary
+from metlit.corpus import Vocabulary, build_vocabulary
 
 from helpers import (
     as_encoded,
+    exact_gradients,
     iterate_windows,
     max_relerr,
     mean_cosine,
+    negative_gradients,
     numeric_grad,
     reference_train_cbow,
     sample_negatives,
     sgd_step_exact,
     sgd_step_negative,
+    traced_peak,
     two_topic_corpus,
 )
 
 
-def random_model(rng, vocab_size, dim):
-    return CbowModel(
-        input_vectors=rng.normal(0, 1, (vocab_size, dim)),
-        output_vectors=rng.normal(0, 1, (vocab_size, dim)),
-    )
+def random_params(rng, vocab_size, dim):
+    """Stacked parameters with the input rows, then the output rows, drawn
+    from N(0, 1), and zero pad rows."""
+    params = np.zeros((2 * vocab_size + 2, dim))
+    params[:vocab_size] = rng.normal(0, 1, (vocab_size, dim))
+    params[vocab_size + 1:-1] = rng.normal(0, 1, (vocab_size, dim))
+    return params
 
 
 class TestContextMean:
     def test_singleton(self):
-        model = CbowModel(np.array([[1.0, 0.0]]), np.zeros((1, 2)))
-        assert np.array_equal(context_mean(model, ContextWindow(0, [0])), [1.0, 0.0])
+        params = np.zeros((4, 2))
+        params[0] = [1.0, 0.0]
+        assert np.array_equal(context_mean(params, [0]), [1.0, 0.0])
 
     def test_two_point_mean(self):
-        model = CbowModel(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros((2, 2)))
-        mean = context_mean(model, ContextWindow(0, [0, 1]))
-        assert np.array_equal(mean, [0.5, 0.5])
+        params = np.zeros((6, 2))
+        params[:2] = np.eye(2)
+        assert np.array_equal(context_mean(params, [0, 1]), [0.5, 0.5])
 
     def test_duplicate_id_equals_singleton(self):
-        model = CbowModel(np.array([[1.0, 3.0], [9.0, 9.0]]), np.zeros((2, 2)))
-        single = context_mean(model, ContextWindow(1, [0]))
-        doubled = context_mean(model, ContextWindow(1, [0, 0]))
-        assert np.array_equal(single, doubled)
+        params = np.zeros((6, 2))
+        params[:2] = [[1.0, 3.0], [9.0, 9.0]]
+        assert np.array_equal(context_mean(params, [0]), context_mean(params, [0, 0]))
 
     def test_empty_context_raises(self):
-        model = CbowModel(np.zeros((1, 2)), np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            context_mean(model, ContextWindow(0, []))
+            context_mean(np.zeros((4, 2)), [])
 
 
 class TestExactLoss:
     def test_zero_vectors_give_uniform_softmax(self):
-        model = CbowModel(np.zeros((2, 3)), np.zeros((2, 3)))
-        loss = loss_exact(model, ContextWindow(0, [1]))
+        # two words: the softmax runs over their output rows, not the pad rows
+        loss = loss_exact(np.zeros((6, 3)), 0, [1])
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
     def test_single_word_vocabulary_is_lossless(self):
-        model = CbowModel(np.ones((1, 2)), np.ones((1, 2)))
-        assert loss_exact(model, ContextWindow(0, [0])) == pytest.approx(0.0, abs=1e-12)
+        assert loss_exact(np.ones((4, 2)), 0, [0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_handcrafted_logits(self):
         # context mean (1,); output rows give logits (2, 0, 0); center word 0
-        model = CbowModel(
-            input_vectors=np.array([[1.0], [0.0], [0.0]]),
-            output_vectors=np.array([[2.0], [0.0], [0.0]]),
-        )
-        loss = loss_exact(model, ContextWindow(0, [0]))
+        params = np.zeros((8, 1))
+        params[0], params[4] = 1.0, 2.0
+        loss = loss_exact(params, 0, [0])
         expected = -math.log(math.exp(2) / (math.exp(2) + 2))
         assert loss == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(math.log(math.exp(2) + 2) - 2, abs=1e-15)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(0)
-        model = random_model(rng, 7, 4)
+        params = random_params(rng, 7, 4)
         # the softmax probability of each center is exp(-loss_exact)
-        probs = np.array([math.exp(-loss_exact(model, ContextWindow(c, [1, 2, 5])))
-                          for c in range(7)])
+        probs = np.array([math.exp(-loss_exact(params, c, [1, 2, 5])) for c in range(7)])
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert (probs > 0).all()
 
     def test_loss_is_nonnegative(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            model = random_model(rng, 5, 3)
-            win = ContextWindow(int(rng.integers(5)), [int(rng.integers(5))])
-            assert loss_exact(model, win) >= 0.0
+            params = random_params(rng, 5, 3)
+            assert loss_exact(params, int(rng.integers(5)), [int(rng.integers(5))]) >= 0.0
 
     def test_large_logits_do_not_overflow(self):
-        model = CbowModel(np.full((2, 1), 500.0), np.full((2, 1), 2.0))
-        assert math.isfinite(loss_exact(model, ContextWindow(0, [1])))
+        params = np.zeros((6, 1))
+        params[:2], params[3:5] = 500.0, 2.0
+        assert math.isfinite(loss_exact(params, 0, [1]))
 
 
 class TestExactGradients:
@@ -112,91 +108,62 @@ class TestExactGradients:
         rng = np.random.default_rng(2)
         for _ in range(20):
             v, d = int(rng.integers(2, 8)), int(rng.integers(1, 5))
-            model = random_model(rng, v, d)
+            params = random_params(rng, v, d)
             center = int(rng.integers(v))
             ctx = [int(c) for c in rng.integers(0, v, int(rng.integers(1, 5)))]
-            win = ContextWindow(center, ctx)
-            loss, grad_out, grad_h = exact_gradients(model, win)
-            assert loss == pytest.approx(loss_exact(model, win), abs=1e-12)
-
-            def f_out(x, model=model, win=win):
-                return loss_exact(CbowModel(model.input_vectors, x), win)
-
-            num_out = numeric_grad(f_out, model.output_vectors.copy())
-            assert max_relerr(grad_out, num_out) < 1e-4
+            num = numeric_grad(lambda p: loss_exact(p, center, ctx), params.copy())
+            assert max_relerr(exact_gradients(params, center, ctx), num) < 1e-4
 
     def test_context_mean_gradient_via_chain_rule(self):
         rng = np.random.default_rng(3)
-        model = random_model(rng, 6, 3)
-        win = ContextWindow(2, [0, 4, 4])
-        _, _, grad_h = exact_gradients(model, win)
-
-        def f_in(x, model=model, win=win):
-            return loss_exact(CbowModel(x, model.output_vectors), win)
-
-        num_in = numeric_grad(f_in, model.input_vectors.copy())
+        params = random_params(rng, 6, 3)
+        grad = exact_gradients(params, 2, [0, 4, 4])
+        num = numeric_grad(lambda p: loss_exact(p, 2, [0, 4, 4]), params.copy())
         # each occurrence of a context id receives grad_h / |ctx|
-        expected = np.zeros_like(model.input_vectors)
-        np.add.at(expected, [0, 4, 4], grad_h / 3)
-        assert max_relerr(expected, num_in) < 1e-4
+        assert max_relerr(grad, num) < 1e-4
+        assert np.array_equal(grad[4], 2 * grad[0]) and not grad[[1, 2, 3, 5, 6]].any()
 
 
 class TestSgdSteps:
     def test_zero_lr_leaves_model_unchanged(self):
         rng = np.random.default_rng(4)
-        model = random_model(rng, 5, 3)
-        before_in, before_out = model.input_vectors.copy(), model.output_vectors.copy()
-        win = ContextWindow(1, [0, 2])
-        loss = sgd_step_exact(model, win, lr=0.0)
-        assert loss == pytest.approx(loss_exact(model, win))
-        assert np.array_equal(model.input_vectors, before_in)
-        assert np.array_equal(model.output_vectors, before_out)
+        params = random_params(rng, 5, 3)
+        before = params.copy()
+        loss = sgd_step_exact(params, 1, [0, 2], lr=0.0)
+        assert loss == pytest.approx(loss_exact(params, 1, [0, 2]))
+        assert np.array_equal(params, before)
 
     def test_small_step_decreases_exact_loss(self):
         rng = np.random.default_rng(5)
-        model = random_model(rng, 6, 4)
-        win = ContextWindow(2, [1, 3, 5])
-        before = loss_exact(model, win)
-        sgd_step_exact(model, win, lr=0.05)
-        assert loss_exact(model, win) < before
+        params = random_params(rng, 6, 4)
+        before = loss_exact(params, 2, [1, 3, 5])
+        sgd_step_exact(params, 2, [1, 3, 5], lr=0.05)
+        assert loss_exact(params, 2, [1, 3, 5]) < before
 
     def test_negative_step_decreases_surrogate_loss(self):
         rng = np.random.default_rng(6)
-        model = random_model(rng, 6, 4)
-        win = ContextWindow(2, [1, 3])
+        params = random_params(rng, 6, 4)
         negatives = [0, 5]
-        before = negative_loss(model, win, negatives)
-        loss, rows, grad_rows, grad_h = negative_gradients(model, win, negatives)
-        assert loss == pytest.approx(before, abs=1e-12)
-        np.add.at(model.output_vectors, rows, -0.05 * grad_rows)
-        np.add.at(model.input_vectors, np.asarray(win.context), -0.05 * grad_h / 2)
-        assert negative_loss(model, win, negatives) < before
+        before = negative_loss(params, 2, [1, 3], negatives)
+        params -= 0.05 * negative_gradients(params, 2, [1, 3], negatives)
+        assert negative_loss(params, 2, [1, 3], negatives) < before
 
 
 class TestNegativeSampling:
     def test_loss_with_zero_scores_is_k_plus_one_log_two(self):
-        model = CbowModel(np.zeros((4, 2)), np.zeros((4, 2)))
-        loss = negative_loss(model, ContextWindow(0, [1]), negatives=[2, 3])
+        loss = negative_loss(np.zeros((10, 2)), 0, [1], negatives=[2, 3])
         assert loss == pytest.approx(3 * math.log(2), abs=1e-12)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             v, d = int(rng.integers(3, 8)), int(rng.integers(1, 5))
-            model = random_model(rng, v, d)
+            params = random_params(rng, v, d)
             center = int(rng.integers(v))
             negatives = [int(n) for n in rng.integers(0, v, 2) if n != center]
             ctx = [int(c) for c in rng.integers(0, v, 2)]
-            win = ContextWindow(center, ctx)
-            _, rows, grad_rows, grad_h = negative_gradients(model, win, negatives)
-
-            def f_out(x, model=model, win=win, negatives=negatives):
-                return negative_loss(CbowModel(model.input_vectors, x), win, negatives)
-
-            num_out = numeric_grad(f_out, model.output_vectors.copy())
-            dense = np.zeros_like(model.output_vectors)
-            np.add.at(dense, rows, grad_rows)
-            assert max_relerr(dense, num_out) < 1e-4
+            num = numeric_grad(lambda p: negative_loss(p, center, ctx, negatives), params.copy())
+            assert max_relerr(negative_gradients(params, center, ctx, negatives), num) < 1e-4
 
     @settings(deadline=None)
     @given(
@@ -243,25 +210,22 @@ class TestNegativeSampling:
                 assert len(negs) <= 5
 
     def test_sgd_step_negative_requires_positive_k(self):
-        model = CbowModel(np.zeros((2, 2)), np.zeros((2, 2)))
         sampler = UnigramSampler(np.array([1.0, 1.0]))
         rng = np.random.default_rng(11)
         with pytest.raises(ValueError):
-            sgd_step_negative(model, ContextWindow(0, [1]), 0.1, 0, sampler, rng)
+            sgd_step_negative(np.zeros((6, 2)), 0, [1], 0.1, 0, sampler, rng)
 
 
 class TestInit:
     def test_input_uniform_bounds_and_output_zero(self):
-        model = init_model(vocab_size=50, dim=10, seed=1)
-        bound = 0.5 / 10
-        assert (np.abs(model.input_vectors) <= bound).all()
-        assert model.input_vectors.any()
-        assert not model.output_vectors.any()
+        params = init_params(vocab_size=50, dim=10, seed=1)
+        assert params.shape == (102, 10)
+        assert (np.abs(params[:50]) <= 0.5 / 10).all()
+        assert params[:50].any()
+        assert not params[50:].any()
 
     def test_same_seed_reproduces_init(self):
-        a = init_model(20, 4, seed=7)
-        b = init_model(20, 4, seed=7)
-        assert np.array_equal(a.input_vectors, b.input_vectors)
+        assert np.array_equal(init_params(20, 4, seed=7), init_params(20, 4, seed=7))
 
 
 class TestTrainCbow:
@@ -277,8 +241,23 @@ class TestTrainCbow:
         config = CbowConfig(dim=8, epochs=0, seed=3)
         emb, losses = train_cbow(encoded, vocab, config)
         assert losses == []
-        init = init_model(len(vocab), 8, seed=3)
-        assert np.array_equal(emb.vectors, init.input_vectors)
+        v = len(vocab)
+        draw = np.random.default_rng(3).uniform(-0.5 / 8, 0.5 / 8, (v, 8))
+        assert np.array_equal(emb.vectors, draw)
+        assert np.array_equal(init_params(v, 8, seed=3), np.vstack([draw, np.zeros((v + 2, 8))]))
+
+    def test_set_up_draws_straight_into_the_stacked_parameters(self):
+        # the stacked parameters are one (2V + 2, D) matrix, the draw of the
+        # input rows and the returned embeddings half of one more each, but
+        # never both at once; a whole input and output model drawn beside
+        # them would add one matrix
+        v, d = 2000, 200
+        words = [str(i) for i in range(v)]
+        vocab = Vocabulary(words, dict.fromkeys(words, 1))
+        config = CbowConfig(dim=d, epochs=0)
+        _, peak = traced_peak(train_cbow, as_encoded([[0, v - 1]]), vocab, config)
+        matrix = (2 * v + 2) * d * 8
+        assert peak < 1.8 * matrix, f"{peak / matrix:.2f} stacked-parameter matrices"
 
     def test_empty_corpus_is_an_error(self):
         _, vocab, _, _ = self._corpus()
@@ -310,34 +289,25 @@ class TestTrainCbow:
         assert intra > inter
 
 
-def batch_step(monkeypatch, model, windows, negatives, lrs):
-    """Run the batched kernel on explicit windows and negatives, in place,
-    as a chunk of one batch.
+def batch_step(monkeypatch, params, windows, negatives, lrs):
+    """Run the batched kernel on explicit (center, context) windows and
+    negatives, in place, as a chunk of one batch.
 
     `negatives` lists each window's kept negatives; the kernel sees them
     padded to a common width with the rest marked not kept.
     """
-    v, d = model.input_vectors.shape
-    params = np.vstack([
-        model.input_vectors, np.zeros((1, d)), model.output_vectors, np.zeros((1, d))
-    ])
-    context = np.full((len(windows), max(len(w.context) for w in windows)), v)
-    k = max(len(n) for n in negatives)
-    negs = np.full((len(windows), k), v)
-    for r, (win, neg) in enumerate(zip(windows, negatives)):
-        context[r, :len(win.context)] = win.context
+    pad = len(params) // 2 - 1
+    context = np.full((len(windows), max(len(c) for _, c in windows)), pad)
+    negs = np.full((len(windows), max(len(n) for n in negatives)), pad)
+    for r, ((_, ctx), neg) in enumerate(zip(windows, negatives)):
+        context[r, :len(ctx)] = ctx
         negs[r, :len(neg)] = neg
-    counts = np.array([len(w.context) for w in windows])
-    centers = np.array([w.center for w in windows])
-    rows = np.hstack([centers[:, None], negs]) + v + 1
-    lrs, kept = np.asarray(lrs, dtype=float), negs != v
+    counts = np.array([len(c) for _, c in windows])
+    rows = np.hstack([[[c] for c, _ in windows], negs]) + pad + 1
+    lrs, kept = np.asarray(lrs, dtype=float), negs != pad
     monkeypatch.setattr(cbow, "BATCH", len(windows))
-    loss = cbow._train_chunk(
-        params, context, counts, rows, kept, lrs, np.empty((2 * len(windows), d))
-    )
-    model.input_vectors[:] = params[:v]
-    model.output_vectors[:] = params[v + 1:-1]
-    return loss
+    stack = np.empty((2 * len(windows), params.shape[1]))
+    return cbow._train_chunk(params, context, counts, rows, kept, lrs, stack)
 
 
 class PlannedUniforms:
@@ -387,38 +357,31 @@ class TestBatchedKernel:
 
     def test_disjoint_windows_equal_two_sequential_steps(self, monkeypatch):
         rng = np.random.default_rng(12)
-        model = random_model(rng, 10, 4)
+        params = random_params(rng, 10, 4)
         sampler = UnigramSampler(np.ones(10))
-        first, second = ContextWindow(0, [1, 2]), ContextWindow(5, [6])
+        first, second = (0, [1, 2]), (5, [6])
         planned = [[3, 4], [7, 8]]
-        expected = model.copy()
+        expected = params.copy()
         draws = PlannedDraws(planned[0] + planned[1], 10)
-        loss = sgd_step_negative(expected, first, 0.3, 2, sampler, draws)
-        loss += sgd_step_negative(expected, second, 0.2, 2, sampler, draws)
-        got = batch_step(monkeypatch, model, [first, second], planned, [0.3, 0.2])
+        loss = sgd_step_negative(expected, *first, 0.3, 2, sampler, draws)
+        loss += sgd_step_negative(expected, *second, 0.2, 2, sampler, draws)
+        got = batch_step(monkeypatch, params, [first, second], planned, [0.3, 0.2])
         assert got == pytest.approx(loss, rel=1e-12)
-        assert np.abs(model.input_vectors - expected.input_vectors).max() <= 1e-12
-        assert np.abs(model.output_vectors - expected.output_vectors).max() <= 1e-12
+        assert np.abs(params - expected).max() <= 1e-12
 
     def test_shared_rows_accumulate_every_contribution(self, monkeypatch):
         rng = np.random.default_rng(13)
-        model = random_model(rng, 8, 3)
+        params = random_params(rng, 8, 3)
         # word 2 is context of both windows; word 4 is a negative twice in
         # the first window and once in the second
-        windows = [ContextWindow(0, [2, 3]), ContextWindow(1, [2, 5, 2])]
+        windows = [(0, [2, 3]), (1, [2, 5, 2])]
         negatives = [[4, 4, 6], [4]]
         lrs = [0.25, 0.5]
-        expected_in = model.input_vectors.copy()
-        expected_out = model.output_vectors.copy()
-        for win, neg, lr in zip(windows, negatives, lrs):
-            _, rows, grad_rows, grad_h = negative_gradients(model, win, neg)
-            for row, grad in zip(rows, grad_rows):
-                expected_out[row] -= lr * grad
-            for c in win.context:
-                expected_in[c] -= lr * grad_h / len(win.context)
-        batch_step(monkeypatch, model, windows, negatives, lrs)
-        assert np.abs(model.input_vectors - expected_in).max() <= 1e-12
-        assert np.abs(model.output_vectors - expected_out).max() <= 1e-12
+        # both gradients at the parameters before the step
+        expected = params - sum(lr * negative_gradients(params, *win, neg)
+                                for win, neg, lr in zip(windows, negatives, lrs))
+        batch_step(monkeypatch, params, windows, negatives, lrs)
+        assert np.abs(params - expected).max() <= 1e-12
 
     def test_chunk_equals_batches_scattered_by_add_at_bitwise(self, monkeypatch):
         # one chunk of 23 windows against its batches of 5 (the last of 3),
@@ -510,6 +473,6 @@ class TestBatchedKernel:
             context, counts = build_windows(tokens, corpus.offsets, where, m, pad)
             assert context.shape == (len(where), 2 * m)
             assert (context[np.arange(2 * m) >= counts[:, None]] == pad).all()
-            got += [ContextWindow(int(tokens[p]), context[r, :counts[r]].tolist())
+            got += [(int(tokens[p]), context[r, :counts[r]].tolist())
                     for r, p in enumerate(where)]
         assert got == expected

@@ -384,23 +384,29 @@ class TestParallelFits:
             assert np.array_equal(a.scale_mean, b.scale_mean)
             assert np.array_equal(a.scale_std, b.scale_std)
 
-    @pytest.mark.parametrize("failure", [None, "raise", "kill"])
-    def test_caller_fits_nothing_and_reaps_every_worker(self, monkeypatch, blobs_914, failure):
-        # 5 runs over 2 workers: worker 0 fits runs 4, 2, 0 and worker 1
-        # runs 3, 1. Worker 0 fails at run 2 while worker 1 hangs at run 3,
-        # so an error returns only if the caller kills worker 1
+    @pytest.mark.parametrize("failure, hang, fail", [
+        (None, None, None), ("raise", 3, 2), ("kill", 3, 2), ("raise", 0, 3),
+    ], ids=["None", "raise", "kill", "raise-while-an-earlier-worker-fits"])
+    def test_caller_fits_nothing_and_reaps_every_worker(
+        self, monkeypatch, blobs_914, failure, hang, fail
+    ):
+        # 5 runs over 2 workers: worker 0 fits runs 4, 2, 0 (seeds 0, 2, 0)
+        # and worker 1 runs 3, 1. One worker fails at seed `fail` while the
+        # other hangs at seed `hang`, so an error returns only if the caller
+        # kills the hanging worker; when worker 0 hangs in its first fit,
+        # only if the caller reads worker 1's pipe first
         _, runs = fold_runs(blobs_914, 4, seed=0)
         parent, real_fit, in_caller = os.getpid(), classifier._fit, []
 
         def fit(vectors, rows, seed, lam, epochs):
             if os.getpid() == parent:
                 in_caller.append(seed)
-            elif failure and seed == 3:
+            elif seed == hang:
                 time.sleep(60)
-            elif failure == "kill" and seed == 2:
-                os.kill(os.getpid(), signal.SIGKILL)
-            elif failure == "raise" and seed == 2:
-                raise ZeroDivisionError("fold 2")
+            elif seed == fail:
+                if failure == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise ZeroDivisionError(f"fold {seed}")
             return real_fit(vectors, rows, seed, lam, epochs)
 
         monkeypatch.setattr(classifier, "_fit", fit)
@@ -409,7 +415,7 @@ class TestParallelFits:
             assert len(classifier._pegasos(blobs_914, runs, 1e-3, 2, workers=2)) == 5
         else:  # a worker's exception comes back as itself
             error = ZeroDivisionError if failure == "raise" else MetlitError
-            with pytest.raises(error, match="fold 2|worker process died: it sent no fits"):
+            with pytest.raises(error, match=f"fold {fail}|worker process died: it sent no fits"):
                 classifier._pegasos(blobs_914, runs, 1e-3, 2, workers=2)
         assert time.monotonic() - start < 30
         assert in_caller == []

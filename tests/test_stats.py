@@ -12,10 +12,9 @@ from metlit.stats import (
     save_ttest_report,
     student_t_sf,
     two_sided_p,
-    welch_t,
 )
 
-from helpers import labeled_vectors
+from helpers import labeled_vectors, welch_t
 
 # Frozen from an independent evaluation of the regularized incomplete beta
 # (scipy.special.betainc, scipy 1.15.3), kept as literals so the test stays
