@@ -42,8 +42,10 @@ def context_mean(params: np.ndarray, context) -> np.ndarray:
 def loss_exact(params: np.ndarray, center: int, context) -> float:
     """-log softmax(output rows . context_mean)[center]; always >= 0."""
     logits = params[len(params) // 2:-1] @ context_mean(params, context)
-    shift = logits.max()
-    return float(shift + np.log(np.exp(logits - shift).sum()) - logits[center])
+    # log1p(sum over k != center of exp(logit_k - logit_center)): no terms cancel
+    gaps = np.delete(logits, center) - logits[center]
+    shift = gaps.max(initial=0.0)
+    return float(shift + np.log1p(np.expm1(-shift) + np.exp(gaps - shift).sum()))
 
 
 class UnigramSampler:

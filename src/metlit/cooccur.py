@@ -20,6 +20,7 @@ WEIGHTINGS = ("flat", "inverse_distance")
 RECORD = np.dtype([("i", "<u4"), ("j", "<u4"), ("x", "<f8")])
 
 CHUNK_PAIRS = 1 << 17  # position pairs per merge while the table is smaller
+CHECK_RECORDS = 1 << 16  # records load_table checks at a time, not the whole table
 
 
 def build_cooccurrence(
@@ -113,20 +114,24 @@ def load_table(path: str) -> np.ndarray:
 
     Rejects, naming the path and the record (counted from 1), a partial
     record, keys not strictly increasing in (i, j) order, and counts that
-    are not finite and > 0.
+    are not finite and > 0, checking CHECK_RECORDS records at a time.
     """
     size = os.path.getsize(path)
     if size % RECORD.itemsize:
         raise MetlitError(f"{path}: size {size} is not a multiple of {RECORD.itemsize}")
     table = np.fromfile(path, dtype=RECORD)
-    keys = table["i"].astype(np.uint64) << 32 | table["j"]
-    unordered = np.flatnonzero(keys[1:] <= keys[:-1])
-    if len(unordered):
-        k = unordered[0] + 1
-        raise MetlitError(f"{path}: record {k + 1} does not follow record {k} in (i, j) order")
-    x = table["x"]
-    bad = np.flatnonzero(~(np.isfinite(x) & (x > 0)))
-    if len(bad):
-        k = bad[0]
-        raise MetlitError(f"{path}: record {k + 1}: count {x[k]} is not finite and > 0")
+    starts = range(0, len(table), CHECK_RECORDS)
+    for a in starts:  # each slice with the next one's first record
+        part = table[a:a + CHECK_RECORDS + 1]
+        i, j = part["i"], part["j"]
+        unordered = np.flatnonzero((i[1:] < i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] <= j[:-1])))
+        if len(unordered):
+            k = a + unordered[0] + 1
+            raise MetlitError(f"{path}: record {k + 1} does not follow record {k} in (i, j) order")
+    for a in starts:
+        x = table["x"][a:a + CHECK_RECORDS]
+        bad = np.flatnonzero(~(np.isfinite(x) & (x > 0)))
+        if len(bad):
+            raise MetlitError(f"{path}: record {a + bad[0] + 1}: count {x[bad[0]]} "
+                              "is not finite and > 0")
     return table

@@ -115,13 +115,14 @@ def train_glove(
 ) -> tuple[EmbeddingMatrix, list[float]]:
     """Fit vectors and biases over the table; return embeddings + epoch losses.
 
-    `table` is a cooccur.RECORD array whose word ids index `vocab`. Each
-    epoch visits the records in seeded shuffled order, BATCH at a time, and
-    takes each record's loss and gradient at its batch's pre-step
-    parameters: a batch of one is the per-record AdaGrad loop. A chunk of
-    CHUNK_RECORDS records is gathered, weighted and planned (batch_plan) at
-    once. The loss per epoch is the sum of those losses. Divergence is
-    surfaced: non-finite parameters or a non-finite loss raise, never clipped.
+    `table` is a cooccur.RECORD array whose word ids index `vocab`; it is
+    taken over and comes back shuffled. Each epoch shuffles its records in
+    place with one seeded rng and visits them in order, BATCH at a time,
+    taking each record's loss and gradient at its batch's pre-step
+    parameters: a batch of one is the per-record AdaGrad loop. A slice of
+    CHUNK_RECORDS records is weighted and planned (batch_plan) at once. The
+    loss per epoch is the sum of those losses. Divergence is surfaced:
+    non-finite parameters or a non-finite loss raise, never clipped.
     """
     if not len(table):
         raise MetlitError("empty co-occurrence table")
@@ -140,16 +141,14 @@ def train_glove(
     shuffle_rng = np.random.default_rng(config.seed + 1)
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
-        order = np.arange(len(table), dtype=np.min_scalar_type(len(table)))
-        shuffle_rng.shuffle(order)  # permutation(len(table)), in the narrowest type
+        shuffle_rng.shuffle(table)  # permutation(len(table))'s swaps, on the records
         epoch_loss = 0.0
         with np.errstate(all="ignore"):
-            for a in range(0, len(order), chunk):
-                part = table[order[a:a + chunk]]
+            for a in range(0, len(table), chunk):
+                part = table[a:a + chunk]
                 rows = np.column_stack([part["i"], part["j"]]).astype(np.intp) + [0, v]
                 epoch_loss += _train_chunk(params, acc, rows, weights(part["x"], config.params),
                                            np.log(part["x"]), config.lr)
-        del order  # before the next epoch's is made
         if not np.isfinite(params).all():
             raise MetlitError(f"non-finite parameters after epoch {epoch}")
         if not math.isfinite(epoch_loss):

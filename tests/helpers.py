@@ -382,16 +382,18 @@ def adagrad_step(params, acc, i, j, x, lr0, weighting=WeightParams()):
 def reference_train_glove(table, vocab, config):
     """Per-record AdaGrad loop: the oracle for the batched GloVe kernel.
 
-    Records are visited in a seed + 1 shuffled order each epoch; the loss
-    per epoch is the sum of each record's pre-step loss.
+    Each epoch permutes the previous epoch's order by a seed + 1 shuffled
+    permutation, as the trainer's in-place shuffle of its table does; the
+    loss per epoch is the sum of each record's pre-step loss.
     """
     v = len(vocab)
     params, acc = init_params(v, config.dim, config.seed)
     entries = table.tolist()
     shuffle_rng = np.random.default_rng(config.seed + 1)
     epoch_losses = []
+    order = np.arange(len(entries))
     for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(len(entries))
+        order = order[shuffle_rng.permutation(len(entries))]
         epoch_loss = 0.0
         with np.errstate(all="ignore"):
             for k in order:

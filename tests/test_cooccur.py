@@ -41,6 +41,14 @@ def entries(table):
     return {(i, j): x for i, j, x in table.tolist()}
 
 
+def sorted_table(n):
+    """n records in strictly increasing (i, j) order, 64 to a word."""
+    table = np.empty(n, dtype=RECORD)
+    table["i"], table["j"] = np.divmod(np.arange(n), 64)
+    table["x"] = 1.0
+    return table
+
+
 def random_sentences(rng, n_sentences=30, vocab=12):
     return [
         [int(x) for x in rng.integers(0, vocab, int(rng.integers(1, 15)))]
@@ -238,6 +246,29 @@ class TestBinaryFormat:
         assert str(exc.value) == (
             f"{path}: record 2 does not follow record 1 in (i, j) order"
         )
+
+    @pytest.mark.parametrize("k", [cooccur.CHECK_RECORDS - 1, cooccur.CHECK_RECORDS,
+                                   cooccur.CHECK_RECORDS + 1])
+    def test_unsorted_key_on_a_slice_boundary_rejected(self, tmp_path, k):
+        # record k (from 0) repeats record k - 1: the last of the first
+        # slice, the first of the second, or the one after it
+        path = tmp_path / "x.bin"
+        table = sorted_table(2 * cooccur.CHECK_RECORDS)
+        table[k] = table[k - 1]
+        table.tofile(path)
+        with pytest.raises(ValueError) as exc:
+            load_table(str(path))
+        assert str(exc.value) == (
+            f"{path}: record {k + 1} does not follow record {k} in (i, j) order"
+        )
+
+    def test_load_working_memory_is_the_table(self, tmp_path):
+        # the checks run a slice at a time: whole-table uint64 keys and
+        # masks would make the peak two tables
+        path = str(tmp_path / "x.bin")
+        save_table(sorted_table(4 * cooccur.CHECK_RECORDS), path)
+        table, peak = traced_peak(load_table, path)
+        assert peak < 1.2 * table.nbytes, f"{peak / table.nbytes:.2f} tables"
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_count_not_finite_and_positive_rejected(self, tmp_path, bad):
