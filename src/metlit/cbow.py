@@ -196,6 +196,8 @@ def train_cbow(
     nonempty = np.flatnonzero(lengths)
     if not len(nonempty):
         raise MetlitError("empty corpus")
+    if lengths.max() < 2:
+        raise MetlitError("no sentence has two in-vocabulary tokens: CBOW has no window")
     if config.negatives > len(vocab):
         raise MetlitError(f"--negatives must be <= the vocabulary size {len(vocab)}, "
                           f"got {config.negatives}")
@@ -210,22 +212,31 @@ def train_cbow(
     sampler = UnigramSampler.from_vocabulary(vocab)
     order_rng = np.random.default_rng(config.seed + 1)
     windows_per_epoch = int(lengths.sum())
+    trained = windows_per_epoch - int(np.count_nonzero(lengths == 1))
     total = windows_per_epoch * max(config.epochs, 1)
     chunk = BATCH * max(1, CHUNK_WINDOWS // BATCH)
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
-        shuffled = sentences.take(nonempty[order_rng.permutation(len(nonempty))])
-        tokens, offsets, sizes = shuffled.tokens, shuffled.offsets, shuffled.lengths()
+        # the epoch's stream is the shuffled sentences back to back; only
+        # per-sentence arrays are held: their corpus starts and stream offsets
+        order = nonempty[order_rng.permutation(len(nonempty))]
+        sizes, starts = lengths[order], sentences.offsets[order]
+        stream = np.concatenate([[0], np.cumsum(sizes)])
         # a one-token sentence's window has no context: it is skipped and
-        # takes no draws, but its position still advances the lr schedule
-        positions = np.flatnonzero(np.repeat(sizes > 1, sizes))
+        # takes no draws, but its position still advances the lr schedule;
+        # skips[j] windows come before the j-th one-token sentence
+        singles = stream[:-1][sizes == 1]
+        skips = singles - np.arange(len(singles))
         rng = np.random.default_rng(config.seed + 7919 * (epoch + 1))
         loss_sum = 0.0
         with np.errstate(all="ignore"):
-            for a in range(0, len(positions), chunk):
-                where = positions[a:a + chunk]
-                context, counts = build_windows(tokens, offsets, where, m, pad)
-                centers = tokens[where]
+            for a in range(0, trained, chunk):
+                k = np.arange(a, min(a + chunk, trained))
+                where = k + np.searchsorted(skips, k, side="right")  # stream positions
+                s = np.searchsorted(stream, where, side="right") - 1
+                at = where - stream[s] + starts[s]  # their positions in the corpus as read
+                context, counts = build_windows(sentences.tokens, sentences.offsets, at, m, pad)
+                centers = sentences.tokens[at]
                 # word2vec's rule: a draw equal to the center is skipped
                 negatives = sampler.draw(rng, len(where) * config.negatives)
                 negatives = negatives.reshape(len(where), -1)
@@ -238,7 +249,7 @@ def train_cbow(
                 loss_sum += _train_chunk(params, context, counts, rows, kept, lr, stack)
         if not np.isfinite(params).all():
             raise MetlitError(f"non-finite parameters after epoch {epoch}")
-        epoch_losses.append(loss_sum / len(positions) if len(positions) else 0.0)
+        epoch_losses.append(loss_sum / trained)
         if not math.isfinite(epoch_losses[-1]):
             raise MetlitError(f"non-finite loss in epoch {epoch}")
     embeddings = EmbeddingMatrix(list(vocab.words), params[:pad].copy())

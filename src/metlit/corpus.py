@@ -152,13 +152,6 @@ class Encoded:
     def lengths(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    def take(self, order: np.ndarray) -> "Encoded":
-        """The sentences `order` names, in that order."""
-        lengths = self.lengths()[order]
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
-        shift = np.repeat(self.offsets[order] - offsets[:-1], lengths)
-        return Encoded(self.tokens[shift + np.arange(offsets[-1])], offsets, self.read)
-
 
 def read_encoded(
     path: str, min_count: int = 1, vocab: Vocabulary | None = None

@@ -11,6 +11,7 @@ from .corpus import LabeledPhrase, parse_count, parse_floats, read_lines
 from .embeddings import EmbeddingMatrix, format_floats
 
 MODES = ("mean", "sum")
+SLICE = 1024  # phrase tokens whose rows are gathered and summed at a time
 
 
 @dataclass
@@ -57,10 +58,12 @@ def embed_dataset(
     if not len(kept):
         raise MetlitError("all phrases uncoverable: no token in vocabulary")
     # Rows are summed token by token, in phrase order, from -0.0 (which,
-    # unlike 0.0, leaves every addend's sign alone).
+    # unlike 0.0, leaves every addend's sign alone), SLICE tokens at a time.
     values = np.full((len(phrases), embeddings.dim), -0.0)
-    np.add.at(values, np.repeat(np.arange(len(phrases)), covered),
-              embeddings.vectors[[i for row in ids for i in row]])
+    owner = np.repeat(np.arange(len(phrases)), covered)
+    flat = [i for row in ids for i in row]
+    for a in range(0, len(flat), SLICE):
+        np.add.at(values, owner[a:a + SLICE], embeddings.vectors[flat[a:a + SLICE]])
     vectors = SentenceVectors(
         values=values[kept],
         metaphor=np.array([phrases[i].label == METAPHOR for i in kept]),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metlit import cbow
+from metlit import MetlitError, cbow
 from metlit.cbow import (
     CbowConfig,
     UnigramSampler,
@@ -32,6 +32,7 @@ from helpers import (
     sgd_step_negative,
     traced_peak,
     two_topic_corpus,
+    zipf_sentences,
 )
 
 
@@ -266,6 +267,26 @@ class TestTrainCbow:
         with pytest.raises(ValueError):
             train_cbow(as_encoded([[]]), vocab, CbowConfig(dim=4))
 
+    @pytest.mark.parametrize("sentences", [[[0], [1], [], [2]], [[0]]])
+    def test_no_window_with_context_is_an_error(self, sentences):
+        _, vocab, _, _ = self._corpus()
+        with pytest.raises(MetlitError, match="no sentence has two in-vocabulary tokens"):
+            train_cbow(as_encoded(sentences), vocab, CbowConfig(dim=4, negatives=1))
+
+    def test_working_memory_grows_by_a_few_bytes_a_token(self):
+        # training holds per-sentence arrays (sentences of 14 tokens) and
+        # per-chunk ones, but no corpus-length array: a shuffled copy of the
+        # corpus, with its int64 index temporaries, and an array of every
+        # window's position grew it by 14 bytes a token here
+        words = [str(i) for i in range(2000)]
+        vocab = Vocabulary(words, dict.fromkeys(words, 1))
+        sentences = zipf_sentences(np.random.default_rng(0), 25_000, 2000)
+        config = CbowConfig(dim=10, epochs=1)
+        peaks = [traced_peak(train_cbow, as_encoded(sentences * copies), vocab, config)[1]
+                 for copies in (1, 4)]
+        per_token = (peaks[1] - peaks[0]) / (3 * 25_000)
+        assert per_token < 8, f"{per_token:.1f} bytes a token"
+
     def test_same_seed_bit_reproducible_single_thread(self):
         encoded, vocab, _, _ = self._corpus()
         config = CbowConfig(dim=8, epochs=2, seed=5)
@@ -451,6 +472,44 @@ class TestBatchedKernel:
                     for i in order for c in range(5)]
         assert drawn == expected
         assert any(len(n) < 4 for n in expected)  # some draws were dropped
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1024])
+    def test_trained_windows_follow_each_epochs_permutation(self, monkeypatch, chunk):
+        # one-token and empty sentences among the rest, so chunk edges fall
+        # inside sentences and between them; each corpus token has its own id
+        lengths = np.random.default_rng(chunk).integers(0, 9, 40).tolist() + [1, 0, 1, 1, 8]
+        bounds = np.cumsum([0] + lengths).tolist()
+        sentences = [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+        words = [str(i) for i in range(bounds[-1])]
+        vocab = Vocabulary(words, dict.fromkeys(words, 1))
+        monkeypatch.setattr(cbow, "BATCH", 1)
+        monkeypatch.setattr(cbow, "CHUNK_WINDOWS", chunk)
+        got, lrs = [], []
+        real_train_chunk = cbow._train_chunk
+
+        def recording_chunk(params, context, counts, rows, kept, lr, stack):
+            got.extend((int(r[0]) - len(vocab) - 1, c[:n].tolist())
+                       for r, c, n in zip(rows, context, counts))
+            lrs.extend(lr.tolist())
+            return real_train_chunk(params, context, counts, rows, kept, lr, stack)
+
+        monkeypatch.setattr(cbow, "_train_chunk", recording_chunk)
+        config = CbowConfig(dim=4, epochs=2, seed=9, window=3, negatives=2)
+        train_cbow(as_encoded(sentences), vocab, config)
+        nonempty = [s for s in sentences if s]
+        order_rng = np.random.default_rng(config.seed + 1)
+        expected, clock = [], []  # the windows with context, and their stream positions
+        for epoch in range(config.epochs):
+            position = epoch * len(words)
+            for i in order_rng.permutation(len(nonempty)):
+                for center, context in iterate_windows(nonempty[i], config.window):
+                    if context:
+                        expected.append((center, context))
+                        clock.append(position)
+                    position += 1
+        assert got == expected
+        total = len(words) * config.epochs
+        assert lrs == cbow._window_schedule(config.lr, np.array(clock), total).tolist()
 
     @settings(deadline=None)
     @given(

@@ -777,6 +777,25 @@ class TestTrainingErrors:
         assert code == 1 and summary is None
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
+    def test_corpus_with_no_cbow_window_is_a_one_line_error(self, tmp_path, capsys):
+        # every line keeps one in-vocabulary token: no window has a context
+        corpus, labeled = str(tmp_path / "corpus.txt"), str(tmp_path / "labeled.tsv")
+        write_corpus(corpus, [["alpha"]] * 30 + [["beta"]] * 30)
+        write_lines(labeled, ["literal\talpha\talpha beta", "metaphor\tbeta\tbeta alpha"] * 5)
+        message = "error: no sentence has two in-vocabulary tokens: CBOW has no window\n"
+        out = tmp_path / "pipeline"
+        code, summary, err = run_cli(capsys, [
+            "pipeline", "--corpus", corpus, "--labeled", labeled, "--model", "cbow",
+            "--negatives", "1", "--folds", "2", "--out", str(out)])
+        assert (code, summary, err) == (1, None, message)
+        assert not out.exists()
+        out = tmp_path / "stages"
+        assert run_cli(capsys, ["vocab", "--corpus", corpus, "--out", str(out)])[0] == 0
+        code, summary, err = run_cli(capsys, [
+            "train-cbow", "--corpus", corpus, "--negatives", "1", "--out", str(out)])
+        assert (code, summary, err) == (1, None, message)
+        assert os.listdir(out) == [cli.VOCAB_FILE]
+
     def _train_cbow(self, trained_out, capsys, *flags):
         out = trained_out["out"]
         code, summary, err = run_cli(capsys, [

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from metlit import LITERAL, METAPHOR, corpus
 from metlit.corpus import (
     CorpusError,
-    Encoded,
     LabeledPhrase,
     Vocabulary,
     build_vocabulary,
@@ -261,14 +260,10 @@ class TestReadEncoded:
 
 
 class TestEncoded:
-    def test_iterates_and_takes_sentences(self):
+    def test_iterates_sentences_and_their_lengths(self):
         encoded = as_encoded([[4, 5], [], [6], [7, 8, 9]])
         assert [s.tolist() for s in encoded] == [[4, 5], [], [6], [7, 8, 9]]
         assert encoded.lengths().tolist() == [2, 0, 1, 3]
-        taken = encoded.take(np.array([3, 0, 2]))
-        assert isinstance(taken, Encoded)
-        assert [s.tolist() for s in taken] == [[7, 8, 9], [4, 5], [6]]
-        assert taken.tokens.dtype == encoded.tokens.dtype
 
 
 class TestLabeledPhrases:

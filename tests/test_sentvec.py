@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metlit import LITERAL, METAPHOR
+from metlit import LITERAL, METAPHOR, sentvec
 from metlit.corpus import LabeledPhrase
 from metlit.embeddings import EmbeddingMatrix
 from metlit.sentvec import (
@@ -9,6 +9,8 @@ from metlit.sentvec import (
     load_sentence_vectors,
     save_sentence_vectors,
 )
+
+from helpers import traced_peak
 
 
 @pytest.fixture
@@ -78,6 +80,48 @@ class TestAggregate:
                 stacked = np.stack([emb.vectors[i] for i in emb.ids(p.tokens)])
                 want = stacked.mean(axis=0) if mode == "mean" else stacked.sum(axis=0)
                 assert row.tobytes() == want.tobytes()
+
+
+def random_phrases(rng, words, n, longest):
+    """n phrases of 1 to `longest` words drawn from `words`, each with one
+    out-of-vocabulary token."""
+    return [phrase([words[j] for j in rng.integers(0, len(words), int(k))] + ["oov"])
+            for k in rng.integers(1, longest + 1, n)]
+
+
+class TestSlices:
+    @pytest.mark.parametrize("size", [sentvec.SLICE, 5])
+    def test_slices_give_the_bits_of_one_add_at(self, monkeypatch, size):
+        # phrases of 1 to 9 tokens put slice edges inside phrases and between them
+        rng = np.random.default_rng(size)
+        words = [f"w{i}" for i in range(30)]
+        scale = 10.0 ** rng.integers(-8, 8, (30, 1))
+        emb = EmbeddingMatrix(words, rng.normal(0, 1, (30, 4)) * scale)
+        phrases = random_phrases(rng, words, 800, 9)
+        ids = [emb.ids(p.tokens) for p in phrases]
+        assert sum(map(len, ids)) > 2 * sentvec.SLICE
+        values = np.full((len(phrases), 4), -0.0)
+        np.add.at(values, np.repeat(np.arange(len(phrases)), [len(row) for row in ids]),
+                  emb.vectors[[i for row in ids for i in row]])
+        monkeypatch.setattr(sentvec, "SLICE", size)
+        got, _ = embed_dataset(phrases, emb, "sum")
+        assert got.values.tobytes() == values.tobytes()
+
+    def test_working_memory_is_the_output_and_one_slice(self):
+        # 20k phrase tokens at D = 200: the whole gather would be 32 MB, one
+        # slice's is 1.6 MB. Beside the output, the sums of every phrase (as
+        # large again) are held with one slice's rows and the token ids.
+        rng = np.random.default_rng(7)
+        d = 200
+        words = [f"w{i}" for i in range(500)]
+        emb = EmbeddingMatrix(words, rng.normal(0, 1, (500, d)))
+        phrases = random_phrases(rng, words, 1000, 39)
+        (vectors, _), peak = traced_peak(embed_dataset, phrases, emb)
+        output = vectors.values.nbytes
+        one_slice = sentvec.SLICE * d * 8
+        assert sum(vectors.covered) > 12 * sentvec.SLICE
+        assert peak - output <= output + one_slice, \
+            f"{(peak - 2 * output) / one_slice:.2f} slices beside the output twice"
 
 
 class TestEmbedDataset:
