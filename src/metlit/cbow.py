@@ -56,7 +56,7 @@ class UnigramSampler:
     that holds no cumulative edge; only draws in the other buckets search.
     """
 
-    GUIDE = 1 << 16  # a power of two, so u * GUIDE and g / GUIDE are exact
+    GUIDE = 1 << 16  # a power of two, so u * GUIDE and cumulative * GUIDE are exact
 
     def __init__(self, freqs: np.ndarray):
         weights = np.asarray(freqs, dtype=np.float64) ** 0.75
@@ -65,7 +65,10 @@ class UnigramSampler:
             raise MetlitError("sampler needs at least one positive frequency")
         self._cumulative = np.cumsum(weights / total)
         self._cumulative[-1] = 1.0
-        first = np.searchsorted(self._cumulative, np.arange(self.GUIDE + 1) / self.GUIDE)
+        # searchsorted(cumulative, g / GUIDE) counts the w with edge[w] <= g, so
+        # word w fills edge[w] - edge[w - 1] of the GUIDE + 1 grid points
+        edge = (self._cumulative * self.GUIDE).astype(np.int32) + 1
+        first = np.repeat(np.arange(len(edge), dtype=np.int32), np.diff(edge, prepend=0))
         self._guide, self._search = first[:-1], first[:-1] != first[1:]
 
     @classmethod

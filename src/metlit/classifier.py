@@ -189,9 +189,10 @@ def _fit_forked(vectors, runs, lam, epochs, workers) -> list[tuple[SvmModel, int
         waiting = {pipe: w for w, (_, pipe) in enumerate(children)}
         while waiting:
             for pipe in select.select(list(waiting), [], [])[0]:
-                if not pipe.peek(1):  # it ended before sending: killed, say for memory
-                    raise MetlitError("an SVM fit's worker process died: it sent no fits")
-                sent = pickle.load(pipe)
+                try:  # it ended before its reply was whole: killed, say for memory
+                    sent = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    sent = MetlitError("an SVM fit's worker process died: it sent no fits")
                 if isinstance(sent, Exception):
                     raise sent
                 fits[-1 - waiting.pop(pipe)::-workers] = sent

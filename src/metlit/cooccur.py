@@ -36,6 +36,8 @@ def build_cooccurrence(
     pairs are counted CHUNK_PAIRS at a time, or as many as the running
     table has keys, so working memory follows the table, not the corpus.
     """
+    if weighting not in WEIGHTINGS:
+        raise MetlitError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     tokens, lengths = sentences.tokens, sentences.lengths()
     window = min(window, int(lengths.max(initial=1)) - 1)
     # position a pairs with the span[a] positions after it in its sentence, so

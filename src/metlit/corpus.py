@@ -18,6 +18,8 @@ from . import LABELS, MetlitError
 # Maximal runs of Unicode letters/digits (\w minus the underscore).
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
+SLICE = 1 << 16  # ids read_encoded counts, remaps and compacts at a time
+
 
 class CorpusError(MetlitError):
     """Raised on malformed corpus input (encoding, format, empty vocabulary)."""
@@ -99,18 +101,10 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self._ids
-
     def encode(self, tokens: Iterable[str]) -> list[int]:
         """Map tokens to ids, silently dropping out-of-vocabulary tokens."""
         ids = self._ids
         return [ids[t] for t in tokens if t in ids]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Vocabulary):
-            return NotImplemented
-        return self.words == other.words and self.freq == other.freq
 
 
 def vocabulary_from_counts(counts: Mapping[str, int], min_count: int = 1) -> Vocabulary:
@@ -160,11 +154,13 @@ def read_encoded(
     vocabulary of its tokens counted min_count times or more.
 
     One pass gives each distinct token a provisional id on first sight and
-    keeps only those ids (int32); one remap array takes them to the
-    vocabulary's ids, dropping out-of-vocabulary tokens and the sentences
-    (lines) left empty. The result takes 4 bytes a token; working memory
-    peaks at about 12, in np.bincount's intp copy of the ids, plus the
-    distinct words.
+    keeps only those ids, in an array('i'). SLICE ids at a time, they are
+    counted, then taken to the vocabulary's ids by one remap array and
+    written back at a running cursor without the out-of-vocabulary tokens;
+    the sentences (lines) left empty are dropped. The array, cut to the
+    kept ids, becomes the tokens: 4 bytes a token. Working memory peaks at
+    about 11 bytes a token on a corpus of 1M tokens and 20k distinct words,
+    most of it the array and the distinct words.
     """
     first: dict[str, int] = {}
     buffer, ends = array("i"), array("q")
@@ -173,20 +169,29 @@ def read_encoded(
         ends.append(len(buffer))
     if not buffer:
         raise CorpusError(f"corpus is empty: {path}")
-    ids = np.frombuffer(buffer, np.int32)
+    read, ids = len(buffer), np.frombuffer(buffer, np.int32)
     if vocab is None:
-        counts = np.bincount(ids, minlength=len(first)).tolist()
-        vocab = vocabulary_from_counts(dict(zip(first, counts)), min_count)
+        counts = np.zeros(len(first), np.int64)
+        for a in range(0, read, SLICE):
+            counts += np.bincount(ids[a:a + SLICE], minlength=len(first))
+        vocab = vocabulary_from_counts(dict(zip(first, counts.tolist())), min_count)
     remap = np.array([vocab._ids.get(w, -1) for w in first], np.int32)
-    tokens = remap[ids]
-    del first, ids, buffer
-    dropped = np.flatnonzero(tokens < 0)
-    ends = np.frombuffer(ends, np.int64)
-    stops = ends - np.searchsorted(dropped, ends)
-    if not stops[-1]:
+    del first
+    # each sentence end moves back by the tokens dropped before it
+    stops, kept, e0 = np.frombuffer(ends, np.int64), 0, 0
+    for a in range(0, read, SLICE):
+        part = remap[ids[a:a + SLICE]]
+        dropped = np.flatnonzero(part < 0)
+        e1 = e0 + np.searchsorted(stops[e0:], a + len(part), "right")
+        stops[e0:e1] -= a - kept + np.searchsorted(dropped, stops[e0:e1] - a)
+        part = part[part >= 0]
+        ids[kept:kept + len(part)] = part
+        kept, e0 = kept + len(part), e1
+    if not kept:
         raise CorpusError(f"{path}: no token is in the vocabulary of {len(vocab)} words")
+    del ids, part, buffer[kept:]  # the views first: an array with a view cannot shrink
     offsets = np.concatenate([[0], stops[np.diff(stops, prepend=0) > 0]])
-    return vocab, Encoded(np.delete(tokens, dropped), offsets, len(tokens))
+    return vocab, Encoded(np.frombuffer(buffer, np.int32), offsets, read)
 
 
 def save_vocabulary(vocab: Vocabulary, path: str) -> None:

@@ -29,9 +29,6 @@ class EmbeddingMatrix:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self._ids
-
     def ids(self, tokens) -> list[int]:
         """Row ids of the in-vocabulary tokens, in order; the rest are skipped."""
         return [self._ids[t] for t in tokens if t in self._ids]

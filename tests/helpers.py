@@ -67,12 +67,10 @@ def mean_cosine(emb, group_a, group_b):
 
     With group_a == group_b, averages distinct unordered pairs (intra-group).
     """
-    def unit(w):
-        v = emb.vectors[emb.ids([w])[0]]
-        return v / np.linalg.norm(v)
+    def units(group):
+        return [v / np.linalg.norm(v) for v in emb.vectors[emb.ids(group)]]
 
-    ua = [unit(w) for w in group_a if w in emb]
-    ub = [unit(w) for w in group_b if w in emb]
+    ua, ub = units(group_a), units(group_b)
     sims = []
     same = group_a is group_b or group_a == group_b
     for i, va in enumerate(ua):

@@ -184,6 +184,21 @@ class TestNegativeSampling:
         got = sampler.draw(PlannedUniforms(u), len(u))
         assert np.array_equal(got, np.searchsorted(cumulative, u, side="right"))
 
+    @settings(deadline=None)
+    @given(freqs=st.lists(st.integers(0, 10**6), min_size=1, max_size=3000)
+           .filter(lambda f: sum(f) > 0))
+    @example(freqs=[7])
+    @example(freqs=[0, 0, 3, 0, 1, 0])
+    @example(freqs=[1, 1, 1, 1])  # cumulative edges on bucket edges
+    def test_guide_equals_searchsorted_over_the_buckets(self, freqs):
+        # zero-frequency words fill no bucket of their own; one word fills all
+        sampler = UnigramSampler(np.array(freqs, dtype=float))
+        grid = np.arange(sampler.GUIDE + 1) / sampler.GUIDE
+        first = np.searchsorted(sampler._cumulative, grid)
+        assert sampler._guide.dtype == np.int32
+        assert np.array_equal(sampler._guide, first[:-1])
+        assert np.array_equal(sampler._search, first[:-1] != first[1:])
+
     def test_sampler_follows_three_quarter_power_law(self):
         freqs = np.array([81.0, 16.0, 1.0])
         sampler = UnigramSampler(freqs)

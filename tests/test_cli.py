@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import pickle
 import signal
 import statistics
 import subprocess
@@ -399,6 +400,7 @@ class TestParallelCv:
     @pytest.mark.parametrize("failure, message", [
         ("raise", "error: fold 2 failed in a worker\n"),
         ("kill", "error: an SVM fit's worker process died: "),
+        ("truncate", "error: an SVM fit's worker process died: "),
     ])
     def test_failing_worker_is_one_error_line_and_leaves_no_child(
         self, out, capsys, monkeypatch, failure, message
@@ -409,10 +411,19 @@ class TestParallelCv:
             if os.getpid() != parent and seed == 2:
                 if failure == "kill":
                     os.kill(os.getpid(), signal.SIGKILL)
-                raise MetlitError("fold 2 failed in a worker")
+                if failure == "raise":
+                    raise MetlitError("fold 2 failed in a worker")
             return real_fit(vectors, rows, seed, lam, epochs)
 
+        def dump(sent, pipe):  # a worker that ends halfway through its reply
+            reply = pickle.dumps(sent)
+            pipe.write(reply[:len(reply) // 2])
+            pipe.flush()
+            os._exit(0)
+
         monkeypatch.setattr(classifier, "_fit", fit)
+        if failure == "truncate":
+            monkeypatch.setattr(classifier.pickle, "dump", dump)
         self.fork_every_fit(monkeypatch)
         code, summary, err, files = self.cv(capsys, out)
         assert code == 1 and summary is None and files == {}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from metlit import cooccur
+from metlit import MetlitError, cooccur
 from metlit.cooccur import (
     RECORD,
     WEIGHTINGS,
@@ -75,6 +75,12 @@ class TestBuildCooccurrence:
         assert table[(0, 1)] == 1.0
         assert table[(1, 0)] == 1.0
         assert len(table) == 2
+
+    def test_unknown_weighting_is_an_error_naming_the_weightings(self):
+        with pytest.raises(MetlitError) as exc:
+            build_cooccurrence(as_encoded([[0, 1]]), window=10, weighting="inverse")
+        assert str(exc.value) == ("weighting must be one of ('flat', 'inverse_distance'), "
+                                  "got 'inverse'")
 
     def test_distance_beyond_window_excluded(self):
         table = entries(build_cooccurrence(as_encoded([[0, 1, 0]]), window=1, weighting="flat"))

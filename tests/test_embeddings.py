@@ -24,7 +24,7 @@ class TestEmbeddingMatrix:
     def test_row_lookup_and_contains(self):
         emb = EmbeddingMatrix(["x", "y"], np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert np.array_equal(emb.vectors[emb.ids(["y"])], [[3.0, 4.0]])
-        assert "x" in emb and "z" not in emb
+        assert emb.ids(["z", "x"]) == [0]
         assert emb.dim == 2
 
     def test_unknown_words_skipped_in_order(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metlit import LITERAL, METAPHOR, sentvec
+from metlit import LITERAL, METAPHOR, MetlitError, sentvec
 from metlit.corpus import LabeledPhrase
 from metlit.embeddings import EmbeddingMatrix
 from metlit.sentvec import (
@@ -128,6 +128,11 @@ class TestEmbedDataset:
     def test_empty_list_is_an_error(self, emb):
         with pytest.raises(ValueError):
             embed_dataset([], emb)
+
+    def test_unknown_mode_is_an_error_naming_the_modes(self, emb):
+        with pytest.raises(MetlitError) as exc:
+            embed_dataset([phrase(["a"])], emb, "median")
+        assert str(exc.value) == "mode must be one of ('mean', 'sum'), got 'median'"
 
     def test_all_uncoverable_is_an_error(self, emb):
         with pytest.raises(ValueError):
