@@ -1,5 +1,5 @@
 """Dense word embedding matrix with the shared text file format, and the
-minibatch scatter plan both trainers update their rows by."""
+minibatch scatter plan CBOW updates its rows by."""
 
 from __future__ import annotations
 

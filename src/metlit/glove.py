@@ -18,10 +18,10 @@ import numpy as np
 
 from . import MetlitError
 from .corpus import Vocabulary
-from .embeddings import EmbeddingMatrix, batch_plan
+from .embeddings import EmbeddingMatrix
 
 BATCH = 32            # records per AdaGrad step
-CHUNK_RECORDS = 1024  # records planned at a time
+CHUNK_RECORDS = 1024  # records weighted at a time
 
 
 @dataclass
@@ -84,27 +84,43 @@ def _train_chunk(params, acc, pairs, weight, log_x, lr):
     """AdaGrad steps over a chunk of records, BATCH at a time, rows
     pairs[r] = (i, V + j) of `params`; returns the sum of their losses,
     each at its batch's pre-step parameters."""
-    d = params.shape[1] - 1
-    # batch k updates the rows ids = touched[starts[k]:starts[k + 1]], and its
-    # cells[r, c] are the d + 1 cells of row pairs[r, c] in the flat (ids, d + 1) sums
-    touched, starts, slot = batch_plan(pairs, len(params), BATCH)
-    residual = np.empty(len(pairs))
-    for k, a in enumerate(range(0, len(pairs), BATCH)):
-        s, ids = slice(a, a + BATCH), touched[starts[k]:starts[k + 1]]
-        cells = slot[s, :, None] * (d + 1) + np.arange(d + 1)
-        q = params.take(pairs[s], axis=0)
+    n, d = len(pairs), params.shape[1] - 1
+    # slot 2 * r + c of a batch holds row pairs[r, c]; dup[e] is a slot whose row
+    # the batch's earlier slot first[e] holds, and batch k's are bounds[k]:bounds[k + 1]
+    keys = (np.arange(n) // BATCH * len(params))[:, None] + pairs
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    dup = np.flatnonzero(first[inverse] != np.arange(2 * n))
+    bounds = np.searchsorted(dup, np.arange(0, n + BATCH, BATCH) * 2)
+    first, dup = first[inverse[dup]] % (2 * BATCH), dup % (2 * BATCH)
+    residual = np.empty(n)
+    grads = np.empty((2, 2 * BATCH, d + 1))  # the slots' gradients over their squares
+    root = np.empty((BATCH, 2, d + 1))
+    for k, a in enumerate(range(0, n, BATCH)):
+        s, rows = slice(a, a + BATCH), pairs[a:a + BATCH]
+        q, qa = params.take(rows, axis=0), acc.take(rows, axis=0)
         main, context = q[:, 0], q[:, 1]
         residual[s] = (np.einsum("nd,nd->n", main[:, :d], context[:, :d])
                        + main[:, d] + context[:, d] - log_x[s])
         # row i's gradient is common * [w~_j | 1], row V + j's is common * [w_i | 1]
-        grad = q[:, ::-1].copy()
-        grad[:, :, d] = 1.0
-        grad *= (2.0 * weight[s] * residual[s])[:, None, None]
-        # a row repeated in the batch adds its gradients and squared gradients
-        g, sq = (np.bincount(cells.ravel(), v.ravel(), ids.size * (d + 1)).reshape(-1, d + 1)
-                 for v in (grad, grad * grad))
-        params[ids] -= lr * g / np.sqrt(acc[ids])
-        acc[ids] += sq
+        slots = grads[:, :2 * len(rows)]
+        g, sq = slots.reshape(2, len(rows), 2, d + 1)
+        g[...] = q[:, ::-1]
+        g[:, :, d] = 1.0
+        g *= (2.0 * weight[s] * residual[s])[:, None, None]
+        np.multiply(g, g, out=sq)
+        # a row repeated in the batch adds its gradients and squared gradients in
+        # slot order, into its first slot, and every copy of the row takes the sums
+        into, add = first[bounds[k]:bounds[k + 1]], dup[bounds[k]:bounds[k + 1]]
+        if add.size:
+            np.add.at(slots, (slice(None), into), slots[:, add])
+            slots[:, add] = slots[:, into]
+        # copies of a row get the same update, so they write the same values
+        g *= lr
+        g /= np.sqrt(qa, out=root[:len(rows)])
+        q -= g
+        qa += sq
+        params[rows] = q
+        acc[rows] = qa
     return float(weight @ (residual * residual))
 
 
@@ -120,9 +136,9 @@ def train_glove(
     place with one seeded rng and visits them in order, BATCH at a time,
     taking each record's loss and gradient at its batch's pre-step
     parameters: a batch of one is the per-record AdaGrad loop. A slice of
-    CHUNK_RECORDS records is weighted and planned (batch_plan) at once. The
-    loss per epoch is the sum of those losses. Divergence is surfaced:
-    non-finite parameters or a non-finite loss raise, never clipped.
+    CHUNK_RECORDS records is weighted, and its batches' repeated rows found,
+    at once. The loss per epoch is the sum of those losses. Divergence is
+    surfaced: non-finite parameters or a non-finite loss raise, never clipped.
     """
     if not len(table):
         raise MetlitError("empty co-occurrence table")

@@ -9,7 +9,7 @@ from metlit import LABELS, LITERAL, METAPHOR, MetlitError, cbow
 from metlit.cbow import LR_FLOOR_FRACTION, UnigramSampler, context_mean, loss_exact, negative_loss
 from metlit.classifier import FoldMetrics, SvmModel
 from metlit.corpus import Encoded
-from metlit.embeddings import EmbeddingMatrix
+from metlit.embeddings import EmbeddingMatrix, batch_plan
 from metlit.glove import WeightParams, init_params, pair_gradients
 from metlit.sentvec import SentenceVectors
 from metlit.stats import DegenerateSampleError, SampleSizeError, _welch_columns
@@ -403,6 +403,34 @@ def reference_train_glove(table, vocab, config):
             raise MetlitError(f"non-finite loss in epoch {epoch}")
         epoch_losses.append(epoch_loss)
     return EmbeddingMatrix(list(vocab.words), params[:v, :-1] + params[v:, :-1]), epoch_losses
+
+
+def reference_glove_chunk(params, acc, pairs, weight, log_x, lr, batch):
+    """The GloVe chunk step as a scatter plan: the oracle, bit for bit, for
+    glove._train_chunk at the same batch size.
+
+    Each batch's distinct rows come from embeddings.batch_plan, and
+    np.bincount sums the gradients and squared gradients of a row repeated
+    in the batch, in slot order; returns the chunk's summed loss.
+    """
+    d = params.shape[1] - 1
+    touched, starts, slot = batch_plan(pairs, len(params), batch)
+    residual = np.empty(len(pairs))
+    for k, a in enumerate(range(0, len(pairs), batch)):
+        s, ids = slice(a, a + batch), touched[starts[k]:starts[k + 1]]
+        cells = slot[s, :, None] * (d + 1) + np.arange(d + 1)
+        q = params.take(pairs[s], axis=0)
+        main, context = q[:, 0], q[:, 1]
+        residual[s] = (np.einsum("nd,nd->n", main[:, :d], context[:, :d])
+                       + main[:, d] + context[:, d] - log_x[s])
+        grad = q[:, ::-1].copy()
+        grad[:, :, d] = 1.0
+        grad *= (2.0 * weight[s] * residual[s])[:, None, None]
+        g, sq = (np.bincount(cells.ravel(), v.ravel(), ids.size * (d + 1)).reshape(-1, d + 1)
+                 for v in (grad, grad * grad))
+        params[ids] -= lr * g / np.sqrt(acc[ids])
+        acc[ids] += sq
+    return float(weight @ (residual * residual))
 
 
 def as_encoded(sentences):

@@ -22,6 +22,7 @@ from helpers import (
     max_relerr,
     mean_cosine,
     numeric_grad,
+    reference_glove_chunk,
     reference_train_glove,
     traced_peak,
     two_topic_corpus,
@@ -315,9 +316,10 @@ class TestBatchedKernel:
         v, d, lr = 3, 4, 0.1
         params = rng.normal(0, 0.5, (2 * v, d + 1))
         acc = rng.uniform(1.0, 2.0, (2 * v, d + 1))
-        # records (0, 1) and (0, 2) share main row 0; (1, 1) has i == j and
-        # shares context row 1 with (0, 1)
-        records = [(0, 1, 3.0), (0, 2, 20.0), (1, 1, 150.0)]
+        # records (0, 1), (0, 2) and (0, 0) share main row 0, so a second
+        # gradient adds onto a sum; (1, 1) has i == j and shares context row 1
+        # with (0, 1)
+        records = [(0, 1, 3.0), (0, 2, 20.0), (1, 1, 150.0), (0, 0, 7.0)]
         expected_p, expected_a = params.copy(), acc.copy()
         grads = {}
         expected_loss = 0.0
@@ -329,7 +331,7 @@ class TestBatchedKernel:
             common = 2.0 * f * residual
             grads.setdefault(i, []).append(common * np.append(context[:d], 1.0))
             grads.setdefault(v + j, []).append(common * np.append(main[:d], 1.0))
-        assert [len(grads[r]) for r in (0, v + 1)] == [2, 2]
+        assert [len(grads[r]) for r in (0, v + 1)] == [3, 2]
         for r, gs in grads.items():
             expected_p[r] -= lr * sum(gs) / np.sqrt(acc[r])
             expected_a[r] += sum(g * g for g in gs)
@@ -340,3 +342,56 @@ class TestBatchedKernel:
         assert loss == pytest.approx(expected_loss, rel=1e-12)
         assert np.allclose(params, expected_p, rtol=0, atol=1e-14)
         assert np.allclose(acc, expected_a, rtol=0, atol=1e-14)
+
+
+class TestSlotOrderStep:
+    """glove._train_chunk against the scatter-plan step it replaced, bit for bit."""
+
+    @staticmethod
+    def _both(monkeypatch, batch, v, d, chunks, seed=5):
+        """Both steps over the chunks twice, from the same start; returns
+        the bytes of their parameters and accumulators, and their losses."""
+        monkeypatch.setattr(glove, "BATCH", batch or max(len(pairs) for pairs, _ in chunks))
+        ends = []
+        for step in (glove._train_chunk,
+                     lambda *args: reference_glove_chunk(*args, glove.BATCH)):
+            params, acc = init_params(v, d, seed)
+            acc += np.random.default_rng(seed).uniform(0.0, 3.0, acc.shape)
+            losses = [step(params, acc, pairs, weights(x), np.log(x), 0.1)
+                      for pairs, x in chunks * 2]
+            ends.append((params.tobytes(), acc.tobytes(), losses))
+        return ends
+
+    @pytest.mark.parametrize("batch", [32, 1, None])
+    def test_chunks_of_a_real_table(self, monkeypatch, batch):
+        # 30k Zipf tokens over 300 ids: frequent words repeat within a batch
+        sentences = zipf_sentences(np.random.default_rng(3), 30_000, 300)
+        table = build_cooccurrence(as_encoded(sentences), window=10)
+        np.random.default_rng(4).shuffle(table)
+        v, chunk = 300, glove.CHUNK_RECORDS
+        chunks = []
+        for a in range(0, 3 * chunk + 77, chunk):  # the last chunk is short
+            part = table[a:min(a + chunk, 3 * chunk + 77)]
+            chunks.append((np.column_stack([part["i"], part["j"] + v]).astype(np.intp),
+                           part["x"]))
+        assert len(chunks[-1][0]) == 77
+        ours, theirs = self._both(monkeypatch, batch, v, 8, chunks)
+        assert ours == theirs
+
+    @pytest.mark.parametrize("batch", [32, 1, None])
+    def test_rows_repeated_two_three_and_five_times(self, monkeypatch, batch):
+        # a 32-record batch where main rows 0, 1, 2 and context rows V + 3,
+        # V + 4, V + 5 occur 2, 3 and 5 times each, then a short batch of 7
+        # records with rows repeated 2 and 3 times
+        rng = np.random.default_rng(9)
+        v = 40
+        main = np.r_[[0] * 2, [1] * 3, [2] * 5, np.arange(10, 32)]
+        context = np.r_[[3] * 2, [4] * 3, [5] * 5, np.arange(12, 34)]
+        tail_main, tail_context = np.r_[[6] * 2, [7] * 3, 8, 9], np.r_[[3] * 3, [6] * 2, 1, 2]
+        pairs = np.column_stack([np.r_[rng.permutation(main), rng.permutation(tail_main)],
+                                 np.r_[rng.permutation(context), rng.permutation(tail_context)]
+                                 + v]).astype(np.intp)
+        assert len(pairs) == 39
+        x = rng.uniform(0.5, 150.0, len(pairs))
+        ours, theirs = self._both(monkeypatch, batch, v, 6, [(pairs, x)])
+        assert ours == theirs
