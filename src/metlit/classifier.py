@@ -12,8 +12,6 @@ runs it once per fold and once more for the full-data model.
 from __future__ import annotations
 
 import math
-import os
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,19 +61,17 @@ class EvalReport:
     fits: int = 0                  # folds plus the full-data fit
     pegasos_steps: int = 0         # summed over every fit
     margin_violations: int = 0     # steps that updated the weights, over every fit
-    workers: int = 1               # processes the fits ran in, 1 when in-process
 
 
 # Rows of an epoch whose margins one product gives at once.
 BLOCK = 128
-# Fewer Pegasos steps than this are fitted in-process (break-even in CHANGES.md).
-PARALLEL_STEPS = 500_000
 
 
 def _fit(vectors: SentenceVectors, rows: np.ndarray, seed: int, lam: float,
-         epochs: int) -> tuple[SvmModel, int]:
+         epochs: int, z: np.ndarray, work: np.ndarray) -> tuple[SvmModel, int]:
     """One Pegasos fit over `vectors[rows]`, and how many of its steps updated it.
 
+    It works in z[:n] and work, which hold n and BLOCK rows of D + 1 floats.
     Per step t this is the per-sample loop: with eta = 1/(lam*t), decay w by
     1 - eta*lam, add eta*y*z if y*(z.w) < 1, project onto the ball
     ||w|| <= 1/sqrt(lam), and average the iterates of the second half of
@@ -89,15 +85,24 @@ def _fit(vectors: SentenceVectors, rows: np.ndarray, seed: int, lam: float,
     change d of v at row e adds tail[e]*d, where tail[e] sums 1/(lam*t) over
     the block's averaged steps from row e on.
     """
-    x = vectors.values[rows]  # contiguous, so its statistics are the reference's
-    n, dim = x.shape
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
+    n, dim = len(rows), vectors.values.shape[1]
+    z, x = z[:n], z[:n, :dim]
+
+    def gather():
+        for a in range(0, n, BLOCK):
+            x[a:a + BLOCK] = vectors.values[rows[a:a + BLOCK]]
+
+    # x.mean(0) and x.std(0) in place: a reduction over this strided x sums
+    # as over a contiguous copy (row after row, or pairwise when dim is 1)
+    gather()
+    mean = x.sum(axis=0) / n
+    x -= mean
+    x *= x
+    std = np.sqrt(x.sum(axis=0) / n)
     std[std == 0] = 1.0  # zero-variance dimensions pass through
-    z = np.empty((n, dim + 1))
-    np.subtract(x, mean, out=z[:, :dim])
-    del x
-    z[:, :dim] /= std
+    gather()
+    x -= mean
+    x /= std
     z[:, dim] = 1.0
     z *= np.where(vectors.metaphor[rows], 1.0, -1.0)[:, None]
 
@@ -110,7 +115,8 @@ def _fit(vectors: SentenceVectors, rows: np.ndarray, seed: int, lam: float,
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, BLOCK):
-            block = z[order[start:start + BLOCK]]
+            pick = order[start:start + BLOCK]
+            block = np.take(z, pick, axis=0, out=work[:len(pick)], mode="clip")
             steps = np.arange(done + 1, done + len(block) + 1)
             limit = lam * (steps - 1.0)
             if done == 0:
@@ -162,65 +168,25 @@ def lambda_range(n: int, dim: int, epochs: int) -> tuple[float, float]:
     return max(low, tiny), 1.0 / (tiny * steps)
 
 
-def _fit_forked(vectors, runs, lam, epochs, workers) -> list[tuple[SvmModel, int]]:
-    """Every run's `_fit`, in run order, from `workers` forked processes; worker
-    w fits runs[-1 - w::-workers] and pickles them, or its exception, back over
-    its own pipe. The caller reads the pipes as they become ready, so the first
-    failure comes back at once; it fits nothing, and kills and reaps every worker."""
-    # imported on use, as no other command needs them: signal alone holds 35 KB
-    import select
-    import signal
-    fits, children = [None] * len(runs), []  # children: (pid, read end of its pipe)
-    try:
-        for w in range(workers):
-            read, write = os.pipe()
-            if not (pid := os.fork()):  # a worker ends in os._exit, never in the caller's code
-                try:
-                    try:
-                        sent = [_fit(vectors, *r, lam, epochs) for r in runs[-1 - w::-workers]]
-                    except Exception as exc:
-                        sent = exc
-                    with open(write, "wb") as pipe:
-                        pickle.dump(sent, pipe)
-                finally:
-                    os._exit(0)
-            os.close(write)
-            children.append((pid, open(read, "rb")))
-        waiting = {pipe: w for w, (_, pipe) in enumerate(children)}
-        while waiting:
-            for pipe in select.select(list(waiting), [], [])[0]:
-                try:  # it ended before its reply was whole: killed, say for memory
-                    sent = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    sent = MetlitError("an SVM fit's worker process died: it sent no fits")
-                if isinstance(sent, Exception):
-                    raise sent
-                fits[-1 - waiting.pop(pipe)::-workers] = sent
-        return fits
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def _pegasos(vectors: SentenceVectors, runs: list[tuple[np.ndarray, int]], lam: float,
-             epochs: int, workers: int = 1) -> list[tuple[SvmModel, int]]:
-    """Fit one model per (training rows, seed) run, each by one `_fit`, and
-    count the steps that updated it.
+             epochs: int) -> list[tuple[SvmModel, int]]:
+    """Fit one model per (training rows, seed) run, each by one `_fit`, one
+    after another, and count the steps that updated it.
 
-    The runs of cross_validate are the folds, then the full data. They run
-    in `workers` processes, and the fits are the same for any count.
+    The runs of cross_validate are the folds, then the full data. The fits
+    share one standardized buffer, as long as the longest run.
     """
-    bounds = [lambda_range(len(rows), vectors.values.shape[1], epochs) for rows, _ in runs]
+    dim = vectors.values.shape[1]
+    bounds = [lambda_range(len(rows), dim, epochs) for rows, _ in runs]
     low, high = max(b[0] for b in bounds), min(b[1] for b in bounds)
     if not low <= lam <= high:
         raise MetlitError(
             f"--svm-lambda must lie in [{low:.3g}, {high:.3g}] for {epochs} epochs "
             f"over {len(vectors)} vectors, got {lam!r}"
         )
-    fits = (_fit_forked(vectors, runs, lam, epochs, workers) if workers > 1
-            else [_fit(vectors, rows, seed, lam, epochs) for rows, seed in runs])
+    z = np.empty((max(len(rows) for rows, _ in runs), dim + 1))
+    work = np.empty((BLOCK, dim + 1))
+    fits = [_fit(vectors, rows, seed, lam, epochs, z, work) for rows, seed in runs]
     for i, (model, _) in enumerate(fits):
         if not (np.isfinite(model.weights).all() and math.isfinite(model.bias)):
             run = f"fold {i}" if i < len(fits) - 1 else "the full-data fit"
@@ -275,7 +241,7 @@ def kfold_split(labels, k: int, seed: int = 0) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
     fold_of = np.empty(len(labels), dtype=np.intp)
     offset = 0
-    for cls in np.unique(labels):
+    for cls in sorted(set(labels.tolist())):  # np.unique would import numpy.ma
         members = np.flatnonzero(labels == cls)
         base, extra = divmod(len(members), k)
         sizes = base + ((np.arange(k) - offset) % k < extra)  # extras from fold `offset` on
@@ -307,23 +273,20 @@ def cross_validate(
     Folds are stratified so near-balanced data cannot produce a
     single-class training split, and every fold is checked before any
     training. Fold f trains with seed + f, and the reference model on the
-    full dataset (seed) comes back as `report.model`; from PARALLEL_STEPS
-    steps the fits share the CPUs the process may use (`report.workers`).
+    full dataset (seed) comes back as `report.model`.
     Mean precision averages only the folds where precision is defined.
     """
     folds = kfold_split(vectors.metaphor, k, seed=seed)
     everything = np.arange(len(vectors))
     runs = []
     for f, fold in enumerate(folds):
-        train = np.setdiff1d(everything, fold)
+        train = np.delete(everything, fold)  # np.setdiff1d would import numpy.ma
         if vectors.metaphor[train].all() or not vectors.metaphor[train].any():
             raise FoldError(f"fold {f}: training split lost a class")
         runs.append((train, seed + f))
     runs.append((everything, seed))
     steps = epochs * sum(len(train) for train, _ in runs)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = 1 if steps < PARALLEL_STEPS or not hasattr(os, "fork") else min(cpus, len(runs))
-    fits = _pegasos(vectors, runs, lam, epochs, workers)
+    fits = _pegasos(vectors, runs, lam, epochs)
     per_fold = [evaluate_fold(m, vectors[fold]) for (m, _), fold in zip(fits, folds)]
     mean_accuracy = sum(m.accuracy for m in per_fold) / len(per_fold)
     defined = [m.precision for m in per_fold if m.precision is not None]
@@ -331,7 +294,7 @@ def cross_validate(
     return EvalReport(
         per_fold=per_fold, mean_accuracy=mean_accuracy, mean_precision=mean_precision,
         model=fits[-1][0], fits=len(runs), pegasos_steps=steps,
-        margin_violations=sum(updates for _, updates in fits), workers=workers,
+        margin_violations=sum(updates for _, updates in fits),
     )
 
 

@@ -201,7 +201,6 @@ def cv_stage(args, vectors: sentvec.SentenceVectors) -> tuple[classifier.EvalRep
         "fits": report.fits,
         "pegasos_steps": report.pegasos_steps,
         "margin_violations": report.margin_violations,
-        "workers": report.workers,
         "report": report_path,
         "model": model_path,
     }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,7 @@ def load_sentence_vectors(path: str) -> SentenceVectors:
     0 <= covered <= total, and finite values, as many as the first row.
     Errors name the path and line.
     """
-    rows: list[np.ndarray] = []
+    rows = array("d")  # every row's values, one row after another
     metaphor: list[bool] = []
     counts: list[tuple[int, int]] = []
     for where, line in read_lines(path):
@@ -116,10 +117,12 @@ def load_sentence_vectors(path: str) -> SentenceVectors:
         if not (covered.isdecimal() and total.isdecimal()
                 and parse_count(covered, where) <= parse_count(total, where)):
             raise MetlitError(f"{where}: coverage must be covered/total, got {cover!r}")
-        rows.append(parse_floats(parts[2:], where, len(rows[0]) if rows else None))
+        dim = len(rows) // len(metaphor) if metaphor else None
+        rows.frombytes(parse_floats(parts[2:], where, dim).tobytes())
         metaphor.append(label == METAPHOR)
         counts.append((int(covered), int(total)))
-    if not rows:
+    if not metaphor:
         raise MetlitError(f"{path}: empty sentence-vector file")
     covered, total = np.array(counts).T
-    return SentenceVectors(np.array(rows), np.array(metaphor), covered, total)
+    values = np.frombuffer(rows).reshape(len(metaphor), -1)
+    return SentenceVectors(values, np.array(metaphor), covered, total)

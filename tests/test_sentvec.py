@@ -10,7 +10,7 @@ from metlit.sentvec import (
     save_sentence_vectors,
 )
 
-from helpers import traced_peak
+from helpers import make_blobs, traced_peak
 
 
 @pytest.fixture
@@ -174,6 +174,17 @@ class TestTextFormat:
         assert np.array_equal(loaded.covered, vectors.covered)
         assert np.array_equal(loaded.total, vectors.total)
         assert np.array_equal(loaded.values, vectors.values)
+
+    def test_load_working_memory_is_about_the_values(self, tmp_path):
+        # 914 rows of 200, as the benchmark's vectors: the rows go into one
+        # growing buffer, which the loaded values then view, with no copy
+        data = make_blobs(np.random.default_rng(3), n_per_class=457, dim=200, separation=1.0)
+        path = str(tmp_path / "sv.txt")
+        save_sentence_vectors(data, path)
+        loaded, peak = traced_peak(load_sentence_vectors, path)
+        assert np.array_equal(loaded.values, data.values)
+        assert peak < 1.25 * loaded.values.nbytes, \
+            f"{peak / loaded.values.nbytes:.2f} times the values"
 
     def test_line_shape(self, tmp_path, emb):
         vectors, _ = embed_dataset([phrase(["a", "qq"])], emb)
