@@ -304,6 +304,16 @@ class TestCrossValidate:
         assert r1.mean_accuracy == r2.mean_accuracy
         assert [m.accuracy for m in r1.per_fold] == [m.accuracy for m in r2.per_fold]
 
+    @pytest.mark.parametrize("k, epochs", [(2, 2), (3, 1), (4, 3), (6, 0)])
+    def test_counts_one_fit_per_fold_and_the_full_data(self, k, epochs):
+        # the folds' training rows cover the data k - 1 times, the full fit once
+        data = make_blobs(np.random.default_rng(6), n_per_class=6, dim=2, separation=3.0)
+        report = cross_validate(data, k=k, lam=1e-2, epochs=epochs, seed=1)
+        assert report.fits == k + 1 and len(report.per_fold) == k
+        assert report.pegasos_steps == epochs * k * len(data)
+        assert 0 <= report.margin_violations <= report.pegasos_steps
+        assert (report.margin_violations > 0) == (epochs > 0)
+
 
 def assert_matches_reference(model, ref, rel=1e-12):
     scale = max(float(np.abs(ref.weights).max()), abs(ref.bias))
@@ -403,6 +413,41 @@ class TestSharedBuffer:
         buffer = len(data) * (data.values.shape[1] + 1) * 8
         assert report.fits == 11
         assert peak < 1.4 * buffer, f"{peak / buffer:.2f} standardized buffers"
+
+    @pytest.mark.parametrize("order", ["folds-then-full", "full-then-folds", "reversed"])
+    def test_fits_in_one_buffer_equal_each_fit_alone(self, blobs_914, order):
+        # whatever an earlier fit left in the buffer, a fit sees only its rows
+        _, runs = fold_runs(blobs_914, 10, seed=3)
+        if order == "full-then-folds":
+            runs = runs[-1:] + runs[:-1]
+        elif order == "reversed":
+            runs = runs[::-1]
+        shared = classifier._pegasos(blobs_914, runs, 1e-3, 2)
+        assert len(shared) == len(runs) == 11
+        for (model, updates), run in zip(shared, runs):
+            [(alone, alone_updates)] = classifier._pegasos(blobs_914, [run], 1e-3, 2)
+            assert updates == alone_updates
+            assert model.weights.tobytes() == alone.weights.tobytes()
+            assert model.bias == alone.bias
+            assert model.scale_mean.tobytes() == alone.scale_mean.tobytes()
+            assert model.scale_std.tobytes() == alone.scale_std.tobytes()
+
+    @pytest.mark.parametrize("fail", [0, 2, 4], ids=["first-fold", "third-fold", "full-data"])
+    def test_failing_fit_raises_itself_and_fits_no_later_run(self, monkeypatch, fail):
+        # 4 folds, then the full data: the fit of run `fail` raises
+        data = make_blobs(np.random.default_rng(6), n_per_class=6, dim=2, separation=3.0)
+        real_fit, fitted = classifier._fit, []
+
+        def fit(vectors, rows, seed, lam, epochs, *buffers):
+            if len(fitted) == fail:
+                raise ZeroDivisionError(f"run {fail}")
+            fitted.append(seed)
+            return real_fit(vectors, rows, seed, lam, epochs, *buffers)
+
+        monkeypatch.setattr(classifier, "_fit", fit)
+        with pytest.raises(ZeroDivisionError, match=f"run {fail}"):
+            cross_validate(data, k=4, lam=1e-2, epochs=2, seed=1)
+        assert fitted == [1, 2, 3, 4][:fail]
 
 
 @st.composite

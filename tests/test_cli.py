@@ -355,6 +355,30 @@ class TestCvSummary:
         assert summary["std_accuracy"] == pytest.approx(statistics.stdev(accuracies),
                                                         rel=1e-12)
 
+    def test_cv_after_a_larger_cv_in_one_process_writes_the_same_bytes(self, tmp_path,
+                                                                        capsys):
+        # nothing a wider, longer cv leaves behind reaches a later cv's files
+        outs = {}
+        for name, n, dim in (("small", 20, 3), ("large", 60, 7)):
+            outs[name] = str(tmp_path / name)
+            os.mkdir(outs[name])
+            data = make_blobs(np.random.default_rng(n), n_per_class=n, dim=dim, separation=1.0)
+            save_sentence_vectors(data, os.path.join(outs[name], cli.SENTVEC_FILE))
+
+        def cv(out):
+            code, summary, _ = run_cli(capsys, ["cv", "--folds", "4", "--svm-epochs", "6",
+                                                "--out", out])
+            assert code == 0
+            files = []
+            for name in (cli.CV_FILE, cli.MODEL_FILE):
+                with open(os.path.join(out, name), "rb") as fh:
+                    files.append(fh.read())
+            return summary, files
+
+        first = cv(outs["small"])
+        cv(outs["large"])
+        assert cv(outs["small"]) == first
+
 
 class TestCvImports:
     def test_cv_imports_no_masked_arrays_or_process_pool(self, tmp_path):
@@ -428,6 +452,30 @@ class TestCvErrors:
         assert code == 1 and summary is None
         assert err == f"error: {message}\n"
         assert not os.path.exists(os.path.join(out, cli.MODEL_FILE))
+
+    @pytest.mark.parametrize("fail", [0, 2, 4], ids=["first-fold", "third-fold", "full-data"])
+    def test_failing_fit_is_one_error_line_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, fail
+    ):
+        # 4 folds, then the full data: the fit of run `fail` fails
+        out = str(tmp_path / "out")
+        os.mkdir(out)
+        data = make_blobs(np.random.default_rng(30), n_per_class=20, dim=3, separation=1.0)
+        save_sentence_vectors(data, os.path.join(out, cli.SENTVEC_FILE))
+        real_fit, fitted = classifier._fit, []
+
+        def fit(vectors, rows, seed, lam, epochs, *buffers):
+            if len(fitted) == fail:
+                raise MetlitError(f"run {fail} failed")
+            fitted.append(seed)
+            return real_fit(vectors, rows, seed, lam, epochs, *buffers)
+
+        monkeypatch.setattr(classifier, "_fit", fit)
+        code, summary, err = run_cli(capsys, ["cv", "--folds", "4", "--svm-epochs", "6",
+                                              "--out", out])
+        assert code == 1 and summary is None
+        assert err == f"error: run {fail} failed\n" and len(fitted) == fail
+        assert sorted(os.listdir(out)) == [cli.SENTVEC_FILE]
 
 
 class TestSvmLambdaRange:
