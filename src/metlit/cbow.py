@@ -18,7 +18,7 @@ import numpy as np
 
 from . import MetlitError
 from .corpus import Encoded, Vocabulary
-from .embeddings import EmbeddingMatrix, batch_plan
+from .embeddings import EmbeddingMatrix
 
 LR_FLOOR_FRACTION = 1e-4  # linear decay ends at lr0 * this
 
@@ -132,6 +132,24 @@ def build_windows(
     ids = tokens.take(idx, mode="clip")
     ids[c >= counts[:, None]] = pad
     return ids, counts
+
+
+def batch_plan(
+    ids: np.ndarray, n_rows: int, batch: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.unique(ids[b:b + batch], return_inverse=True) for every batch at once.
+
+    `ids` is an (N, w) array of row ids below `n_rows`, cut into batches of
+    `batch` rows (the last may be shorter). Returns (touched, starts, slot):
+    batch k's sorted distinct ids are touched[starts[k]:starts[k + 1]], and
+    slot[r, c] is the place of ids[r, c] among its batch's distinct ids.
+    """
+    batch_of = np.arange(len(ids)) // batch
+    keys, slot = np.unique(batch_of[:, None] * n_rows + ids, return_inverse=True)
+    starts = np.searchsorted(keys, np.arange(batch_of[-1] + 2) * n_rows)
+    # numpy 1.x returns the inverse flat, numpy 2.x in the shape of its input
+    slot = slot.reshape(ids.shape) - starts[batch_of, None]
+    return keys % n_rows, starts, slot
 
 
 def _train_chunk(params, context, counts, rows, kept, lr, stack):

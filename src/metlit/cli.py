@@ -5,8 +5,9 @@ artifact into the `--out` directory under a fixed name and returns
 `(result, summary)`. A single command loads the stage's inputs from the
 artifacts in `--out` and calls the stage. `pipeline` reads the corpus once
 and passes each result on to the next stage in memory; it still writes
-every artifact, byte-identical to the chain of single commands, and leaves
-`--out` as it was if a stage fails. Every
+every artifact, byte-identical to the chain of single commands. Every
+command saves its artifacts as `<name>.partial` and `main` renames them
+once it returns, so a failed command leaves `--out` as it was. Every
 option is declared once, in `OPTIONS`, a numeric one with its range, and
 `main` checks the options a command uses before the command reads
 anything. Machine-readable JSON summaries go to stdout, human diagnostics
@@ -34,7 +35,8 @@ SENTVEC_FILE = "sentence_vectors.txt"
 TTEST_FILE = "ttest_report.tsv"
 CV_FILE = "cv_report.tsv"
 MODEL_FILE = "svm_model.txt"
-PARTIAL = ".partial"  # pipeline's suffix for an artifact until every stage has run
+PARTIAL = ".partial"  # an artifact's suffix until its command has returned
+_staged: list[str] = []  # the artifacts the running command has saved, as paths
 
 # A numeric option's range: the text its error line gives, and a test of
 # the value that is false for NaN.
@@ -94,10 +96,11 @@ def _require_file(path: str, what: str) -> str:
 
 
 def _write(args, name: str, save, value) -> str:
-    """Save `value` as the artifact `name` of --out and return its path;
-    `pipeline` saves it as <name>.partial, renamed once every stage has run."""
+    """Save `value` as <name>.partial in --out and return the artifact's
+    path; `main` renames it once the command has returned."""
     path = os.path.join(args.out, name)
-    save(value, path + PARTIAL if args.subcommand == "pipeline" else path)
+    _staged.append(path)  # first, so a half-written file is removed too
+    save(value, path + PARTIAL)
     return path
 
 
@@ -254,9 +257,7 @@ def svm_lambda_bounds(n: int, epochs: int) -> tuple[float, float]:
 
 
 def cmd_pipeline(args) -> dict:
-    """Every stage in turn. The artifacts are written as <name>.partial and
-    renamed once every stage has run; a failed run removes them, and --out
-    if the run made it."""
+    """Every stage in turn, each result handed on and dropped once used."""
     _require_file(args.corpus, "corpus file")
     # the phrase file's non-blank lines bound the vector count, so a --folds or
     # --svm-lambda that no count from 2 up admits fails before the corpus is read
@@ -269,29 +270,6 @@ def cmd_pipeline(args) -> dict:
     if not low <= args.svm_lambda <= high:
         raise MetlitError(f"--svm-lambda must lie in [{low:.3g}, {high:.3g}] for {args.svm_epochs} "
                           f"epochs over at most {n} vectors, got {args.svm_lambda!r}")
-    names = [VOCAB_FILE, EMBEDDINGS_FILE, SENTVEC_FILE, TTEST_FILE, CV_FILE, MODEL_FILE]
-    if args.model == "glove":
-        names.append(COOCCUR_FILE)
-    made = not os.path.exists(args.out)
-    try:
-        summaries = _run_stages(args)
-    except BaseException:
-        # the stage's error is the one reported, whatever the clean-up meets
-        for name in names:
-            with contextlib.suppress(OSError):
-                os.remove(os.path.join(args.out, name + PARTIAL))
-        if made:
-            with contextlib.suppress(OSError):
-                os.rmdir(args.out)
-        raise
-    for name in names:
-        path = os.path.join(args.out, name)
-        os.replace(path + PARTIAL, path)
-    return summaries
-
-
-def _run_stages(args) -> dict:
-    """Every stage in turn, each result handed on and dropped once used."""
     summaries = {"command": "pipeline", "model": args.model}
     (vocab, encoded), summaries["vocab"] = vocab_stage(args)
     if args.model == "glove":
@@ -347,6 +325,8 @@ def _options_used(args: argparse.Namespace) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
+    _staged.clear()
+    made = not os.path.exists(args.out)
     try:
         bounded = [option for option in _options_used(args) if "range" in OPTIONS[option]]
         for option in bounded:  # checked before the command reads anything
@@ -355,7 +335,18 @@ def main(argv: list[str] | None = None) -> int:
             if not holds(value):
                 raise MetlitError(f"--{option} must be {text}, got {value!r}")
         summary = args.func(args)
-    except (MetlitError, OSError, MemoryError) as exc:
+        for path in _staged:
+            os.replace(path + PARTIAL, path)
+    except BaseException as exc:
+        # the command's error is the one reported, whatever the clean-up meets
+        for path in _staged:
+            with contextlib.suppress(OSError):
+                os.remove(path + PARTIAL)
+        if made:
+            with contextlib.suppress(OSError):
+                os.rmdir(args.out)
+        if not isinstance(exc, (MetlitError, OSError, MemoryError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(summary, ensure_ascii=False))

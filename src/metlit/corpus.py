@@ -26,12 +26,15 @@ class CorpusError(MetlitError):
 
 
 def tokenize(text: str) -> list[str]:
-    """Split text into NFC-normalized, lowercased letter/digit runs.
+    """Split text into NFC-normalized letter/digit runs, each lowercased.
 
-    Punctuation and whitespace are dropped; token order is preserved.
+    Punctuation and whitespace are dropped; token order is preserved. Each
+    token is lowercased alone, so a Greek word ends in final sigma whatever
+    follows it (`ΟΔΟΣ.ΟΔΟΣ` gives `οδος`, `οδος`), and `İstanbul` stays one
+    token, `i̇stanbul`, though its lowercase holds a combining dot.
     """
-    normalized = unicodedata.normalize("NFC", text).lower()
-    return _TOKEN_RE.findall(normalized)
+    normalized = unicodedata.normalize("NFC", text)
+    return [token.lower() for token in _TOKEN_RE.findall(normalized)]
 
 
 def read_lines(path: str) -> Iterator[tuple[str, str]]:

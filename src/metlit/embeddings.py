@@ -1,5 +1,4 @@
-"""Dense word embedding matrix with the shared text file format, and the
-minibatch scatter plan CBOW updates its rows by."""
+"""Dense word embedding matrix with the shared text file format."""
 
 from __future__ import annotations
 
@@ -32,24 +31,6 @@ class EmbeddingMatrix:
     def ids(self, tokens) -> list[int]:
         """Row ids of the in-vocabulary tokens, in order; the rest are skipped."""
         return [self._ids[t] for t in tokens if t in self._ids]
-
-
-def batch_plan(
-    ids: np.ndarray, n_rows: int, batch: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """np.unique(ids[b:b + batch], return_inverse=True) for every batch at once.
-
-    `ids` is an (N, w) array of row ids below `n_rows`, cut into batches of
-    `batch` rows (the last may be shorter). Returns (touched, starts, slot):
-    batch k's sorted distinct ids are touched[starts[k]:starts[k + 1]], and
-    slot[r, c] is the place of ids[r, c] among its batch's distinct ids.
-    """
-    batch_of = np.arange(len(ids)) // batch
-    keys, slot = np.unique(batch_of[:, None] * n_rows + ids, return_inverse=True)
-    starts = np.searchsorted(keys, np.arange(batch_of[-1] + 2) * n_rows)
-    # numpy 1.x returns the inverse flat, numpy 2.x in the shape of its input
-    slot = slot.reshape(ids.shape) - starts[batch_of, None]
-    return keys % n_rows, starts, slot
 
 
 def format_floats(values) -> str:

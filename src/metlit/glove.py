@@ -85,17 +85,11 @@ def _train_chunk(params, acc, pairs, weight, log_x, lr):
     pairs[r] = (i, V + j) of `params`; returns the sum of their losses,
     each at its batch's pre-step parameters."""
     n, d = len(pairs), params.shape[1] - 1
-    # slot 2 * r + c of a batch holds row pairs[r, c]; dup[e] is a slot whose row
-    # the batch's earlier slot first[e] holds, and batch k's are bounds[k]:bounds[k + 1]
-    keys = (np.arange(n) // BATCH * len(params))[:, None] + pairs
-    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    dup = np.flatnonzero(first[inverse] != np.arange(2 * n))
-    bounds = np.searchsorted(dup, np.arange(0, n + BATCH, BATCH) * 2)
-    first, dup = first[inverse[dup]] % (2 * BATCH), dup % (2 * BATCH)
     residual = np.empty(n)
-    grads = np.empty((2, 2 * BATCH, d + 1))  # the slots' gradients over their squares
+    # slot 2 * r + c of a batch holds row rows[r, c]: its gradient over its square
+    grads = np.empty((2, 2 * BATCH, d + 1))
     root = np.empty((BATCH, 2, d + 1))
-    for k, a in enumerate(range(0, n, BATCH)):
+    for a in range(0, n, BATCH):
         s, rows = slice(a, a + BATCH), pairs[a:a + BATCH]
         q, qa = params.take(rows, axis=0), acc.take(rows, axis=0)
         main, context = q[:, 0], q[:, 1]
@@ -110,10 +104,14 @@ def _train_chunk(params, acc, pairs, weight, log_x, lr):
         np.multiply(g, g, out=sq)
         # a row repeated in the batch adds its gradients and squared gradients in
         # slot order, into its first slot, and every copy of the row takes the sums
-        into, add = first[bounds[k]:bounds[k + 1]], dup[bounds[k]:bounds[k + 1]]
-        if add.size:
-            np.add.at(slots, (slice(None), into), slots[:, add])
-            slots[:, add] = slots[:, into]
+        first, copies = {}, []
+        for e, row in enumerate(rows.ravel().tolist()):
+            f = first.setdefault(row, e)
+            if f != e:
+                slots[:, f] += slots[:, e]
+                copies.append((e, f))
+        for e, f in copies:
+            slots[:, e] = slots[:, f]
         # copies of a row get the same update, so they write the same values
         g *= lr
         g /= np.sqrt(qa, out=root[:len(rows)])
@@ -136,9 +134,9 @@ def train_glove(
     place with one seeded rng and visits them in order, BATCH at a time,
     taking each record's loss and gradient at its batch's pre-step
     parameters: a batch of one is the per-record AdaGrad loop. A slice of
-    CHUNK_RECORDS records is weighted, and its batches' repeated rows found,
-    at once. The loss per epoch is the sum of those losses. Divergence is
-    surfaced: non-finite parameters or a non-finite loss raise, never clipped.
+    CHUNK_RECORDS records is weighted at once; each batch finds its own
+    repeated rows. The loss per epoch is the sum of those losses. Divergence
+    is surfaced: non-finite parameters or a non-finite loss raise, never clipped.
     """
     if not len(table):
         raise MetlitError("empty co-occurrence table")

@@ -9,7 +9,7 @@ from metlit import LABELS, LITERAL, METAPHOR, MetlitError, cbow
 from metlit.cbow import LR_FLOOR_FRACTION, UnigramSampler, context_mean, loss_exact, negative_loss
 from metlit.classifier import FoldMetrics, SvmModel
 from metlit.corpus import Encoded
-from metlit.embeddings import EmbeddingMatrix, batch_plan
+from metlit.embeddings import EmbeddingMatrix
 from metlit.glove import WeightParams, init_params, pair_gradients
 from metlit.sentvec import SentenceVectors
 from metlit.stats import DegenerateSampleError, SampleSizeError, _welch_columns
@@ -409,16 +409,17 @@ def reference_glove_chunk(params, acc, pairs, weight, log_x, lr, batch):
     """The GloVe chunk step as a scatter plan: the oracle, bit for bit, for
     glove._train_chunk at the same batch size.
 
-    Each batch's distinct rows come from embeddings.batch_plan, and
-    np.bincount sums the gradients and squared gradients of a row repeated
-    in the batch, in slot order; returns the chunk's summed loss.
+    Each batch's distinct rows come from np.unique over the batch alone,
+    and np.bincount sums the gradients and squared gradients of a row
+    repeated in the batch, in slot order; returns the chunk's summed loss.
     """
     d = params.shape[1] - 1
-    touched, starts, slot = batch_plan(pairs, len(params), batch)
     residual = np.empty(len(pairs))
-    for k, a in enumerate(range(0, len(pairs), batch)):
-        s, ids = slice(a, a + batch), touched[starts[k]:starts[k + 1]]
-        cells = slot[s, :, None] * (d + 1) + np.arange(d + 1)
+    for a in range(0, len(pairs), batch):
+        s = slice(a, a + batch)
+        ids, slot = np.unique(pairs[s], return_inverse=True)
+        # numpy 1.x returns the inverse flat, numpy 2.x in the shape of its input
+        cells = slot.reshape(pairs[s].shape)[:, :, None] * (d + 1) + np.arange(d + 1)
         q = params.take(pairs[s], axis=0)
         main, context = q[:, 0], q[:, 1]
         residual[s] = (np.einsum("nd,nd->n", main[:, :d], context[:, :d])

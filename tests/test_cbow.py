@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from metlit import MetlitError, cbow
 from metlit.cbow import (
     CbowConfig,
     UnigramSampler,
+    batch_plan,
     build_windows,
     context_mean,
     init_params,
@@ -550,3 +552,20 @@ class TestBatchedKernel:
             got += [(int(tokens[p]), context[r, :counts[r]].tolist())
                     for r, p in enumerate(where)]
         assert got == expected
+
+
+class TestBatchPlan:
+    @settings(deadline=None)
+    @given(data=st.data(), n=st.integers(1, 90), width=st.integers(1, 6),
+           n_rows=st.integers(1, 40), batch=st.integers(1, 40))
+    def test_equals_unique_per_batch(self, data, n, width, n_rows, batch):
+        # few distinct ids make repeats within a batch common, and most
+        # draws leave a shorter last batch
+        ids = data.draw(arrays(np.int64, (n, width), elements=st.integers(0, n_rows - 1)))
+        touched, starts, slot = batch_plan(ids, n_rows, batch)
+        assert slot.shape == ids.shape
+        assert len(starts) == -(-len(ids) // batch) + 1 and starts[-1] == len(touched)
+        for k, b in enumerate(range(0, len(ids), batch)):
+            expected, inverse = np.unique(ids[b:b + batch], return_inverse=True)
+            assert np.array_equal(touched[starts[k]:starts[k + 1]], expected)
+            assert np.array_equal(slot[b:b + batch], inverse.reshape(-1, ids.shape[1]))

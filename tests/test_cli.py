@@ -297,8 +297,9 @@ class TestStageChaining:
         assert 0.0 <= summary["mean_accuracy"] <= 1.0
         assert summary["fits"] == 3  # two folds plus the full-data model
         assert summary["pegasos_steps"] == 30 * (12 + 12)
-        assert os.path.isfile(os.path.join(out, cli.CV_FILE))
-        assert os.path.isfile(os.path.join(out, cli.MODEL_FILE))
+        assert sorted(os.listdir(out)) == sorted([  # no .partial file left
+            cli.VOCAB_FILE, cli.EMBEDDINGS_FILE, cli.SENTVEC_FILE, cli.TTEST_FILE,
+            cli.CV_FILE, cli.MODEL_FILE])
 
     def test_glove_chain_through_cooccur(self, workspace, capsys):
         out = workspace["out"]
@@ -381,18 +382,16 @@ class TestCvSummary:
 
 
 class TestCvImports:
-    def test_cv_imports_no_masked_arrays_or_process_pool(self, tmp_path):
-        # a fresh interpreter, since this one may have imported them; numpy 1.x
-        # imports numpy.ma with numpy itself, so only cv's own imports count
-        out = str(tmp_path / "out")
-        os.mkdir(out)
-        data = make_blobs(np.random.default_rng(30), n_per_class=20, dim=3, separation=1.0)
-        save_sentence_vectors(data, os.path.join(out, cli.SENTVEC_FILE))
+    @staticmethod
+    def new_imports(argv: list[str]) -> tuple[dict, str]:
+        """The summary of `metlit argv` run in a fresh interpreter, and the
+        masked-array and process-pool modules it imported; numpy 1.x imports
+        numpy.ma with numpy itself, so only the command's own imports count."""
         script = "\n".join([
             "import sys",
             "from metlit import cli",
             "before = set(sys.modules)",
-            "code = cli.main(['cv', '--folds', '4', '--svm-epochs', '6', '--out', sys.argv[1]])",
+            "code = cli.main(sys.argv[1:])",
             "print(sorted(m for m in set(sys.modules) - before",
             "             if m.split('.')[0] in ('multiprocessing', 'concurrent')",
             "             or m.startswith('numpy.ma')))",
@@ -401,11 +400,40 @@ class TestCvImports:
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         path = os.environ.get("PYTHONPATH")
         env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-        done = subprocess.run([sys.executable, "-c", script, out], capture_output=True,
+        done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
                               text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         summary, modules = done.stdout.splitlines()
-        assert json.loads(summary)["fits"] == 5
+        return json.loads(summary), modules
+
+    @staticmethod
+    def saved_vectors(tmp_path) -> str:
+        out = str(tmp_path / "out")
+        os.mkdir(out)
+        data = make_blobs(np.random.default_rng(30), n_per_class=20, dim=3, separation=1.0)
+        save_sentence_vectors(data, os.path.join(out, cli.SENTVEC_FILE))
+        return out
+
+    def test_cv_imports_no_masked_arrays_or_process_pool(self, tmp_path):
+        out = self.saved_vectors(tmp_path)
+        summary, modules = self.new_imports(["cv", "--folds", "4", "--svm-epochs", "6",
+                                             "--out", out])
+        assert summary["fits"] == 5
+        assert modules == "[]"
+
+    def test_ttest_imports_no_masked_arrays_or_process_pool(self, tmp_path):
+        summary, modules = self.new_imports(["ttest", "--out", self.saved_vectors(tmp_path)])
+        assert summary["dimensions"] == 3
+        assert modules == "[]"
+
+    @pytest.mark.parametrize("model", ["cbow", "glove"])
+    def test_pipeline_imports_no_masked_arrays_or_process_pool(self, workspace, model):
+        summary, modules = self.new_imports([
+            "pipeline", "--corpus", workspace["corpus"], "--labeled", workspace["labeled"],
+            "--model", model, "--min-count", "1", "--dim", "4", "--epochs", "1",
+            "--folds", "2", "--svm-epochs", "5", "--out", workspace["out"],
+        ])
+        assert summary["model"] == model
         assert modules == "[]"
 
 
@@ -862,6 +890,55 @@ class TestTrainingErrors:
         )
         assert code == 1 and summary is None
         assert err == f"error: {path}: {message}\n"
+
+
+class TestSingleCommandStaging:
+    """A single command saves its artifacts as .partial files, renamed only
+    once it returns: a failed command leaves --out as it was."""
+
+    @staticmethod
+    def full_disk(value, path):
+        """A save that writes half a file and fails as a full disk does."""
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("half")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+    def test_cv_whose_model_save_fails_leaves_the_earlier_artifacts(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        out = str(tmp_path / "out")
+        os.mkdir(out)
+        data = make_blobs(np.random.default_rng(31), n_per_class=20, dim=3, separation=1.0)
+        save_sentence_vectors(data, os.path.join(out, cli.SENTVEC_FILE))
+        argv = ["cv", "--folds", "4", "--svm-epochs", "6", "--out", out]
+        assert run_cli(capsys, argv)[0] == 0
+        before, listed = _snapshot(out), []
+
+        def save_model(model, path):
+            listed.append(sorted(os.listdir(out)))
+            self.full_disk(model, path)
+
+        monkeypatch.setattr(classifier, "save_model", save_model)
+        # another seed, so the report the run writes differs from the earlier one
+        code, summary, err = run_cli(capsys, argv[:-2] + ["--seed", "5", "--out", out])
+        model = os.path.join(out, cli.MODEL_FILE + cli.PARTIAL)
+        assert code == 1 and summary is None
+        assert _snapshot(out) == before
+        assert err == f"error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), model)}\n"
+        # the report was saved before the model failed, beside the earlier one
+        assert listed == [sorted([*before, cli.CV_FILE + cli.PARTIAL])]
+
+    def test_vocab_into_a_fresh_out_whose_save_fails_removes_out(
+        self, workspace, capsys, monkeypatch
+    ):
+        out = workspace["out"]
+        monkeypatch.setattr(cli.corpus, "save_vocabulary", self.full_disk)
+        code, summary, err = run_cli(capsys, ["vocab", "--corpus", workspace["corpus"],
+                                              "--out", out])
+        partial = os.path.join(out, cli.VOCAB_FILE + cli.PARTIAL)
+        assert code == 1 and summary is None
+        assert not os.path.exists(out)
+        assert err == f"error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), partial)}\n"
 
 
 class TestPipeline:

@@ -49,6 +49,16 @@ class TestTokenize:
 
     def test_uppercase_greek_lowercased_with_final_sigma(self):
         assert tokenize("ΟΡΊΖΟΝΤΕΣ") == ["ορίζοντες"]
+        # a word ends in ς before punctuation too, not only before a space:
+        # the full stop, the colon, the question mark and the ano teleia
+        assert tokenize("ΕΛΛΑΣ:ΤΟ") == ["ελλας", "το"]
+        assert tokenize("ΟΔΟΣ.ΟΔΟΣ") == ["οδος", "οδος"]
+        assert tokenize("ΠΟΙΟΣ;ΕΣΥ;") == ["ποιος", "εσυ"]
+        assert tokenize("ΟΔΟΣ\u0387ΟΔΟΣ") == ["οδος", "οδος"]
+
+    def test_dotted_capital_i_stays_one_token(self):
+        # İ lowercases to i and a combining dot, a mark the split would cut at
+        assert tokenize("İstanbul") == ["i\u0307stanbul"]
 
 
 class TestDecodeUtf8:

@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from metlit import MetlitError
 from metlit.corpus import CorpusError
 from metlit.embeddings import (
     EmbeddingMatrix,
-    batch_plan,
     format_floats,
     load_embeddings,
     save_embeddings,
@@ -102,20 +98,3 @@ class TestTextFormat:
         save_embeddings(EmbeddingMatrix([], np.zeros((0, 3))), str(path))
         loaded = load_embeddings(str(path))
         assert loaded.words == [] and loaded.vectors.shape == (0, 3)
-
-
-class TestBatchPlan:
-    @settings(deadline=None)
-    @given(data=st.data(), n=st.integers(1, 90), width=st.integers(1, 6),
-           n_rows=st.integers(1, 40), batch=st.integers(1, 40))
-    def test_equals_unique_per_batch(self, data, n, width, n_rows, batch):
-        # few distinct ids make repeats within a batch common, and most
-        # draws leave a shorter last batch
-        ids = data.draw(arrays(np.int64, (n, width), elements=st.integers(0, n_rows - 1)))
-        touched, starts, slot = batch_plan(ids, n_rows, batch)
-        assert slot.shape == ids.shape
-        assert len(starts) == -(-len(ids) // batch) + 1 and starts[-1] == len(touched)
-        for k, b in enumerate(range(0, len(ids), batch)):
-            expected, inverse = np.unique(ids[b:b + batch], return_inverse=True)
-            assert np.array_equal(touched[starts[k]:starts[k + 1]], expected)
-            assert np.array_equal(slot[b:b + batch], inverse.reshape(-1, ids.shape[1]))
