@@ -22,10 +22,6 @@ from .embeddings import format_floats
 from .sentvec import SentenceVectors
 
 
-class FoldError(MetlitError):
-    """A cross-validation training split lost one of the two classes."""
-
-
 @dataclass
 class SvmModel:
     weights: np.ndarray
@@ -270,19 +266,22 @@ def cross_validate(
 ) -> EvalReport:
     """Train on k-1 folds, evaluate on the held-out fold, for every fold.
 
-    Folds are stratified so near-balanced data cannot produce a
-    single-class training split, and every fold is checked before any
-    training. Fold f trains with seed + f, and the reference model on the
-    full dataset (seed) comes back as `report.model`.
+    Both classes must be present. Folds are stratified so near-balanced data
+    cannot produce a single-class training split, and every fold is checked
+    before any training. Fold f trains with seed + f, and the reference model
+    on the full dataset (seed) comes back as `report.model`.
     Mean precision averages only the folds where precision is defined.
     """
+    literal, metaphor = np.bincount(vectors.metaphor, minlength=2).tolist()
+    if not (literal and metaphor):
+        raise MetlitError(f"need >= 1 member per class, got {literal=}, {metaphor=}")
     folds = kfold_split(vectors.metaphor, k, seed=seed)
     everything = np.arange(len(vectors))
     runs = []
     for f, fold in enumerate(folds):
         train = np.delete(everything, fold)  # np.setdiff1d would import numpy.ma
         if vectors.metaphor[train].all() or not vectors.metaphor[train].any():
-            raise FoldError(f"fold {f}: training split lost a class")
+            raise MetlitError(f"fold {f}: training split lost a class")
         runs.append((train, seed + f))
     runs.append((everything, seed))
     steps = epochs * sum(len(train) for train, _ in runs)

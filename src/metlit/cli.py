@@ -326,7 +326,9 @@ def _options_used(args: argparse.Namespace) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
     _staged.clear()
-    made = not os.path.exists(args.out)
+    made, path = [], args.out  # what makedirs(--out) would make, deepest first
+    while path and not os.path.exists(path):
+        made, path = made + [path], os.path.dirname(path)
     try:
         bounded = [option for option in _options_used(args) if "range" in OPTIONS[option]]
         for option in bounded:  # checked before the command reads anything
@@ -342,9 +344,9 @@ def main(argv: list[str] | None = None) -> int:
         for path in _staged:
             with contextlib.suppress(OSError):
                 os.remove(path + PARTIAL)
-        if made:
+        for path in made:  # each only while empty
             with contextlib.suppress(OSError):
-                os.rmdir(args.out)
+                os.rmdir(path)
         if not isinstance(exc, (MetlitError, OSError, MemoryError)):
             raise
         print(f"error: {exc}", file=sys.stderr)

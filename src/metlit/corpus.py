@@ -21,10 +21,6 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 SLICE = 1 << 16  # ids read_encoded counts, remaps and compacts at a time
 
 
-class CorpusError(MetlitError):
-    """Raised on malformed corpus input (encoding, format, empty vocabulary)."""
-
-
 def tokenize(text: str) -> list[str]:
     """Split text into NFC-normalized letter/digit runs, each lowercased.
 
@@ -46,9 +42,7 @@ def read_lines(path: str) -> Iterator[tuple[str, str]]:
             try:
                 text = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise CorpusError(
-                    f"{where}: invalid UTF-8 at byte {offset + exc.start}"
-                ) from None
+                raise MetlitError(f"{where}: invalid UTF-8 at byte {offset + exc.start}") from None
             if lineno == 1:
                 text = text.removeprefix("\ufeff")
             yield where, text
@@ -61,20 +55,20 @@ def parse_floats(fields: Sequence[str], where: str, count: int | None = None) ->
     Per-value float() parses repr output exactly, as fast as numpy parses strings.
     """
     if count is not None and len(fields) != count:
-        raise CorpusError(f"{where}: {len(fields)} values, the file has {count} per row")
+        raise MetlitError(f"{where}: {len(fields)} values, the file has {count} per row")
     try:
         values = np.array([float(f) for f in fields])
     except ValueError as exc:  # float() names the field
-        raise CorpusError(f"{where}: {exc}") from None
+        raise MetlitError(f"{where}: {exc}") from None
     if not np.isfinite(values).all():
-        raise CorpusError(f"{where}: non-finite value")
+        raise MetlitError(f"{where}: non-finite value")
     return values
 
 
 def parse_count(field: str, where: str) -> int:
     """A decimal count of at most 18 digits, so it fits an int64."""
     if not (field.isdecimal() and len(field) <= 18):
-        raise CorpusError(f"{where}: {field!r} is not a count")
+        raise MetlitError(f"{where}: {field!r} is not a count")
     return int(field)
 
 
@@ -99,7 +93,7 @@ class Vocabulary:
         self.freq = dict(freq)
         self._ids = {w: i for i, w in enumerate(self.words)}
         if len(self._ids) != len(self.words):
-            raise CorpusError("duplicate word in vocabulary")
+            raise MetlitError("duplicate word in vocabulary")
 
     def __len__(self) -> int:
         return len(self.words)
@@ -113,9 +107,7 @@ class Vocabulary:
 def vocabulary_from_counts(counts: Mapping[str, int], min_count: int = 1) -> Vocabulary:
     retained = [(w, c) for w, c in counts.items() if c >= min_count]
     if not retained:
-        raise CorpusError(
-            f"empty vocabulary: no token reaches min_count={min_count}"
-        )
+        raise MetlitError(f"empty vocabulary: no token reaches min_count={min_count}")
     retained.sort(key=lambda wc: (-wc[1], wc[0]))
     words = [w for w, _ in retained]
     return Vocabulary(words, dict(retained))
@@ -171,7 +163,7 @@ def read_encoded(
         buffer.extend([first.setdefault(w, len(first)) for w in words])
         ends.append(len(buffer))
     if not buffer:
-        raise CorpusError(f"corpus is empty: {path}")
+        raise MetlitError(f"corpus is empty: {path}")
     read, ids = len(buffer), np.frombuffer(buffer, np.int32)
     if vocab is None:
         counts = np.zeros(len(first), np.int64)
@@ -191,7 +183,7 @@ def read_encoded(
         ids[kept:kept + len(part)] = part
         kept, e0 = kept + len(part), e1
     if not kept:
-        raise CorpusError(f"{path}: no token is in the vocabulary of {len(vocab)} words")
+        raise MetlitError(f"{path}: no token is in the vocabulary of {len(vocab)} words")
     del ids, part, buffer[kept:]  # the views first: an array with a view cannot shrink
     offsets = np.concatenate([[0], stops[np.diff(stops, prepend=0) > 0]])
     return vocab, Encoded(np.frombuffer(buffer, np.int32), offsets, read)
@@ -212,13 +204,13 @@ def load_vocabulary(path: str) -> Vocabulary:
         if not parts:
             continue
         if len(parts) != 2:
-            raise CorpusError(f"{where}: expected '<word> <frequency>'")
+            raise MetlitError(f"{where}: expected '<word> <frequency>'")
         word, freq = parts
         if word in freqs:
-            raise CorpusError(f"{where}: duplicate word {word!r}")
+            raise MetlitError(f"{where}: duplicate word {word!r}")
         freqs[word] = parse_count(freq, where)
     if not freqs:
-        raise CorpusError(f"{path}: empty vocabulary file")
+        raise MetlitError(f"{path}: empty vocabulary file")
     return Vocabulary(list(freqs), freqs)
 
 
@@ -232,11 +224,11 @@ class LabeledPhrase:
 
     def __post_init__(self):
         if self.label not in LABELS:
-            raise CorpusError(f"unknown label {self.label!r}")
+            raise MetlitError(f"unknown label {self.label!r}")
         if not self.tokens:
-            raise CorpusError("phrase has no tokens")
+            raise MetlitError("phrase has no tokens")
         if self.verb not in self.tokens:
-            raise CorpusError(f"verb {self.verb!r} absent from phrase tokens")
+            raise MetlitError(f"verb {self.verb!r} absent from phrase tokens")
 
 
 def load_labeled_phrases(path: str) -> list[LabeledPhrase]:
@@ -252,17 +244,15 @@ def load_labeled_phrases(path: str) -> list[LabeledPhrase]:
             continue
         parts = line.rstrip("\r\n").split("\t")
         if len(parts) != 3:
-            raise CorpusError(
-                f"{where}: expected 3 tab-separated columns, got {len(parts)}"
-            )
+            raise MetlitError(f"{where}: expected 3 tab-separated columns, got {len(parts)}")
         label, verb_field, sentence = parts
         verb = tokenize(verb_field)
         if len(verb) != 1:
-            raise CorpusError(f"{where}: verb column must hold exactly one token")
+            raise MetlitError(f"{where}: verb column must hold exactly one token")
         try:
             phrases.append(LabeledPhrase(tokenize(sentence), verb[0], label))
-        except CorpusError as exc:
-            raise CorpusError(f"{where}: {exc}") from None
+        except MetlitError as exc:
+            raise MetlitError(f"{where}: {exc}") from None
     if not phrases:
-        raise CorpusError(f"{path}: empty phrase file")
+        raise MetlitError(f"{path}: empty phrase file")
     return phrases

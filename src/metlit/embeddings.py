@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from . import MetlitError
-from .corpus import CorpusError, parse_count, parse_floats, read_lines
+from .corpus import parse_count, parse_floats, read_lines
 
 
 class EmbeddingMatrix:
@@ -53,16 +55,19 @@ def load_embeddings(path: str) -> EmbeddingMatrix:
     where, header = next(lines, (path, ""))
     sizes = header.split()
     if len(sizes) != 2:
-        raise CorpusError(f"{where}: embedding header must be '<V> <D>'")
+        raise MetlitError(f"{where}: embedding header must be '<V> <D>'")
     n_words, dim = (parse_count(size, where) for size in sizes)
-    rows: dict[str, np.ndarray] = {}
+    words: dict[str, None] = {}
+    rows = array("d")  # every row's values, one row after another
     for where, line in lines:
         word, *values = line.split() or [""]
-        if len(rows) == n_words:
-            raise CorpusError(f"{where}: more rows than the {n_words} of the header")
-        if word in rows:
-            raise CorpusError(f"{where}: duplicate word {word!r}")
-        rows[word] = parse_floats(values, where, dim)
-    if len(rows) != n_words:
-        raise CorpusError(f"{path}: {len(rows)} rows, the header says {n_words}")
-    return EmbeddingMatrix(list(rows), np.array(list(rows.values())).reshape(n_words, dim))
+        if len(words) == n_words:
+            raise MetlitError(f"{where}: more rows than the {n_words} of the header")
+        if word in words:
+            raise MetlitError(f"{where}: duplicate word {word!r}")
+        rows.frombytes(parse_floats(values, where, dim).tobytes())
+        words[word] = None
+    if len(words) != n_words:
+        raise MetlitError(f"{path}: {len(words)} rows, the header says {n_words}")
+    words = list(words)  # frees the dict before the matrix builds its own word map
+    return EmbeddingMatrix(words, np.frombuffer(rows).reshape(n_words, dim))

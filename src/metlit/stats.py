@@ -20,14 +20,6 @@ _CF_FPMIN = 1e-300
 _CF_MAX_ITER = 500
 
 
-class DegenerateSampleError(MetlitError):
-    """Both samples have zero variance: the t statistic is undefined."""
-
-
-class SampleSizeError(MetlitError):
-    """A sample has fewer than 2 elements."""
-
-
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     # modified Lentz evaluation of the incomplete beta continued fraction
     qab, qap, qam = a + b, a + 1.0, a - 1.0
@@ -136,15 +128,13 @@ def group_ttest(
     lit = vectors.values[~vectors.metaphor]
     met = vectors.values[vectors.metaphor]
     if len(lit) < 2 or len(met) < 2:
-        raise SampleSizeError(
-            f"need >= 2 members per class, got literal={len(lit)}, "
-            f"metaphor={len(met)}"
-        )
+        raise MetlitError(f"need >= 2 members per class, got literal={len(lit)}, "
+                          f"metaphor={len(met)}")
     dim = lit.shape[1]
     lit, met = (np.column_stack([x, np.linalg.norm(x, axis=1)]) for x in (lit, met))
     results = _welch_columns(lit, met, alpha, [*range(dim), "norm"])
     if results[-1].p_value is None:
-        raise DegenerateSampleError("norm: both samples have zero variance")
+        raise MetlitError("norm: both samples have zero variance")
     summary = {
         "n_literal": lit.shape[0],
         "n_metaphor": met.shape[0],

@@ -12,7 +12,7 @@ from metlit.corpus import Encoded
 from metlit.embeddings import EmbeddingMatrix
 from metlit.glove import WeightParams, init_params, pair_gradients
 from metlit.sentvec import SentenceVectors
-from metlit.stats import DegenerateSampleError, SampleSizeError, _welch_columns
+from metlit.stats import _welch_columns
 
 
 def relerr(analytic, numeric):
@@ -237,10 +237,10 @@ def welch_t(sample_a, sample_b, alpha=0.05):
     a = np.asarray(sample_a, dtype=np.float64)
     b = np.asarray(sample_b, dtype=np.float64)
     if len(a) < 2 or len(b) < 2:
-        raise SampleSizeError("each sample needs at least 2 elements")
+        raise MetlitError("each sample needs at least 2 elements")
     (result,) = _welch_columns(a[:, None], b[:, None], alpha, [None])
     if result.p_value is None:
-        raise DegenerateSampleError("both samples have zero variance")
+        raise MetlitError("both samples have zero variance")
     return result
 
 

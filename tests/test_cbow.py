@@ -264,6 +264,7 @@ class TestTrainCbow:
         assert np.array_equal(emb.vectors, draw)
         assert np.array_equal(init_params(v, 8, seed=3), np.vstack([draw, np.zeros((v + 2, 8))]))
 
+    @pytest.mark.memory
     def test_set_up_draws_straight_into_the_stacked_parameters(self):
         # the stacked parameters are one (2V + 2, D) matrix, the draw of the
         # input rows and the returned embeddings half of one more each, but
@@ -290,6 +291,7 @@ class TestTrainCbow:
         with pytest.raises(MetlitError, match="no sentence has two in-vocabulary tokens"):
             train_cbow(as_encoded(sentences), vocab, CbowConfig(dim=4, negatives=1))
 
+    @pytest.mark.memory
     def test_working_memory_grows_by_a_few_bytes_a_token(self):
         # training holds per-sentence arrays (sentences of 14 tokens) and
         # per-chunk ones, but no corpus-length array: a shuffled copy of the

@@ -7,7 +7,6 @@ from metlit import LITERAL, METAPHOR, MetlitError
 from metlit import classifier
 from metlit.classifier import (
     EvalReport,
-    FoldError,
     FoldMetrics,
     SvmModel,
     cross_validate,
@@ -282,7 +281,18 @@ class TestCrossValidate:
         rng = np.random.default_rng(9)
         data = labeled_vectors([rng.normal(0, 1, 2) for _ in range(6)], [False] * 5 + [True])
         # at k=2 the training split of the lone metaphor's fold has no metaphor
-        with pytest.raises(FoldError):
+        with pytest.raises(MetlitError, match="training split lost a class"):
+            cross_validate(data, k=2, epochs=2)
+
+    @pytest.mark.parametrize("metaphor", [False, True])
+    def test_single_class_data_raises_before_dealing_folds(self, monkeypatch, metaphor):
+        def no_folds(*args, **kwargs):
+            raise AssertionError("dealt the folds before checking the classes")
+
+        monkeypatch.setattr(classifier, "kfold_split", no_folds)
+        data = labeled_vectors(np.random.default_rng(9).normal(0, 1, (5, 2)), [metaphor] * 5)
+        counts = "literal=0, metaphor=5" if metaphor else "literal=5, metaphor=0"
+        with pytest.raises(MetlitError, match=f"need >= 1 member per class, got {counts}$"):
             cross_validate(data, k=2, epochs=2)
 
     def test_fold_error_raised_before_any_training(self, monkeypatch):
@@ -293,7 +303,7 @@ class TestCrossValidate:
         rng = np.random.default_rng(9)
         data = labeled_vectors([rng.normal(0, 1, 2) for _ in range(10)], [False] * 9 + [True])
         # the lone metaphor lands in the last fold; folds 0-3 are fine
-        with pytest.raises(FoldError, match="fold 4: training split lost a class"):
+        with pytest.raises(MetlitError, match="fold 4: training split lost a class"):
             cross_validate(data, k=5, epochs=2)
 
     def test_deterministic_given_seed(self):
@@ -404,6 +414,7 @@ class TestSharedBuffer:
             assert model.scale_mean.tobytes() == x.mean(axis=0).tobytes()
             assert model.scale_std.tobytes() == std.tobytes()
 
+    @pytest.mark.memory
     def test_working_memory_is_one_standardized_buffer(self):
         # 914 rows of 200, as the benchmark's cv: the standardized rows are
         # 1.47 MB; the block buffer, numpy's iterator buffers for the in-place

@@ -1,9 +1,11 @@
 import codecs
 import errno
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import statistics
 import subprocess
 import sys
@@ -15,12 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import metlit
 from metlit import MetlitError, cbow, classifier, cli
-from metlit.classifier import FoldError, kfold_split, lambda_range, load_model, train_svm
+from metlit.classifier import kfold_split, lambda_range, load_model, train_svm
 from metlit.cooccur import RECORD, load_table
-from metlit.corpus import CorpusError, load_vocabulary, read_corpus_lines
+from metlit.corpus import load_vocabulary, read_corpus_lines
 from metlit.embeddings import load_embeddings
-from metlit.stats import DegenerateSampleError, SampleSizeError
 
 from metlit.sentvec import load_sentence_vectors, save_sentence_vectors
 
@@ -453,6 +455,18 @@ class TestCvErrors:
         assert err == "error: fold 0: training split lost a class\n"
         assert not os.path.exists(os.path.join(out, cli.CV_FILE))
 
+    @pytest.mark.parametrize("label, counts", [
+        ("literal", "literal=6, metaphor=0"), ("metaphor", "literal=0, metaphor=6"),
+    ])
+    def test_single_class_vectors_are_a_one_line_error(self, tmp_path, capsys, label, counts):
+        rng = np.random.default_rng(3)
+        out = self.write_vectors(tmp_path, [f"{label} 1/1 {a:.3f} {b:.3f}"
+                                            for a, b in rng.normal(0, 1, (6, 2))])
+        code, summary, err = run_cli(capsys, ["cv", "--folds", "2", "--out", out])
+        assert code == 1 and summary is None
+        assert err == f"error: need >= 1 member per class, got {counts}\n"
+        assert os.listdir(out) == [cli.SENTVEC_FILE]
+
     def test_non_finite_vector_is_a_one_line_error(self, tmp_path, capsys):
         out = self.write_vectors(
             tmp_path, ["literal 1/1 0.5 0.5", "metaphor 1/1 nan 0.5"]
@@ -604,9 +618,12 @@ class TestFrozenReports:
 
 
 class TestErrorContract:
-    def test_every_error_class_is_a_metlit_error(self):
-        for cls in (CorpusError, FoldError, SampleSizeError, DegenerateSampleError):
-            assert issubclass(cls, MetlitError)
+    def test_metlit_error_is_the_only_exception_class(self):
+        names = ["metlit", *(m.name for m in pkgutil.iter_modules(metlit.__path__, "metlit."))]
+        defined = [cls for name in names for cls in vars(importlib.import_module(name)).values()
+                   if isinstance(cls, type) and issubclass(cls, BaseException)
+                   and cls.__module__ == name]
+        assert defined == [MetlitError]
 
     def test_other_exceptions_are_not_turned_into_error_lines(self, monkeypatch):
         def broken(args):
@@ -939,6 +956,35 @@ class TestSingleCommandStaging:
         assert code == 1 and summary is None
         assert not os.path.exists(out)
         assert err == f"error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), partial)}\n"
+
+    @pytest.mark.parametrize("command, module, save, out, stranger", [
+        ("vocab", "corpus", "save_vocabulary", "a/b/c", False),
+        ("vocab", "corpus", "save_vocabulary", "x/../a/b/c", False),  # makedirs makes x too
+        ("pipeline", "classifier", "save_model", "a/b/c", False),
+        ("pipeline", "classifier", "save_model", "a/b/c", True),
+    ])
+    def test_failure_removes_the_parents_it_made_for_a_nested_out(
+        self, workspace, capsys, monkeypatch, tmp_path, command, module, save, out, stranger
+    ):
+        nest = tmp_path / "nest"
+
+        def full_disk(value, path):
+            if stranger:  # a file another program writes meanwhile keeps its directory
+                (nest / "a" / "theirs.txt").write_text("")
+            self.full_disk(value, path)
+
+        monkeypatch.setattr(getattr(cli, module), save, full_disk)
+        argv = [command, "--corpus", workspace["corpus"], "--min-count", "1",
+                "--out", os.path.join(nest, out)]
+        if command == "pipeline":
+            argv += ["--labeled", workspace["labeled"], "--dim", "4", "--epochs", "1",
+                     "--folds", "2", "--svm-epochs", "5"]
+        code, summary, err = run_cli(capsys, argv)
+        assert code == 1 and summary is None and err.startswith(f"error: [Errno {errno.ENOSPC}]")
+        if stranger:
+            assert [(d, f) for _, d, f in os.walk(nest)] == [(["a"], []), ([], ["theirs.txt"])]
+        else:
+            assert not nest.exists()
 
 
 class TestPipeline:

@@ -182,6 +182,7 @@ class TestChunkedCount:
         assert len(merges) == 1 + math.ceil(math.log2(pairs / chunk))
         assert sum(merges) <= 3 * pairs  # the merges sort no more than 3P keys in all
 
+    @pytest.mark.memory
     def test_working_memory_is_a_few_tables(self):
         # a benchmark-sized corpus: 100k tokens over 2,000 ids, about 0.33M
         # records; counting every position pair at once needs over 7 tables,
@@ -268,6 +269,7 @@ class TestBinaryFormat:
             f"{path}: record {k + 1} does not follow record {k} in (i, j) order"
         )
 
+    @pytest.mark.memory
     def test_load_working_memory_is_the_table(self, tmp_path):
         # the checks run a slice at a time: whole-table uint64 keys and
         # masks would make the peak two tables

@@ -1,4 +1,5 @@
 import codecs
+import re
 import unicodedata
 from collections import Counter
 
@@ -7,9 +8,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from metlit import LITERAL, METAPHOR, corpus
+from metlit import LITERAL, METAPHOR, MetlitError, corpus
 from metlit.corpus import (
-    CorpusError,
     LabeledPhrase,
     Vocabulary,
     build_vocabulary,
@@ -70,7 +70,7 @@ class TestDecodeUtf8:
     def test_invalid_byte_reports_absolute_offset(self, tmp_path):
         path = tmp_path / "f.txt"
         path.write_bytes(b"x" * 99 + b"\nab\xffcd")
-        with pytest.raises(CorpusError) as exc:
+        with pytest.raises(MetlitError, match="line 2: invalid UTF-8 at byte 102") as exc:
             list(read_lines(str(path)))
         assert str(exc.value) == f"{path}, line 2: invalid UTF-8 at byte 102"
 
@@ -89,7 +89,7 @@ class TestDecodeUtf8:
     ):
         path = tmp_path / "f.txt"
         path.write_bytes(data)
-        with pytest.raises(CorpusError) as exc:
+        with pytest.raises(MetlitError, match="invalid UTF-8 at byte") as exc:
             list(read_lines(str(path)))
         assert str(exc.value) == f"{path}, {where}"
 
@@ -106,7 +106,7 @@ class TestVocabulary:
         assert vocab.words == ["a"]
 
     def test_all_below_threshold_is_an_error(self):
-        with pytest.raises(CorpusError):
+        with pytest.raises(MetlitError, match="empty vocabulary: no token reaches min_count=3"):
             vocabulary_from_counts(Counter(["x", "y"]), min_count=3)
 
     def test_ids_dense_and_inverse_of_words(self):
@@ -135,7 +135,7 @@ class TestVocabulary:
     def test_load_empty_file_is_an_error(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_text("")
-        with pytest.raises(CorpusError):
+        with pytest.raises(MetlitError, match="empty vocabulary file"):
             load_vocabulary(str(path))
 
     @pytest.mark.parametrize("text, message", [
@@ -149,7 +149,7 @@ class TestVocabulary:
     def test_load_names_path_and_line(self, tmp_path, text, message):
         path = tmp_path / "vocab.txt"
         path.write_bytes(text.encode("latin-1"))
-        with pytest.raises(CorpusError) as exc:
+        with pytest.raises(MetlitError, match=re.escape(message)) as exc:
             load_vocabulary(str(path))
         assert str(exc.value) == f"{path}, {message}"
 
@@ -164,7 +164,7 @@ class TestReadCorpusLines:
     def test_invalid_utf8_names_byte_offset(self, tmp_path):
         path = tmp_path / "corpus.txt"
         path.write_bytes("καλό\n".encode("utf-8") + b"a\xff\n")
-        with pytest.raises(CorpusError) as exc:
+        with pytest.raises(MetlitError, match="line 2: invalid UTF-8 at byte") as exc:
             list(read_corpus_lines(str(path)))
         expected_offset = len("καλό\n".encode("utf-8")) + 1
         assert str(expected_offset) in str(exc.value)
@@ -208,8 +208,8 @@ class TestReadEncoded:
         path.write_bytes((codecs.BOM_UTF8 if bom else b"") + text.encode("utf-8"))
         try:
             vocab, expected = reference_encoding(text, min_count)
-        except CorpusError:  # no token reaches min_count, or there is none
-            with pytest.raises(CorpusError):
+        except MetlitError:  # no token reaches min_count, or there is none
+            with pytest.raises(MetlitError, match="corpus is empty|empty vocabulary"):
                 read_encoded(str(path), min_count)
             return
         got_vocab, encoded = read_encoded(str(path), min_count)
@@ -222,7 +222,7 @@ class TestReadEncoded:
         given_vocab = build_vocabulary([first], 1) if first else vocab
         _, expected = reference_encoding(text, vocab=given_vocab)
         if not expected:
-            with pytest.raises(CorpusError, match="no token is in the vocabulary"):
+            with pytest.raises(MetlitError, match="no token is in the vocabulary"):
                 read_encoded(str(path), vocab=given_vocab)
             return
         got_vocab, encoded = read_encoded(str(path), vocab=given_vocab)
@@ -245,7 +245,7 @@ class TestReadEncoded:
     def test_corpus_without_tokens_is_an_error_naming_it(self, tmp_path, text):
         path = tmp_path / "corpus.txt"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(CorpusError) as exc:
+        with pytest.raises(MetlitError, match="corpus is empty") as exc:
             read_encoded(str(path))
         assert str(exc.value) == f"corpus is empty: {path}"
 
@@ -253,10 +253,11 @@ class TestReadEncoded:
         path = tmp_path / "corpus.txt"
         path.write_text("δέλτα ε\n", encoding="utf-8")
         vocab = build_vocabulary([["alpha", "beta"]], min_count=1)
-        with pytest.raises(CorpusError) as exc:
+        with pytest.raises(MetlitError, match="no token is in the vocabulary") as exc:
             read_encoded(str(path), vocab=vocab)
         assert str(exc.value) == f"{path}: no token is in the vocabulary of 2 words"
 
+    @pytest.mark.memory
     def test_working_memory_is_a_few_bytes_a_token(self, tmp_path):
         # about 1M tokens on Zipf-drawn words, some below min_count; held
         # as str token lists and then id lists, this corpus peaks at about
@@ -304,7 +305,7 @@ class TestLabeledPhrases:
     def test_unknown_label_is_an_error_with_line_number(self, tmp_path):
         path = tmp_path / "phrases.tsv"
         path.write_text("literal\tx\tx y\nfigurative\tx\tx y\n", encoding="utf-8")
-        with pytest.raises(CorpusError) as exc:
+        with pytest.raises(MetlitError, match="line 2: unknown label 'figurative'") as exc:
             load_labeled_phrases(str(path))
         assert "line 2" in str(exc.value)
         assert "figurative" in str(exc.value)
@@ -312,14 +313,14 @@ class TestLabeledPhrases:
     def test_missing_column_is_an_error(self, tmp_path):
         path = tmp_path / "phrases.tsv"
         path.write_text("literal\tx y\n", encoding="utf-8")
-        with pytest.raises(CorpusError) as exc:
+        with pytest.raises(MetlitError, match="line 1: expected 3 tab-separated columns") as exc:
             load_labeled_phrases(str(path))
         assert "line 1" in str(exc.value)
 
     def test_verb_absent_from_sentence_is_an_error(self, tmp_path):
         path = tmp_path / "phrases.tsv"
         path.write_text("literal\tκλείνω\tανοίγω την πόρτα\n", encoding="utf-8")
-        with pytest.raises(CorpusError) as exc:
+        with pytest.raises(MetlitError, match="verb 'κλείνω' absent from phrase tokens") as exc:
             load_labeled_phrases(str(path))
         assert "κλείνω" in str(exc.value)
 
@@ -332,7 +333,7 @@ class TestLabeledPhrases:
     def test_file_without_phrases_is_an_error_naming_it(self, tmp_path, text):
         path = tmp_path / "phrases.tsv"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(CorpusError) as exc:
+        with pytest.raises(MetlitError, match="empty phrase file") as exc:
             load_labeled_phrases(str(path))
         assert str(exc.value) == f"{path}: empty phrase file"
 
@@ -349,12 +350,12 @@ class TestLabeledPhrases:
         assert phrase.verb == "ανοίγω"
 
     def test_constructor_rejects_bad_label_and_missing_verb(self):
-        with pytest.raises(CorpusError):
+        with pytest.raises(MetlitError, match="unknown label 'other'"):
             LabeledPhrase(tokens=["a"], verb="a", label="other")
-        with pytest.raises(CorpusError):
+        with pytest.raises(MetlitError, match="verb 'b' absent from phrase tokens"):
             LabeledPhrase(tokens=["a"], verb="b", label=LITERAL)
 
 
 def test_vocabulary_rejects_duplicate_words():
-    with pytest.raises(CorpusError):
+    with pytest.raises(MetlitError, match="duplicate word in vocabulary"):
         Vocabulary(["a", "a"], {"a": 2})

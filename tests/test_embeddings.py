@@ -1,14 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
 from metlit import MetlitError
-from metlit.corpus import CorpusError
 from metlit.embeddings import (
     EmbeddingMatrix,
     format_floats,
     load_embeddings,
     save_embeddings,
 )
+
+from helpers import traced_peak
 
 
 def make_matrix(rng, words=("a", "b", "c"), dim=4):
@@ -65,13 +68,13 @@ class TestTextFormat:
     def test_load_rejects_wrong_column_count(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("1 3\nw 1.0 2.0\n", encoding="utf-8")
-        with pytest.raises(CorpusError):
+        with pytest.raises(MetlitError, match="line 2: 2 values, the file has 3 per row"):
             load_embeddings(str(path))
 
     def test_load_rejects_truncated_file(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("2 2\nw 1.0 2.0\n", encoding="utf-8")
-        with pytest.raises(CorpusError):
+        with pytest.raises(MetlitError, match="1 rows, the header says 2"):
             load_embeddings(str(path))
 
     @pytest.mark.parametrize("text, message", [
@@ -89,7 +92,7 @@ class TestTextFormat:
     def test_load_names_path_and_line(self, tmp_path, text, message):
         path = tmp_path / "emb.txt"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(CorpusError) as exc:
+        with pytest.raises(MetlitError, match=re.escape(message)) as exc:
             load_embeddings(str(path))
         assert str(exc.value) == f"{path}{message}"
 
@@ -98,3 +101,18 @@ class TestTextFormat:
         save_embeddings(EmbeddingMatrix([], np.zeros((0, 3))), str(path))
         loaded = load_embeddings(str(path))
         assert loaded.words == [] and loaded.vectors.shape == (0, 3)
+
+
+@pytest.mark.memory
+def test_load_working_memory_is_about_the_matrix(tmp_path):
+    # the glove benchmark's 1,799 words at the default --dim of 100: the rows
+    # go into one growing buffer, which the loaded matrix then views, with no
+    # copy; the words and their ids, which the matrix keeps, are the rest
+    rng = np.random.default_rng(5)
+    emb = make_matrix(rng, words=[f"w{i}" for i in range(1799)], dim=100)
+    path = str(tmp_path / "emb.txt")
+    save_embeddings(emb, path)
+    loaded, peak = traced_peak(load_embeddings, path)
+    assert loaded.words == emb.words and np.array_equal(loaded.vectors, emb.vectors)
+    assert peak <= 1.3 * loaded.vectors.nbytes, \
+        f"{peak / loaded.vectors.nbytes:.2f} times the matrix"

@@ -230,6 +230,7 @@ class TestTrainGlove:
         inter = mean_cosine(emb, topic_a, topic_b)
         assert intra > inter
 
+    @pytest.mark.memory
     def test_working_memory_holds_no_table_length_array(self):
         # 30k tokens over 2,000 ids, about 137k records: each chunk's rows,
         # weights and logs are computed from a slice of the table shuffled
@@ -257,6 +258,7 @@ class TestTrainGlove:
         assert np.array_equal(table["x"], table["i"])  # whole records move
         assert rng.random() == expected.random()
 
+    @pytest.mark.memory
     def test_set_up_draws_straight_into_the_stacked_parameters(self):
         # the stacked parameters and their accumulators are two (2V, D + 1)
         # matrices, and a draw of w or w~ half of one more; a GloveModel

@@ -107,6 +107,7 @@ class TestSlices:
         got, _ = embed_dataset(phrases, emb, "sum")
         assert got.values.tobytes() == values.tobytes()
 
+    @pytest.mark.memory
     def test_working_memory_is_the_output_and_one_slice(self):
         # 20k phrase tokens at D = 200: the whole gather would be 32 MB, one
         # slice's is 1.6 MB. Beside the output, the sums of every phrase (as
@@ -175,6 +176,7 @@ class TestTextFormat:
         assert np.array_equal(loaded.total, vectors.total)
         assert np.array_equal(loaded.values, vectors.values)
 
+    @pytest.mark.memory
     def test_load_working_memory_is_about_the_values(self, tmp_path):
         # 914 rows of 200, as the benchmark's vectors: the rows go into one
         # growing buffer, which the loaded values then view, with no copy

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from metlit import MetlitError
 from metlit.stats import (
-    DegenerateSampleError,
-    SampleSizeError,
     TTestResult,
     betainc_reg,
     group_ttest,
@@ -153,11 +152,11 @@ class TestWelch:
         assert scaled.t_statistic == pytest.approx(base.t_statistic, rel=1e-12)
 
     def test_small_sample_rejected(self):
-        with pytest.raises(SampleSizeError):
+        with pytest.raises(MetlitError, match="each sample needs at least 2 elements"):
             welch_t([1.0], [1.0, 2.0])
 
     def test_two_constant_samples_rejected(self):
-        with pytest.raises(DegenerateSampleError):
+        with pytest.raises(MetlitError, match="both samples have zero variance"):
             welch_t([2.0, 2.0, 2.0], [5.0, 5.0])
 
     def test_one_constant_sample_is_fine(self):
@@ -225,7 +224,7 @@ class TestGroupTTest:
         results, summary = group_ttest(vectors)
         assert results[1].p_value is None and not results[1].significant
         assert summary["flat_dimensions"] == 1
-        with pytest.raises(DegenerateSampleError):
+        with pytest.raises(MetlitError, match="both samples have zero variance"):
             welch_t(vectors.values[vectors.metaphor, 1], vectors.values[~vectors.metaphor, 1])
 
     def test_one_class_missing_is_an_error(self):
