@@ -91,10 +91,14 @@ def _fit(vectors: SentenceVectors, rows: np.ndarray, seed: int, lam: float,
     # x.mean(0) and x.std(0) in place: a reduction over this strided x sums
     # as over a contiguous copy (row after row, or pairwise when dim is 1)
     gather()
-    mean = x.sum(axis=0) / n
-    x -= mean
-    x *= x
-    std = np.sqrt(x.sum(axis=0) / n)
+    with np.errstate(over="ignore", invalid="ignore"):  # named below
+        mean = x.sum(axis=0) / n
+        x -= mean
+        x *= x
+        std = np.sqrt(x.sum(axis=0) / n)
+    bad = np.flatnonzero(~np.isfinite(std))  # as is every std whose mean is not finite
+    if len(bad):
+        raise MetlitError(f"dimension {bad[0]}: the mean or std of its values is not finite")
     std[std == 0] = 1.0  # zero-variance dimensions pass through
     gather()
     x -= mean

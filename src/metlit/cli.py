@@ -159,8 +159,7 @@ def cbow_stage(args, encoded: corpus.Encoded, vocab: corpus.Vocabulary):
 
 def glove_stage(args, table: np.ndarray, vocab: corpus.Vocabulary):
     config = glove.GloveConfig(
-        dim=args.dim, lr=args.lr, epochs=args.epochs,
-        params=glove.WeightParams(a=args.alpha_exp, x_max=args.xmax),
+        dim=args.dim, lr=args.lr, epochs=args.epochs, x_max=args.xmax, alpha=args.alpha_exp,
         seed=args.seed,
     )
     return _save_trained(args, "train-glove", *glove.train_glove(table, vocab, config))

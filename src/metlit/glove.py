@@ -2,7 +2,7 @@
 
 Minimizes sum over pairs of f(X_ij) * (w_i . w~_j + b_i + b~_j - ln X_ij)^2
 with per-coordinate AdaGrad updates. The weight function f damps very
-frequent pairs: (x / x_max)^a below the cutoff, 1 above it.
+frequent pairs: (x / x_max)^alpha below the cutoff, 1 above it.
 
 The parameters are one (2V, D + 1) array, [w | b] over [w~ | b~]: record
 (i, j) reads and updates rows i and V + j. Its AdaGrad accumulators have
@@ -12,7 +12,7 @@ the same layout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +25,18 @@ CHUNK_RECORDS = 1024  # records weighted at a time
 
 
 @dataclass
-class WeightParams:
-    a: float = 0.75
-    x_max: float = 100.0
+class GloveConfig:
+    dim: int = 100
+    lr: float = 0.05
+    epochs: int = 15
+    x_max: float = 100.0  # the weight's cutoff
+    alpha: float = 0.75   # the weight's exponent below the cutoff
+    seed: int = 0
 
 
-def weights(x: np.ndarray, weighting: WeightParams = WeightParams()) -> np.ndarray:
-    """min(x / x_max, 1)^a over nonnegative counts: monotone, in [0, 1]."""
-    return np.minimum(x / weighting.x_max, 1.0) ** weighting.a
+def weights(x: np.ndarray, config: GloveConfig = GloveConfig()) -> np.ndarray:
+    """min(x / x_max, 1)^alpha over nonnegative counts: monotone, in [0, 1]."""
+    return np.minimum(x / config.x_max, 1.0) ** config.alpha
 
 
 def init_params(vocab_size: int, dim: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -47,15 +51,14 @@ def init_params(vocab_size: int, dim: int, seed: int = 0) -> tuple[np.ndarray, n
 
 
 def pair_gradients(
-    params: np.ndarray, i: int, j: int, x: float,
-    weighting: WeightParams = WeightParams(),
+    params: np.ndarray, i: int, j: int, x: float, config: GloveConfig = GloveConfig(),
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """f(X_ij) * (w_i . w~_j + b_i + b~_j - ln X_ij)^2 and its gradients
     with respect to rows i and V + j of `params`."""
     if x <= 0:
         raise MetlitError("pair loss requires X_ij > 0 (log undefined)")
     main, context = params[i], params[len(params) // 2 + j]
-    f = float(weights(x, weighting))
+    f = float(weights(x, config))
     residual = float(main[:-1] @ context[:-1] + main[-1] + context[-1]) - math.log(x)
     common = 2.0 * f * residual
     grad_i, grad_j = common * context, common * main
@@ -63,21 +66,9 @@ def pair_gradients(
     return f * residual * residual, grad_i, grad_j
 
 
-def total_loss(
-    params: np.ndarray, table: np.ndarray,
-    weighting: WeightParams = WeightParams(),
-) -> float:
+def total_loss(params: np.ndarray, table: np.ndarray, config: GloveConfig = GloveConfig()) -> float:
     """Weighted objective over a co-occurrence table (cooccur.RECORD array)."""
-    return sum(pair_gradients(params, i, j, x, weighting)[0] for i, j, x in table.tolist())
-
-
-@dataclass
-class GloveConfig:
-    dim: int = 100
-    lr: float = 0.05
-    epochs: int = 15
-    params: WeightParams = field(default_factory=WeightParams)
-    seed: int = 0
+    return sum(pair_gradients(params, i, j, x, config)[0] for i, j, x in table.tolist())
 
 
 def _train_chunk(params, acc, pairs, weight, log_x, lr):
@@ -161,7 +152,7 @@ def train_glove(
             for a in range(0, len(table), chunk):
                 part = table[a:a + chunk]
                 rows = np.column_stack([part["i"], part["j"]]).astype(np.intp) + [0, v]
-                epoch_loss += _train_chunk(params, acc, rows, weights(part["x"], config.params),
+                epoch_loss += _train_chunk(params, acc, rows, weights(part["x"], config),
                                            np.log(part["x"]), config.lr)
         if not np.isfinite(params).all():
             raise MetlitError(f"non-finite parameters after epoch {epoch}")

@@ -49,7 +49,8 @@ def embed_dataset(
 
     Out-of-vocabulary tokens are skipped and counted, never zero-filled:
     zero vectors would bias the mean toward the origin. A phrase with no
-    covered token gets no row and is reported as excluded.
+    covered token gets no row and is reported as excluded. A sum past the
+    float range is an error naming the phrase, counted from 1.
     """
     if mode not in MODES:
         raise MetlitError(f"mode must be one of {MODES}, got {mode!r}")
@@ -65,8 +66,12 @@ def embed_dataset(
     values = np.full((len(phrases), embeddings.dim), -0.0)
     owner = np.repeat(np.arange(len(phrases)), covered)
     flat = [i for row in ids for i in row]
-    for a in range(0, len(flat), SLICE):
-        np.add.at(values, owner[a:a + SLICE], embeddings.vectors[flat[a:a + SLICE]])
+    with np.errstate(over="ignore"):  # a sum past the float range is named below
+        for a in range(0, len(flat), SLICE):
+            np.add.at(values, owner[a:a + SLICE], embeddings.vectors[flat[a:a + SLICE]])
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if len(bad):
+        raise MetlitError(f"phrase {bad[0] + 1}: the sum of its token vectors is not finite")
     vectors = SentenceVectors(
         values=values[kept],
         metaphor=np.array([phrases[i].label == METAPHOR for i in kept]),

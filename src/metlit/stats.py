@@ -99,15 +99,19 @@ def _welch_columns(a, b, alpha: float, columns: list) -> list[TTestResult]:
     # a column of the transposed contiguous copy sums as the 1-D sample does
     a, b = (np.ascontiguousarray(x.T) for x in (a, b))
     n_a, n_b = a.shape[1], b.shape[1]
-    sq_a, sq_b = a.var(axis=1, ddof=1) / n_a, b.var(axis=1, ddof=1) / n_b
-    se2 = sq_a + sq_b
-    with np.errstate(divide="ignore", invalid="ignore"):  # flat columns
+    # flat columns divide 0 by 0; a statistic past the float range is named below
+    with np.errstate(all="ignore"):
+        sq_a, sq_b = a.var(axis=1, ddof=1) / n_a, b.var(axis=1, ddof=1) / n_b
+        se2 = sq_a + sq_b
         t = (a.mean(axis=1) - b.mean(axis=1)) / np.sqrt(se2)
         df = se2 * se2 / (sq_a * sq_a / (n_a - 1) + sq_b * sq_b / (n_b - 1))
-    # constant, not var == 0: the rounded mean of n copies of 0.1 leaves a variance
-    flat = ((np.ptp(a, axis=1) == 0.0) & (np.ptp(b, axis=1) == 0.0)).tolist()
+        # constant, not var == 0: the rounded mean of n copies of 0.1 leaves a variance
+        flat = ((np.ptp(a, axis=1) == 0.0) & (np.ptp(b, axis=1) == 0.0)).tolist()
     results = []
     for column, t_c, df_c, flat_c in zip(columns, t.tolist(), df.tolist(), flat):
+        if not (flat_c or math.isfinite(t_c) and math.isfinite(df_c)):
+            name = column if column == "norm" else f"dimension {column}"
+            raise MetlitError(f"{name}: the Welch t or df is not finite")
         p = None if flat_c else two_sided_p(t_c, df_c)
         test = (None, None, None) if flat_c else (t_c, df_c, p)
         results.append(TTestResult(column, *test, significant=not flat_c and p < alpha))
@@ -131,7 +135,8 @@ def group_ttest(
         raise MetlitError(f"need >= 2 members per class, got literal={len(lit)}, "
                           f"metaphor={len(met)}")
     dim = lit.shape[1]
-    lit, met = (np.column_stack([x, np.linalg.norm(x, axis=1)]) for x in (lit, met))
+    with np.errstate(over="ignore"):  # a norm past the float range fails the norm's test
+        lit, met = (np.column_stack([x, np.linalg.norm(x, axis=1)]) for x in (lit, met))
     results = _welch_columns(lit, met, alpha, [*range(dim), "norm"])
     if results[-1].p_value is None:
         raise MetlitError("norm: both samples have zero variance")

@@ -10,7 +10,7 @@ from metlit.cbow import LR_FLOOR_FRACTION, UnigramSampler, context_mean, loss_ex
 from metlit.classifier import FoldMetrics, SvmModel
 from metlit.corpus import Encoded
 from metlit.embeddings import EmbeddingMatrix
-from metlit.glove import WeightParams, init_params, pair_gradients
+from metlit.glove import GloveConfig, init_params, pair_gradients
 from metlit.sentvec import SentenceVectors
 from metlit.stats import _welch_columns
 
@@ -361,7 +361,7 @@ def reference_cooccurrence(sentences, window, weighting):
     return entries
 
 
-def adagrad_step(params, acc, i, j, x, lr0, weighting=WeightParams()):
+def adagrad_step(params, acc, i, j, x, lr0, config=GloveConfig()):
     """One AdaGrad update of rows i and V + j for entry (i, j); returns the
     pre-step loss.
 
@@ -370,7 +370,7 @@ def adagrad_step(params, acc, i, j, x, lr0, weighting=WeightParams()):
     """
     if lr0 <= 0:
         raise MetlitError("lr0 must be positive")
-    loss, grad_i, grad_j = pair_gradients(params, i, j, x, weighting)
+    loss, grad_i, grad_j = pair_gradients(params, i, j, x, config)
     for row, grad in ((i, grad_i), (len(params) // 2 + j, grad_j)):
         params[row] -= lr0 * grad / np.sqrt(acc[row])
         acc[row] += grad * grad
@@ -396,7 +396,7 @@ def reference_train_glove(table, vocab, config):
         with np.errstate(all="ignore"):
             for k in order:
                 i, j, x = entries[k]
-                epoch_loss += adagrad_step(params, acc, i, j, x, config.lr, config.params)
+                epoch_loss += adagrad_step(params, acc, i, j, x, config.lr, config)
         if not np.isfinite(params).all():
             raise MetlitError(f"non-finite parameters after epoch {epoch}")
         if not math.isfinite(epoch_loss):

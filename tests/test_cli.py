@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metlit
-from metlit import MetlitError, cbow, classifier, cli
+from metlit import MetlitError, cbow, classifier, cli, glove
 from metlit.classifier import kfold_split, lambda_range, load_model, train_svm
 from metlit.cooccur import RECORD, load_table
 from metlit.corpus import load_vocabulary, read_corpus_lines
@@ -49,6 +49,18 @@ def workspace(tmp_path):
         "labeled": str(labeled_path),
         "out": str(out),
     }
+
+
+@pytest.fixture
+def trained_out(workspace, capsys):
+    """Workspace with vocabulary and co-occurrence artifacts written."""
+    out = workspace["out"]
+    for argv in (
+        ["vocab", "--corpus", workspace["corpus"], "--min-count", "1"],
+        ["cooccur", "--corpus", workspace["corpus"]],
+    ):
+        assert run_cli(capsys, argv + ["--out", out])[0] == 0
+    return workspace
 
 
 def run_cli(capsys, argv):
@@ -520,6 +532,61 @@ class TestCvErrors:
         assert sorted(os.listdir(out)) == [cli.SENTVEC_FILE]
 
 
+class TestOverflow:
+    """Finite inputs whose sums or squares leave the float range: one error
+    line naming the phrase or the dimension, no RuntimeWarning, no artifact."""
+
+    @pytest.mark.parametrize("lines, phrase", [
+        (["metaphor\tbig\tthe big dog", "literal\tdog\tthe dog"], 1),
+        (["literal\tdog\tthe dog", "", "metaphor\tbig\tthe big dog"], 2),
+    ])
+    def test_embed_sum_past_the_float_range(self, tmp_path, capsys, lines, phrase):
+        out = tmp_path / "out"
+        out.mkdir()
+        write_lines(out / cli.EMBEDDINGS_FILE, ["3 2", "the 1e308 1", "big 1e308 2", "dog 1 1"])
+        write_lines(tmp_path / "labeled.tsv", lines)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, summary, err = run_cli(
+                capsys, ["embed", "--labeled", str(tmp_path / "labeled.tsv"), "--out", str(out)])
+        assert code == 1 and summary is None
+        assert err == f"error: phrase {phrase}: the sum of its token vectors is not finite\n"
+        assert os.listdir(out) == [cli.EMBEDDINGS_FILE]
+
+    @staticmethod
+    def write_vectors(tmp_path, first_column):
+        """Six vectors of dimension 2, three of each class, under tmp_path/out."""
+        out = tmp_path / "out"
+        out.mkdir()
+        second = [("literal", 0.5), ("literal", 0.1), ("literal", 0.9),
+                  ("metaphor", 1.5), ("metaphor", 1.1), ("metaphor", 1.9)]
+        write_lines(out / cli.SENTVEC_FILE, [
+            f"{label} 1/1 {a} {b}" for a, (label, b) in zip(first_column, second)])
+        return out
+
+    @pytest.mark.parametrize("magnitude", ["1e154", "1e200", "1e308"])
+    @pytest.mark.parametrize("argv, message", [
+        (["ttest"], "the Welch t or df is not finite"),
+        (["cv", "--folds", "2"], "the mean or std of its values is not finite"),
+    ], ids=["ttest", "cv"])
+    def test_squares_past_the_float_range(self, tmp_path, capsys, magnitude, argv, message):
+        out = self.write_vectors(tmp_path, [sign + magnitude for sign in ("", "-") * 3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, summary, err = run_cli(capsys, argv + ["--out", str(out)])
+        assert code == 1 and summary is None
+        assert err == f"error: dimension 0: {message}\n"
+        assert os.listdir(out) == [cli.SENTVEC_FILE]
+
+    def test_norm_past_the_float_range_is_named(self, tmp_path, capsys):
+        # dimension 0 is flat, so it has no test, but every norm overflows
+        out = self.write_vectors(tmp_path, ["1e200"] * 6)
+        code, summary, err = run_cli(capsys, ["ttest", "--out", str(out)])
+        assert code == 1 and summary is None
+        assert err == "error: norm: the Welch t or df is not finite\n"
+        assert os.listdir(out) == [cli.SENTVEC_FILE]
+
+
 class TestSvmLambdaRange:
     @pytest.fixture(scope="class")
     def out(self, tmp_path_factory):
@@ -731,17 +798,6 @@ class TestErrorContract:
 
 
 class TestTrainingErrors:
-    @pytest.fixture
-    def trained_out(self, workspace, capsys):
-        """Workspace with vocabulary and co-occurrence artifacts written."""
-        out = workspace["out"]
-        for argv in (
-            ["vocab", "--corpus", workspace["corpus"], "--min-count", "1"],
-            ["cooccur", "--corpus", workspace["corpus"]],
-        ):
-            assert run_cli(capsys, argv + ["--out", out])[0] == 0
-        return workspace
-
     @pytest.mark.parametrize("flag, message", [
         ("--negatives", "--negatives must be >= 1, got 0"),
         ("--window", "--window must be >= 1, got 0"),
@@ -1331,6 +1387,34 @@ class TestPipelineEqualsChain:
             with open(os.path.join(whole, name), "rb") as a, \
                     open(os.path.join(single, name), "rb") as b:
                 assert a.read() == b.read(), name
+
+
+class TestSettingsReachTrainers:
+    """Every setting of a training command arrives in its trainer's config."""
+
+    @pytest.mark.parametrize("argv, module, trainer, expected", [
+        ("train-glove --dim 6 --epochs 2 --lr 0.08 --xmax 20 --alpha-exp 0.6 --seed 3",
+         glove, "train_glove",
+         glove.GloveConfig(dim=6, lr=0.08, epochs=2, x_max=20.0, alpha=0.6, seed=3)),
+        ("train-cbow --dim 6 --window 3 --epochs 2 --lr 0.04 --negatives 3 --seed 3",
+         cbow, "train_cbow",
+         cbow.CbowConfig(dim=6, window=3, epochs=2, lr=0.04, negatives=3, seed=3)),
+    ], ids=["glove", "cbow"])
+    def test_config_holds_every_setting(
+        self, trained_out, capsys, monkeypatch, argv, module, trainer, expected
+    ):
+        real, configs = getattr(module, trainer), []
+
+        def train(*inputs):
+            configs.append(inputs[-1])
+            return real(*inputs)
+
+        monkeypatch.setattr(module, trainer, train)
+        argv = argv.split() + ["--out", trained_out["out"]]
+        if module is cbow:
+            argv += ["--corpus", trained_out["corpus"]]
+        assert run_cli(capsys, argv)[0] == 0
+        assert configs == [expected]  # dataclass equality: field by field
 
 
 class TestParserDefaults:

@@ -8,7 +8,6 @@ from metlit.cooccur import RECORD, build_cooccurrence
 from metlit.corpus import Vocabulary, build_vocabulary
 from metlit.glove import (
     GloveConfig,
-    WeightParams,
     init_params,
     pair_gradients,
     total_loss,
@@ -62,17 +61,17 @@ class TestWeightFunction:
         assert all(0.0 <= y <= 1.0 for y in ys)
 
     def test_custom_params(self):
-        weighting = WeightParams(a=1.0, x_max=10.0)
-        assert weights(5.0, weighting) == pytest.approx(0.5, abs=1e-12)
+        config = GloveConfig(x_max=10.0, alpha=1.0)
+        assert weights(5.0, config) == pytest.approx(0.5, abs=1e-12)
 
     def test_vectorized_equals_scalar_below_at_and_above_cutoff(self):
-        for weighting in (WeightParams(), WeightParams(a=0.5, x_max=10.0)):
+        for config in (GloveConfig(), GloveConfig(x_max=10.0, alpha=0.5)):
             xs = np.array([1e-9, 0.3, 1.0, 7.5, 9.999, 10.0, 10.5, 50.0,
                            99.99, 100.0, 100.01, 1e6])
-            for x, f in zip(xs.tolist(), weights(xs, weighting).tolist()):
-                if x < weighting.x_max:
+            for x, f in zip(xs.tolist(), weights(xs, config).tolist()):
+                if x < config.x_max:
                     # numpy's vectorized power may round 1 ulp off libm's pow
-                    closed = min(x / weighting.x_max, 1.0) ** weighting.a
+                    closed = min(x / config.x_max, 1.0) ** config.alpha
                     assert f == pytest.approx(closed, rel=1e-15, abs=0)
                 else:
                     assert f == 1.0
