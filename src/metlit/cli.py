@@ -247,28 +247,10 @@ def cmd_cv(args) -> dict:
     return cv_stage(args, vectors)[1]
 
 
-def svm_lambda_bounds(n: int, epochs: int) -> tuple[float, float]:
-    """The --svm-lambda range some count of 2 to n vectors of dimension 1
-    admits. The upper end falls as the count m grows, and the lower end
-    falls from m to m + 2, so its least value is at m = n - 1 or n."""
-    low = min(classifier.lambda_range(m, 1, epochs)[0] for m in {max(2, n - 1), n})
-    return low, classifier.lambda_range(2, 1, epochs)[1]
-
-
 def cmd_pipeline(args) -> dict:
     """Every stage in turn, each result handed on and dropped once used."""
     _require_file(args.corpus, "corpus file")
-    # the phrase file's non-blank lines bound the vector count, so a --folds or
-    # --svm-lambda that no count from 2 up admits fails before the corpus is read
-    # (at dimension 1, the widest range: the trainer names a --dim it cannot fit)
-    n = sum(1 for _, line in corpus.read_lines(_require_file(args.labeled, "labeled phrase file"))
-            if line.strip())
-    if args.folds > n:
-        raise MetlitError(f"--folds must be <= the {n} phrases of {args.labeled}, got {args.folds}")
-    low, high = svm_lambda_bounds(n, args.svm_epochs)
-    if not low <= args.svm_lambda <= high:
-        raise MetlitError(f"--svm-lambda must lie in [{low:.3g}, {high:.3g}] for {args.svm_epochs} "
-                          f"epochs over at most {n} vectors, got {args.svm_lambda!r}")
+    _require_file(args.labeled, "labeled phrase file")
     summaries = {"command": "pipeline", "model": args.model}
     (vocab, encoded), summaries["vocab"] = vocab_stage(args)
     if args.model == "glove":
@@ -348,6 +330,8 @@ def main(argv: list[str] | None = None) -> int:
                 os.rmdir(path)
         if not isinstance(exc, (MetlitError, OSError, MemoryError)):
             raise
+        if isinstance(exc, MemoryError) and not str(exc):  # python's own allocations
+            exc = "out of memory"
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(summary, ensure_ascii=False))

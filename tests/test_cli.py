@@ -692,6 +692,19 @@ class TestErrorContract:
                    and cls.__module__ == name]
         assert defined == [MetlitError]
 
+    @pytest.mark.parametrize("allocate, line", [
+        (lambda: bytearray(10**18), "out of memory"),  # python's allocator gives no text
+        (lambda: np.empty(10**17), None),  # numpy's names the array: kept
+    ], ids=["python", "numpy"])
+    def test_memory_error_is_one_error_line(self, monkeypatch, capsys, tmp_path, allocate, line):
+        with pytest.raises(MemoryError) as raised:
+            allocate()
+        assert bool(str(raised.value)) == (line is None)
+        monkeypatch.setattr(cli, "cmd_ttest", lambda args: allocate())
+        code, summary, err = run_cli(capsys, ["ttest", "--out", str(tmp_path / "out")])
+        assert code == 1 and summary is None
+        assert err == f"error: {line or raised.value}\n"
+
     def test_other_exceptions_are_not_turned_into_error_lines(self, monkeypatch):
         def broken(args):
             raise ValueError("a bug, not a malformed input")
@@ -1121,48 +1134,61 @@ class TestPipeline:
             "--out", workspace["out"],
         ])
 
-    def test_folds_above_the_phrase_count_fail_before_the_corpus_is_read(
-        self, workspace, capsys, monkeypatch
+    @pytest.mark.parametrize("missing, what", [
+        ("corpus", "corpus file"), ("labeled", "labeled phrase file"),
+    ])
+    def test_missing_input_fails_before_the_corpus_is_read(
+        self, workspace, capsys, monkeypatch, tmp_path, missing, what
     ):
-        monkeypatch.setattr(cli.corpus, "read_corpus_lines", None)  # reading it fails
-        with open(workspace["labeled"], "a", encoding="utf-8") as fh:
-            fh.write("\n  \n")  # blank lines are not phrases
-        code, summary, err = self._pipeline(workspace, capsys, workspace["labeled"],
-                                            "--folds", "13")
+        def unread(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(cli.corpus, "read_corpus_lines", unread)
+        inputs = dict(workspace, **{missing: str(tmp_path / "missing.txt")})
+        code, summary, err = run_cli(capsys, [
+            "pipeline", "--corpus", inputs["corpus"], "--labeled", inputs["labeled"],
+            "--out", workspace["out"],
+        ])
         assert code == 1 and summary is None
-        assert err == f"error: --folds must be <= the 12 phrases of {workspace['labeled']}, got 13\n"
+        assert err == f"error: {what} not found: {inputs[missing]}\n"
         assert not os.path.exists(workspace["out"])
 
-    def test_svm_lambda_no_phrase_count_admits_fails_before_the_corpus_is_read(
-        self, workspace, capsys, monkeypatch
+    @pytest.mark.parametrize("earlier", [False, True], ids=["no-out", "earlier-out"])
+    @pytest.mark.parametrize("model", ["cbow", "glove"])
+    @pytest.mark.parametrize("settings", [
+        ["--folds", "13"], ["--folds", "2", "--svm-lambda", "1e-300"],
+    ], ids=["folds", "svm-lambda"])
+    def test_folds_and_svm_lambda_are_checked_against_the_vectors_fitted(
+        self, workspace, capsys, model, settings, earlier
     ):
-        monkeypatch.setattr(cli.corpus, "read_corpus_lines", None)
+        # kfold_split and _pegasos check them once the 12 phrases are sentence
+        # vectors, and the failure removes the artifacts staged before cv
+        if "--svm-lambda" in settings:  # two folds: fits on 6, 6 and 12 vectors of --dim 4
+            bounds = [lambda_range(n, 4, 100) for n in (6, 6, 12)]
+            low, high = max(b[0] for b in bounds), min(b[1] for b in bounds)
+            message = (f"--svm-lambda must lie in [{low:.3g}, {high:.3g}] for 100 epochs "
+                       f"over 12 vectors, got 1e-300")
+        else:
+            message = "--folds must be <= the number of sentence vectors 12, got 13"
+        out = workspace["out"]
+        if earlier:  # an earlier run's artifact and a file of the user's
+            os.makedirs(out)
+            for name in (cli.VOCAB_FILE, "notes.txt"):
+                with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+                    fh.write("earlier\n")
+        before = _snapshot(out)
         code, summary, err = self._pipeline(workspace, capsys, workspace["labeled"],
-                                            "--folds", "2", "--svm-lambda", "1e-300")
-        bounds = [lambda_range(n, 1, 100) for n in range(2, 13)]
-        low, high = min(b[0] for b in bounds), max(b[1] for b in bounds)
+                                            "--model", model, *settings)
         assert code == 1 and summary is None
-        assert err == (f"error: --svm-lambda must lie in [{low:.3g}, {high:.3g}] for 100 epochs "
-                       f"over at most 12 vectors, got 1e-300\n")
-        assert not os.path.exists(workspace["out"])
-
-    @pytest.mark.parametrize("epochs", [0, 1, 2, 3, 10, 100])
-    def test_svm_lambda_bounds_equal_the_bounds_over_every_count(self, epochs):
-        # the two-count bounds against the ends over every count m from 2 to
-        # n, each kept as n grows
-        low, high = math.inf, 0.0
-        for n in range(2, 2001):
-            low = min(low, lambda_range(n, 1, epochs)[0])
-            high = max(high, lambda_range(n, 1, epochs)[1])
-            assert cli.svm_lambda_bounds(n, epochs) == (low, high)
+        assert err == f"error: {message}\n"
+        assert _snapshot(out) == before
 
     @staticmethod
     def _eleven_phrases(workspace, tmp_path):
-        """The first 11 phrases, and a --svm-lambda the early check passes
-        that cv rejects at one epoch: the early check takes the lowest lower
-        end over every count, and with one epoch it rises from 10 to 11 rows,
-        so the lower end for 10 rows passes with 11 phrases, and cv, which
-        fits all 11 vectors, rejects it."""
+        """The first 11 phrases, and a --svm-lambda that cv rejects at one
+        epoch: the lower end of the range for 10 rows of dimension 1, which
+        lies below the lower end for the 11 rows of the full-data fit at any
+        dimension."""
         labeled = tmp_path / "eleven.tsv"
         with open(workspace["labeled"], encoding="utf-8") as fh:
             labeled.write_text("".join(fh.readlines()[:11]), encoding="utf-8")
@@ -1173,6 +1199,8 @@ class TestPipeline:
     def test_svm_lambda_a_smaller_phrase_count_admits_is_left_to_cv(
         self, workspace, capsys, tmp_path
     ):
+        """A --svm-lambda that 10 vectors would admit fails in cv, which
+        checks it against the 11 vectors it fits."""
         labeled, lam = self._eleven_phrases(workspace, tmp_path)
         code, summary, err = self._pipeline(workspace, capsys, labeled, "--folds", "2",
                                             "--svm-epochs", "1", "--svm-lambda", repr(lam))
