@@ -89,10 +89,12 @@ def _fit(vectors: SentenceVectors, rows: np.ndarray, seed: int, lam: float,
             x[a:a + BLOCK] = vectors.values[rows[a:a + BLOCK]]
 
     # x.mean(0) and x.std(0) in place: a reduction over this strided x sums
-    # as over a contiguous copy (row after row, or pairwise when dim is 1)
+    # as over a contiguous copy (row after row, or pairwise when dim is 1);
+    # a column of one value takes it as its mean, so it centers to exact zeros
     gather()
     with np.errstate(over="ignore", invalid="ignore"):  # named below
-        mean = x.sum(axis=0) / n
+        top = x.max(axis=0)
+        mean = np.where(top == x.min(axis=0), top, x.sum(axis=0) / n)
         x -= mean
         x *= x
         std = np.sqrt(x.sum(axis=0) / n)
@@ -235,6 +237,8 @@ def kfold_split(labels, k: int, seed: int = 0) -> list[np.ndarray]:
     and per-fold class counts stay within one of the class's even share.
     """
     labels = np.asarray(labels)
+    if k < 2:
+        raise MetlitError(f"--folds must be >= 2, got {k}")
     if k > len(labels):
         raise MetlitError(f"--folds must be <= the number of sentence vectors {len(labels)}, "
                           f"got {k}")
@@ -270,23 +274,18 @@ def cross_validate(
 ) -> EvalReport:
     """Train on k-1 folds, evaluate on the held-out fold, for every fold.
 
-    Both classes must be present. Folds are stratified so near-balanced data
-    cannot produce a single-class training split, and every fold is checked
-    before any training. Fold f trains with seed + f, and the reference model
-    on the full dataset (seed) comes back as `report.model`.
-    Mean precision averages only the folds where precision is defined.
+    Each class needs two members, as in stats.group_ttest, so no stratified
+    training split lacks one. Fold f trains with seed + f, and the full-data
+    model (seed) comes back as `report.model`. Mean precision averages only
+    the folds where precision is defined.
     """
     literal, metaphor = np.bincount(vectors.metaphor, minlength=2).tolist()
-    if not (literal and metaphor):
-        raise MetlitError(f"need >= 1 member per class, got {literal=}, {metaphor=}")
+    if literal < 2 or metaphor < 2:
+        raise MetlitError(f"need >= 2 members per class, got {literal=}, {metaphor=}")
     folds = kfold_split(vectors.metaphor, k, seed=seed)
     everything = np.arange(len(vectors))
-    runs = []
-    for f, fold in enumerate(folds):
-        train = np.delete(everything, fold)  # np.setdiff1d would import numpy.ma
-        if vectors.metaphor[train].all() or not vectors.metaphor[train].any():
-            raise MetlitError(f"fold {f}: training split lost a class")
-        runs.append((train, seed + f))
+    # np.setdiff1d would import numpy.ma
+    runs = [(np.delete(everything, fold), seed + f) for f, fold in enumerate(folds)]
     runs.append((everything, seed))
     steps = epochs * sum(len(train) for train, _ in runs)
     fits = _pegasos(vectors, runs, lam, epochs)

@@ -81,27 +81,31 @@ def read_corpus_lines(path: str) -> Iterator[list[str]]:
         yield tokenize(line)
 
 
-class Vocabulary:
-    """Bidirectional word<->id map with corpus frequencies.
+class WordTable:
+    """Distinct words in id order, ids dense 0..len-1, and the map back."""
 
-    Ids are dense 0..len-1, assigned by descending frequency with
-    lexicographic tie-break, so construction is deterministic.
-    """
-
-    def __init__(self, words: list[str], freq: dict[str, int]):
+    def __init__(self, words: list[str]):
         self.words = list(words)
-        self.freq = dict(freq)
         self._ids = {w: i for i, w in enumerate(self.words)}
         if len(self._ids) != len(self.words):
-            raise MetlitError("duplicate word in vocabulary")
+            word = next(w for i, w in enumerate(self.words) if self._ids[w] != i)
+            raise MetlitError(f"duplicate word {word!r}")
 
     def __len__(self) -> int:
         return len(self.words)
 
     def encode(self, tokens: Iterable[str]) -> list[int]:
-        """Map tokens to ids, silently dropping out-of-vocabulary tokens."""
+        """Map tokens to ids, silently dropping unknown tokens."""
         ids = self._ids
         return [ids[t] for t in tokens if t in ids]
+
+
+class Vocabulary(WordTable):
+    """A word table with corpus frequencies, ids by descending frequency, then word."""
+
+    def __init__(self, words: list[str], freq: dict[str, int]):
+        super().__init__(words)
+        self.freq = dict(freq)
 
 
 def vocabulary_from_counts(counts: Mapping[str, int], min_count: int = 1) -> Vocabulary:

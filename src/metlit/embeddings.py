@@ -7,32 +7,22 @@ from array import array
 import numpy as np
 
 from . import MetlitError
-from .corpus import parse_count, parse_floats, read_lines
+from .corpus import WordTable, parse_count, parse_floats, read_lines
 
 
-class EmbeddingMatrix:
-    """One D-dimensional vector per vocabulary word, in id order."""
+class EmbeddingMatrix(WordTable):
+    """The word table with one D-dimensional vector per word, in id order."""
 
     def __init__(self, words: list[str], vectors: np.ndarray):
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[0] != len(words):
             raise MetlitError("vectors must be a (len(words), D) matrix")
-        self.words = list(words)
+        super().__init__(words)
         self.vectors = vectors
-        self._ids = {w: i for i, w in enumerate(self.words)}
-        if len(self._ids) != len(self.words):
-            raise MetlitError("duplicate word in embeddings")
 
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def ids(self, tokens) -> list[int]:
-        """Row ids of the in-vocabulary tokens, in order; the rest are skipped."""
-        return [self._ids[t] for t in tokens if t in self._ids]
 
 
 def format_floats(values) -> str:

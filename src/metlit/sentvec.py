@@ -56,7 +56,7 @@ def embed_dataset(
         raise MetlitError(f"mode must be one of {MODES}, got {mode!r}")
     if not phrases:
         raise MetlitError("empty phrase list")
-    ids = [embeddings.ids(phrase.tokens) for phrase in phrases]
+    ids = [embeddings.encode(phrase.tokens) for phrase in phrases]
     covered = np.array([len(row) for row in ids])
     kept = np.flatnonzero(covered)
     if not len(kept):

@@ -68,7 +68,7 @@ def mean_cosine(emb, group_a, group_b):
     With group_a == group_b, averages distinct unordered pairs (intra-group).
     """
     def units(group):
-        return [v / np.linalg.norm(v) for v in emb.vectors[emb.ids(group)]]
+        return [v / np.linalg.norm(v) for v in emb.vectors[emb.encode(group)]]
 
     ua, ub = units(group_a), units(group_b)
     sims = []
@@ -161,8 +161,9 @@ def reference_pegasos(train, lam, epochs, seed):
     """
     signs = np.array([1.0 if m else -1.0 for m in train.metaphor.tolist()])
     x = train.values
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
+    top = x.max(axis=0)  # a column of one value centers to exact zeros
+    mean = np.where(top == x.min(axis=0), top, x.mean(axis=0))
+    std = np.sqrt(((x - mean) ** 2).mean(axis=0))  # x.std(axis=0) when not flat
     std = np.where(std > 0, std, 1.0)
     z = (x - mean) / std
     n, dim = z.shape

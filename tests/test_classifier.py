@@ -280,8 +280,10 @@ class TestCrossValidate:
     def test_training_split_losing_a_class_raises_fold_error(self):
         rng = np.random.default_rng(9)
         data = labeled_vectors([rng.normal(0, 1, 2) for _ in range(6)], [False] * 5 + [True])
-        # at k=2 the training split of the lone metaphor's fold has no metaphor
-        with pytest.raises(MetlitError, match="training split lost a class"):
+        # at k=2 the training split of the lone metaphor's fold would have no
+        # metaphor: a class of one member is rejected up front, as ttest does
+        with pytest.raises(MetlitError,
+                           match="^need >= 2 members per class, got literal=5, metaphor=1$"):
             cross_validate(data, k=2, epochs=2)
 
     @pytest.mark.parametrize("metaphor", [False, True])
@@ -292,19 +294,27 @@ class TestCrossValidate:
         monkeypatch.setattr(classifier, "kfold_split", no_folds)
         data = labeled_vectors(np.random.default_rng(9).normal(0, 1, (5, 2)), [metaphor] * 5)
         counts = "literal=0, metaphor=5" if metaphor else "literal=5, metaphor=0"
-        with pytest.raises(MetlitError, match=f"need >= 1 member per class, got {counts}$"):
+        with pytest.raises(MetlitError, match=f"^need >= 2 members per class, got {counts}$"):
             cross_validate(data, k=2, epochs=2)
 
     def test_fold_error_raised_before_any_training(self, monkeypatch):
         def no_training(*args, **kwargs):
-            raise AssertionError("trained before checking every fold")
+            raise AssertionError("trained before checking the classes")
 
         monkeypatch.setattr(classifier, "_pegasos", no_training)
         rng = np.random.default_rng(9)
         data = labeled_vectors([rng.normal(0, 1, 2) for _ in range(10)], [False] * 9 + [True])
-        # the lone metaphor lands in the last fold; folds 0-3 are fine
-        with pytest.raises(MetlitError, match="fold 4: training split lost a class"):
+        # the lone metaphor's fold would leave a training split of one class
+        with pytest.raises(MetlitError,
+                           match="^need >= 2 members per class, got literal=9, metaphor=1$"):
             cross_validate(data, k=5, epochs=2)
+
+    @pytest.mark.parametrize("k", [1, 0])
+    def test_fewer_than_two_folds_is_a_folds_error(self, k):
+        # k = 1 trained on no rows and k = 0 divided by zero; both are --folds errors
+        data = make_blobs(np.random.default_rng(9), n_per_class=3, dim=2, separation=3.0)
+        with pytest.raises(MetlitError, match=f"^--folds must be >= 2, got {k}$"):
+            cross_validate(data, k=k, epochs=2)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(10)
@@ -411,8 +421,27 @@ class TestSharedBuffer:
             x = values[rows]
             std = x.std(axis=0)
             std[std == 0] = 1.0
-            assert model.scale_mean.tobytes() == x.mean(axis=0).tobytes()
+            mean = x.mean(axis=0)
+            if flat:  # a column of one value: that value, and a std of 1
+                mean[0], std[0] = values[0, 0], 1.0
+            assert model.scale_mean.tobytes() == mean.tobytes()
             assert model.scale_std.tobytes() == std.tobytes()
+
+    @pytest.mark.parametrize("value", [0.1, 1e200])
+    def test_flat_column_centers_to_exact_zeros(self, value):
+        # the rounded mean of three 0.1s leaves a std of 1.4e-17, which scaled
+        # the column to -1; six 1e200s leave deviations whose squares overflow
+        rng = np.random.default_rng(4)
+        values = rng.normal(0.0, 1.0, (6, 2))
+        values[:, 0] = value
+        data = labeled_vectors(values, [False, True] * 3)
+        runs = [(np.arange(3), 0), (np.arange(6), 1)]
+        z = np.full((6, 3), np.nan)
+        work = np.empty((classifier.BLOCK, 3))
+        for rows, seed in runs:
+            model, _ = classifier._fit(data, rows, seed, 1.0, 0, z, work)
+            assert model.scale_mean[0] == value and model.scale_std[0] == 1.0
+            assert (z[:len(rows), 0] == 0.0).all()
 
     @pytest.mark.memory
     def test_working_memory_is_one_standardized_buffer(self):

@@ -464,7 +464,7 @@ class TestCvErrors:
         out = self.write_vectors(tmp_path, rows + ["metaphor 1/1 0.5 0.5"])
         code, summary, err = run_cli(capsys, ["cv", "--out", out])
         assert code == 1 and summary is None
-        assert err == "error: fold 0: training split lost a class\n"
+        assert err == "error: need >= 2 members per class, got literal=20, metaphor=1\n"
         assert not os.path.exists(os.path.join(out, cli.CV_FILE))
 
     @pytest.mark.parametrize("label, counts", [
@@ -476,7 +476,17 @@ class TestCvErrors:
                                             for a, b in rng.normal(0, 1, (6, 2))])
         code, summary, err = run_cli(capsys, ["cv", "--folds", "2", "--out", out])
         assert code == 1 and summary is None
-        assert err == f"error: need >= 1 member per class, got {counts}\n"
+        assert err == f"error: need >= 2 members per class, got {counts}\n"
+        assert os.listdir(out) == [cli.SENTVEC_FILE]
+
+    @pytest.mark.parametrize("argv", [["ttest"], ["cv", "--folds", "2"]], ids=["ttest", "cv"])
+    def test_a_class_of_one_is_the_same_error_in_ttest_and_cv(self, tmp_path, capsys, argv):
+        rng = np.random.default_rng(3)
+        rows = [f"literal 1/1 {a:.3f} {b:.3f}" for a, b in rng.normal(0, 1, (5, 2))]
+        out = self.write_vectors(tmp_path, rows + ["metaphor 1/1 0.5 0.5"])
+        code, summary, err = run_cli(capsys, argv + ["--out", out])
+        assert code == 1 and summary is None
+        assert err == "error: need >= 2 members per class, got literal=5, metaphor=1\n"
         assert os.listdir(out) == [cli.SENTVEC_FILE]
 
     def test_non_finite_vector_is_a_one_line_error(self, tmp_path, capsys):
@@ -577,6 +587,17 @@ class TestOverflow:
         assert code == 1 and summary is None
         assert err == f"error: dimension 0: {message}\n"
         assert os.listdir(out) == [cli.SENTVEC_FILE]
+
+    def test_flat_column_of_large_values_passes_through_cv(self, tmp_path, capsys):
+        # one value throughout is flat, however large: its mean is that value
+        out = self.write_vectors(tmp_path, ["1e200"] * 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, summary, err = run_cli(capsys, ["cv", "--folds", "2", "--out", str(out)])
+        assert code == 0 and err == ""
+        assert sorted(os.listdir(out)) == sorted([cli.CV_FILE, cli.MODEL_FILE, cli.SENTVEC_FILE])
+        model = load_model(str(out / cli.MODEL_FILE))
+        assert model.scale_mean[0] == 1e200 and model.scale_std[0] == 1.0
 
     def test_norm_past_the_float_range_is_named(self, tmp_path, capsys):
         # dimension 0 is flat, so it has no test, but every norm overflows

@@ -357,5 +357,5 @@ class TestLabeledPhrases:
 
 
 def test_vocabulary_rejects_duplicate_words():
-    with pytest.raises(MetlitError, match="duplicate word in vocabulary"):
+    with pytest.raises(MetlitError, match="^duplicate word 'a'$"):
         Vocabulary(["a", "a"], {"a": 2})

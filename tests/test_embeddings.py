@@ -22,13 +22,13 @@ def make_matrix(rng, words=("a", "b", "c"), dim=4):
 class TestEmbeddingMatrix:
     def test_row_lookup_and_contains(self):
         emb = EmbeddingMatrix(["x", "y"], np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.array_equal(emb.vectors[emb.ids(["y"])], [[3.0, 4.0]])
-        assert emb.ids(["z", "x"]) == [0]
+        assert np.array_equal(emb.vectors[emb.encode(["y"])], [[3.0, 4.0]])
+        assert emb.encode(["z", "x"]) == [0]
         assert emb.dim == 2
 
     def test_unknown_words_skipped_in_order(self):
         emb = EmbeddingMatrix(["x", "y"], np.array([[1.0], [2.0]]))
-        assert emb.ids(["nope", "y", "x", "zz", "y"]) == [1, 0, 1]
+        assert emb.encode(["nope", "y", "x", "zz", "y"]) == [1, 0, 1]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metlit import LITERAL, METAPHOR, MetlitError, sentvec
+from metlit import LITERAL, METAPHOR, MetlitError, corpus, sentvec
 from metlit.corpus import LabeledPhrase
 from metlit.embeddings import EmbeddingMatrix
 from metlit.sentvec import (
@@ -77,7 +77,7 @@ class TestAggregate:
         for mode in ("mean", "sum"):
             got, _ = embed_dataset(phrases, emb, mode)
             for row, p in zip(got.values, phrases):
-                stacked = np.stack([emb.vectors[i] for i in emb.ids(p.tokens)])
+                stacked = np.stack([emb.vectors[i] for i in emb.encode(p.tokens)])
                 want = stacked.mean(axis=0) if mode == "mean" else stacked.sum(axis=0)
                 assert row.tobytes() == want.tobytes()
 
@@ -98,7 +98,7 @@ class TestSlices:
         scale = 10.0 ** rng.integers(-8, 8, (30, 1))
         emb = EmbeddingMatrix(words, rng.normal(0, 1, (30, 4)) * scale)
         phrases = random_phrases(rng, words, 800, 9)
-        ids = [emb.ids(p.tokens) for p in phrases]
+        ids = [emb.encode(p.tokens) for p in phrases]
         assert sum(map(len, ids)) > 2 * sentvec.SLICE
         values = np.full((len(phrases), 4), -0.0)
         np.add.at(values, np.repeat(np.arange(len(phrases)), [len(row) for row in ids]),
@@ -161,6 +161,24 @@ class TestEmbedDataset:
         scaled = EmbeddingMatrix(emb.words, emb.vectors * 3.0)
         p = phrase(["a", "b", "c"])
         assert np.allclose(aggregate(p, scaled).values, 3.0 * aggregate(p, emb).values)
+
+    def test_phrase_lookups_bypass_a_replaced_vocabulary_encode(self, emb, monkeypatch):
+        # the benchmark's tracer replaces Vocabulary.encode to count corpus
+        # lookups; the embeddings share its word table, not that attribute
+        phrases = [phrase(["a", "zzz", "b"]), phrase(["c", "c"], METAPHOR)]
+        before, _ = embed_dataset(phrases, emb)
+        calls = []
+        encode = corpus.Vocabulary.encode
+
+        def counted(self, tokens):
+            calls.append(tokens)
+            return encode(self, tokens)
+
+        monkeypatch.setattr(corpus.Vocabulary, "encode", counted)
+        after, _ = embed_dataset(phrases, emb)
+        assert after.values.tobytes() == before.values.tobytes()
+        assert calls == []
+        assert corpus.Vocabulary(["a"], {"a": 1}).encode(["a", "b"]) == [0] and calls == [["a", "b"]]
 
 
 class TestTextFormat:
